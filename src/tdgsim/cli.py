@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .ledger import LedgerError, parse_ledger_lines
+from .ledger import AuditError, LedgerError, parse_ledger_lines
 from .metrics import compute_metrics
 from .scenario import ConfigError, parse_scenario, read_event_log, run
 
@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
         return 1
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
-        return 3 if "ledger" in str(exc) else 2
+        return 3 if isinstance(exc, AuditError) else 2
     for metric, value in report.scalar_rows():
         print(f"{metric},{value}")
     return 0

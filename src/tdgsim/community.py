@@ -1,10 +1,12 @@
 """Explicit trust community state machine: formation, manager election,
-operation (monitoring, invitation, eviction) and dissolution."""
+operation (invitation, eviction) and dissolution."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
+
+from .config import Params
 
 
 class StateError(RuntimeError):
@@ -51,17 +53,6 @@ class MembershipEvent:
     detail: str = ""
 
 
-@dataclass
-class CommunityParams:
-    min_size: int = 5
-    max_size: int = 20
-    join_threshold: float = 0.7
-    evict_threshold: float = 0.5
-    drop_delta: float = 0.2
-    dissolve_fraction: float = 0.5
-    election_delay: int = 1
-
-
 # Actions emitted by operate_tick for the engine to apply.
 @dataclass(frozen=True)
 class Evict:
@@ -73,12 +64,6 @@ class Invite:
     agent: str
 
 
-@dataclass(frozen=True)
-class AssignMonitor:
-    agent: str
-    targets: Tuple[str, ...]
-
-
 @dataclass
 class TrustCommunity:
     id: str
@@ -87,7 +72,6 @@ class TrustCommunity:
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
     tcm: Optional[str] = None
-    binary_holders: Set[str] = field(default_factory=set)
     peak_size: int = 0
     events: List[MembershipEvent] = field(default_factory=list)
     declined: Set[str] = field(default_factory=set)
@@ -106,14 +90,12 @@ class TrustCommunity:
     def add_member(self, agent: str, tick: int, tau: float) -> None:
         self.members[agent] = tick
         self.join_tau[agent] = tau
-        self.binary_holders.add(agent)  # every member stores the WU construction binary
         self.peak_size = max(self.peak_size, len(self.members))
         self.log(tick, EventKind.JOINED, agent)
 
     def remove_member(self, agent: str, tick: int, kind: EventKind) -> None:
         self.members.pop(agent, None)
         self.join_tau.pop(agent, None)
-        self.binary_holders.discard(agent)
         self.log(tick, kind, agent)
 
     def form(self, tick: int, joiners: Sequence[str], taus: Mapping[str, float],
@@ -134,7 +116,7 @@ class TrustCommunity:
 
 
 def evaluate_formation(founder: str, reputations: Mapping[str, float],
-                       params: CommunityParams) -> Optional[List[str]]:
+                       params: Params) -> Optional[List[str]]:
     """Invitation list for a new community, or None below quorum.
 
     All agents at or above the join threshold, best reputation first,
@@ -185,21 +167,11 @@ def handle_tcm_failure(tc: TrustCommunity, availability: Mapping[str, bool],
     return elect_tcm(tc, availability, tick)
 
 
-def assign_monitors(members: Sequence[str]) -> List[AssignMonitor]:
-    """Partition monitoring duty round-robin; nobody monitors themselves."""
-    ordered = sorted(members)
-    n = len(ordered)
-    if n < 2:
-        return []
-    return [AssignMonitor(agent=ordered[i], targets=(ordered[(i + 1) % n],))
-            for i in range(n)]
-
-
 def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
-                 outsiders: Mapping[str, float], params: CommunityParams,
+                 outsiders: Mapping[str, float], params: Params,
                  tick: int) -> List[object]:
-    """One operation-phase step: evict decayed members, invite strong
-    outsiders while below max size, distribute the monitoring duty."""
+    """One operation-phase step: evict decayed members and invite strong
+    outsiders while below max size."""
     if tc.phase is not Phase.OPERATION:
         raise StateError(f"operate_tick in phase {tc.phase.value}")
     actions: List[object] = []
@@ -216,11 +188,10 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
                     and a not in tc.members and a not in tc.declined]
         eligible.sort(key=lambda it: (-it[0], it[1]))
         actions.extend(Invite(a) for _, a in eligible[:room])
-    actions.extend(assign_monitors(list(tc.members)))
     return actions
 
 
-def dissolve_check(tc: TrustCommunity, params: CommunityParams,
+def dissolve_check(tc: TrustCommunity, params: Params,
                    queue_exhausted: bool) -> bool:
     """True when the community no longer carries its weight: shrunk below
     quorum, below the dissolution fraction of its peak, or out of work."""

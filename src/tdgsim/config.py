@@ -40,7 +40,6 @@ class Params:
     evict_threshold: float = 0.5
     drop_delta: float = 0.2
     dissolve_fraction: float = 0.5
-    election_delay: int = 1
     formation: bool = True
     allow_short_groups: bool = False
     dgds_same_amount: str = "total"  # or "additional"

@@ -6,7 +6,7 @@ rng stream owned by the caller; same pool + seed gives identical groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .trust import TrustClass
 
@@ -25,7 +25,6 @@ class Candidate:
     tau: float
     f_min: int  # pre-drawn via effective_f_min
     trust_class: TrustClass
-    busy: bool = False
 
 
 @dataclass(frozen=True)
@@ -36,21 +35,16 @@ class ReplicaGroup:
     short: bool = False  # availability clamped the group below its target size
 
 
-def _free(pool: Sequence[Candidate]) -> List[Candidate]:
-    return [c for c in pool if not c.busy]
-
-
 def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
     """Random initiator; its f_min picks that many other random agents.
 
-    If fewer free agents exist than f_min requires, the group is clamped
-    to what is available and flagged short.
+    If fewer agents exist than f_min requires, the group is clamped to
+    what is available and flagged short.
     """
-    free = _free(pool)
-    if len(free) < 2:
-        raise SelectionFailed(f"need at least 2 free candidates, have {len(free)}")
-    initiator = free[rng.randrange(len(free))]
-    others = [c for c in free if c.agent != initiator.agent]
+    if len(pool) < 2:
+        raise SelectionFailed(f"need at least 2 candidates, have {len(pool)}")
+    initiator = pool[rng.randrange(len(pool))]
+    others = [c for c in pool if c.agent != initiator.agent]
     take = min(initiator.f_min, len(others))
     chosen = rng.sample(others, take)
     members = (initiator.agent,) + tuple(c.agent for c in chosen)
@@ -58,40 +52,30 @@ def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
                         short=take < initiator.f_min)
 
 
-def dods_assign(pool: Sequence[Candidate], wus: Sequence[str],
-                allow_short: bool = False) -> Tuple[List[ReplicaGroup], List[str]]:
-    """Ordered strategy: sort by f_min, fill each group until the highest
+def dods_assign(pool: Sequence[Candidate], wu: str,
+                allow_short: bool = False) -> ReplicaGroup:
+    """Ordered strategy: sort by f_min, fill the group until the highest
     f_min inside it is satisfied (a fixed point, since joining agents can
     raise the maximum).
 
-    Returns (groups, deferred_wus).
+    A group the pool cannot complete is returned short only when
+    allow_short is set and it has at least 2 members.
     """
-    free = sorted(_free(pool), key=lambda c: (c.f_min, c.agent))
-    if not free:
+    ordered = sorted(pool, key=lambda c: (c.f_min, c.agent))
+    if not ordered:
         raise SelectionFailed("empty pool")
-    groups: List[ReplicaGroup] = []
-    deferred: List[str] = []
-    idx = 0
-    for pos, wu in enumerate(wus):
-        if idx >= len(free):
-            deferred.extend(wus[pos:])
-            break
-        group = [free[idx]]
-        idx += 1
-        max_f = group[0].f_min
-        while len(group) < 1 + max_f and idx < len(free):
-            group.append(free[idx])
-            idx += 1
-            max_f = max(max_f, group[-1].f_min)
+    group = [ordered[0]]
+    max_f = group[0].f_min
+    for c in ordered[1:]:
         if len(group) >= 1 + max_f:
-            groups.append(ReplicaGroup(wu=wu, members=tuple(c.agent for c in group),
-                                       initiator=group[0].agent))
-        elif allow_short and len(group) >= 2:
-            groups.append(ReplicaGroup(wu=wu, members=tuple(c.agent for c in group),
-                                       initiator=group[0].agent, short=True))
-        else:
-            deferred.append(wu)
-    return groups, deferred
+            break
+        group.append(c)
+        max_f = max(max_f, c.f_min)
+    short = len(group) < 1 + max_f
+    if short and not (allow_short and len(group) >= 2):
+        raise SelectionFailed(f"dods group of {len(group)} cannot reach {1 + max_f}")
+    return ReplicaGroup(wu=wu, members=tuple(c.agent for c in group),
+                        initiator=group[0].agent, short=short)
 
 
 def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
@@ -103,10 +87,9 @@ def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
     Untrusted members can never outnumber trusted ones, so they cannot
     form a majority in the group.
     """
-    free = _free(pool)
-    untrusted = [c for c in free if c.trust_class is TrustClass.UNTRUSTED]
-    trusted = [c for c in free if c.trust_class is TrustClass.TRUSTED]
-    undecided = [c for c in free if c.trust_class is TrustClass.UNDECIDED]
+    untrusted = [c for c in pool if c.trust_class is TrustClass.UNTRUSTED]
+    trusted = [c for c in pool if c.trust_class is TrustClass.TRUSTED]
+    undecided = [c for c in pool if c.trust_class is TrustClass.UNDECIDED]
     if not untrusted or not trusted:
         raise FallbackToDRDS("pool lacks a trusted/untrusted partition")
 
@@ -148,11 +131,10 @@ def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
 def random_baseline_select(pool: Sequence[Candidate], replication: int, rng,
                            wu: str = "") -> ReplicaGroup:
     """Control condition: uniform group of a fixed size, no trust input."""
-    free = _free(pool)
     if replication < 1:
         raise SelectionFailed(f"replication {replication} must be >= 1")
-    if len(free) < replication:
-        raise SelectionFailed(f"need {replication} free candidates, have {len(free)}")
-    chosen = rng.sample(free, replication)
+    if len(pool) < replication:
+        raise SelectionFailed(f"need {replication} candidates, have {len(pool)}")
+    chosen = rng.sample(pool, replication)
     return ReplicaGroup(wu=wu, members=tuple(c.agent for c in chosen),
                         initiator=chosen[0].agent)

@@ -21,9 +21,9 @@ from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
 from .ledger import Ledger, split_credits
-from .trust import (Rating, RatingCause, ReplicationLimits, ReputationProfile,
-                    classify, effective_f_min, raw_replication_factor,
-                    roulette_round)
+from .trust import (NEUTRAL_TAU, Rating, RatingCause, ReplicationLimits,
+                    ReputationProfile, classify, effective_f_min,
+                    raw_replication_factor, roulette_round)
 
 
 class Profile(Enum):
@@ -117,7 +117,7 @@ class ReputationStore:
 
     def tau(self, subject: str) -> float:
         prof = self.profiles.get(subject)
-        return prof.tau if prof is not None else 0.5
+        return prof.tau if prof is not None else NEUTRAL_TAU
 
     def record(self, rating: Rating) -> None:
         self.profile(rating.subject).record(rating)
@@ -284,12 +284,6 @@ class World:
             return self.servers[entity].online
         return self.agents[entity].online
 
-    def _community_of(self, agent_id: str) -> Optional[tc.TrustCommunity]:
-        for comm in self.communities.values():
-            if agent_id in comm.members:
-                return comm
-        return None
-
     def _issue_trust(self) -> None:
         # Failover before issuance so a dead manager costs at most one tick.
         for comm in list(self.communities.values()):
@@ -393,11 +387,8 @@ class World:
             return random_baseline_select(candidates, max(size, 1),
                                           self.rng_issue, wu=wu_id)
         if strategy == "dods":
-            groups, _ = dods_assign(candidates, [wu_id],
-                                    allow_short=params.allow_short_groups)
-            if not groups:
-                raise SelectionFailed("dods could not complete a group")
-            return groups[0]
+            return dods_assign(candidates, wu_id,
+                               allow_short=params.allow_short_groups)
         if strategy == "dgds":
             try:
                 return dgds_select(candidates, self.rng_issue, wu=wu_id,
@@ -415,7 +406,7 @@ class World:
                 continue
             wu = self.wus[agent.current_wu]
             if agent.profile is Profile.FREE_RIDER:
-                self._terminal(agent, wu, Outcome("dropped", units=agent.progress))
+                self._terminal(agent, wu, "dropped", units=agent.progress)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id,
                           units=agent.progress)
                 continue
@@ -424,8 +415,8 @@ class World:
                 result = (f"bad-{wu.id}" if agent.profile is Profile.MALICIOUS
                           else wu.ground_truth)
                 late = (self.tick - agent.assigned_tick) > agent.quote
-                self._terminal(agent, wu, Outcome("completed", result=result,
-                                                  units=wu.complexity, late=late))
+                self._terminal(agent, wu, "completed", result=result,
+                               units=wu.complexity, late=late)
                 self.emit("wu_completed", wu=wu.id, agent=agent.id,
                           units=wu.complexity, late=late,
                           buffered=(not self.trust_mode
@@ -433,11 +424,10 @@ class World:
                 if not self.trust_mode:
                     self._completions.append((wu.project, wu, result, agent.id))
 
-    def _terminal(self, agent: AgentModel, wu: WorkUnit, outcome: Outcome) -> None:
-        if self.trust_mode:
-            assignment = self.assignments.get(wu.id)
-            if assignment is not None:
-                assignment.outcomes[agent.id] = outcome
+    def _terminal(self, agent: AgentModel, wu: WorkUnit, kind: str, **outcome) -> None:
+        assignment = self.assignments.get(wu.id)  # only trust mode has any
+        if assignment is not None:
+            assignment.outcomes[agent.id] = Outcome(kind, **outcome)
         agent.current_wu = None
         agent.progress = 0
 
@@ -445,7 +435,7 @@ class World:
     def _phase_collect(self) -> None:
         if self.trust_mode:
             return
-        self._routed: List[Tuple[str, WorkUnit, str, str]] = []
+        self._routed = []
         for sid in self.server_order:  # FIFO flush on the ServerUp tick
             server = self.servers[sid]
             if server.online:
@@ -606,13 +596,6 @@ class World:
         if not self.trust_mode or not self.config.params.formation:
             return
         params = self.config.params
-        cparams = tc.CommunityParams(
-            min_size=params.min_size, max_size=params.max_size,
-            join_threshold=params.join_threshold,
-            evict_threshold=params.evict_threshold,
-            drop_delta=params.drop_delta,
-            dissolve_fraction=params.dissolve_fraction,
-            election_delay=params.election_delay)
         in_community = set()
         for comm in self.communities.values():
             in_community.update(comm.members)
@@ -626,7 +609,7 @@ class World:
             outsiders = {a: self.store.tau(a) for a in self.agent_order
                          if self.agents[a].online and a not in in_community}
             for action in tc.operate_tick(comm, reputations, outsiders,
-                                          cparams, self.tick):
+                                          params, self.tick):
                 if isinstance(action, tc.Evict):
                     comm.remove_member(action.agent, self.tick, tc.EventKind.EVICTED)
                     in_community.discard(action.agent)
@@ -641,7 +624,7 @@ class World:
             queue_empty = (not self.servers[comm.founder].queue
                            and not any(a.community == comm.id
                                        for a in self.assignments.values()))
-            if tc.dissolve_check(comm, cparams, queue_empty):
+            if tc.dissolve_check(comm, params, queue_empty):
                 for member in comm.members:
                     in_community.discard(member)
                 comm.dissolve(self.tick)
@@ -656,13 +639,13 @@ class World:
                 continue
             eligible = {a: self.store.tau(a) for a in self.agent_order
                         if self.agents[a].online and a not in in_community}
-            invites = tc.evaluate_formation(sid, eligible, cparams)
+            invites = tc.evaluate_formation(sid, eligible, params)
             if invites is None:
                 continue
             comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid)
             joiners = [a for a in invites if self._accepts_invite(a, None,
                                                                  invitee_taus=[eligible[x] for x in invites])]
-            if len(joiners) < cparams.min_size:
+            if len(joiners) < params.min_size:
                 continue  # below quorum; retry when reputations improve
             self._tc_counter += 1
             for a in invites:

@@ -20,7 +20,7 @@ class LedgerError(ValueError):
 
 
 class AuditError(RuntimeError):
-    """Balance queried on a chain that fails verification."""
+    """A credit chain failed verification (queried or audited after a run)."""
 
 
 def block_digest(index: int, prev_hash: str, wu: str,

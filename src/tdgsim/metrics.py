@@ -9,10 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from collections import deque
-
-from .engine import SimEvent
-from .trust import aggregate_reputation
+from .engine import ReputationStore, SimEvent
 
 
 @dataclass
@@ -49,7 +46,6 @@ class MetricsReport:
 
 def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     horizon = header["horizon"]
-    window = header.get("window", 50)
     profiles = {a: info["profile"] for a, info in header["agents"].items()}
     report = MetricsReport(horizon=horizon)
 
@@ -65,7 +61,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     wrong_validated = 0
     total_units = 0
     consensus_units = 0
-    rep: Dict[str, deque] = {}  # subject -> sliding window of rating values
+    store = ReputationStore(header.get("window", 50))
     credit_by_agent: Dict[str, int] = {}
 
     by_tick: Dict[int, List[SimEvent]] = {}
@@ -90,7 +86,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
             elif k == "agent_down":
                 online.discard(p["agent"])
             elif k == "rating_issued":
-                rep.setdefault(p["subject"], deque(maxlen=window)).append(p["value"])
+                store.profile(p["subject"]).window.append(p["value"])
             elif k == "credit_committed":
                 for agent, mc in p["allocations"].items():
                     credit_by_agent[agent] = credit_by_agent.get(agent, 0) + mc
@@ -117,8 +113,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
 
     tau_by_profile: Dict[str, List[float]] = {}
     for agent, profile in profiles.items():
-        tau = aggregate_reputation(rep[agent]) if agent in rep else 0.5
-        tau_by_profile.setdefault(profile, []).append(tau)
+        tau_by_profile.setdefault(profile, []).append(store.tau(agent))
     report.mean_tau_by_profile = {
         prof: sum(taus) / len(taus) for prof, taus in tau_by_profile.items()}
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig)
 from .engine import SimEvent, World
-from .ledger import Ledger
+from .ledger import AuditError, Ledger
 from .metrics import MetricsReport, compute_metrics
 from .trust import ReplicationLimits
 
@@ -31,8 +31,8 @@ _SERVER_KEYS = {"count", "timeout_ticks"}
 _AGENT_KEYS = {"count", "profile", "speed", "churn", "accept_prob"}
 _PARAM_KEYS = {"window", "min_size", "max_size", "join_threshold",
                "evict_threshold", "drop_delta", "dissolve_fraction",
-               "election_delay", "formation", "allow_short_groups",
-               "dgds_same_amount", "max_requeues", "random_replication"}
+               "formation", "allow_short_groups", "dgds_same_amount",
+               "max_requeues", "random_replication"}
 _LIMIT_KEYS = {"lo", "hi"}
 
 
@@ -138,7 +138,6 @@ def parse_scenario(path) -> ScenarioConfig:
             p.evict_threshold = get(section, "evict_threshold", float, p.evict_threshold)
             p.drop_delta = get(section, "drop_delta", float, p.drop_delta)
             p.dissolve_fraction = get(section, "dissolve_fraction", float, p.dissolve_fraction)
-            p.election_delay = get(section, "election_delay", int, p.election_delay)
             p.formation = get(section, "formation", _bool, p.formation)
             p.allow_short_groups = get(section, "allow_short_groups", _bool,
                                        p.allow_short_groups)
@@ -234,7 +233,6 @@ def render_config(cfg: ScenarioConfig) -> str:
         f"evict_threshold = {p.evict_threshold}",
         f"drop_delta = {p.drop_delta}",
         f"dissolve_fraction = {p.dissolve_fraction}",
-        f"election_delay = {p.election_delay}",
         f"formation = {'on' if p.formation else 'off'}",
         f"allow_short_groups = {'on' if p.allow_short_groups else 'off'}",
         f"dgds_same_amount = {p.dgds_same_amount}",
@@ -260,7 +258,7 @@ def run(cfg: ScenarioConfig,
     world.run()
     bad = world.ledger.verify_chain()
     if bad is not None:
-        raise RuntimeError(f"internal consistency failure: ledger block {bad} invalid")
+        raise AuditError(f"internal consistency failure: ledger block {bad} invalid")
     report = compute_metrics(world.header(), world.events)
     if out_dir is not None:
         emit_report(world, report, out_dir)

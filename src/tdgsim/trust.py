@@ -77,29 +77,26 @@ def aggregate_reputation(values: Iterable[float]) -> float:
 
 @dataclass
 class ReputationProfile:
-    """Sliding window of the most recent ratings about one subject."""
+    """Sliding window of the most recent rating values about one subject."""
 
     subject: str
     window_size: int = DEFAULT_WINDOW
-    window: Deque[Rating] = field(default_factory=deque)
+    window: Deque[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.window = deque(maxlen=self.window_size)
 
     @property
     def tau(self) -> float:
-        return aggregate_reputation(r.value for r in self.window)
+        return aggregate_reputation(self.window)
 
     def record(self, rating: Rating) -> "ReputationProfile":
         if rating.subject != self.subject:
             raise ValidationError(
                 f"rating subject {rating.subject!r} does not match profile {self.subject!r}"
             )
-        self.window.append(rating)
-        while len(self.window) > self.window_size:
-            self.window.popleft()
+        self.window.append(rating.value)
         return self
-
-
-def record_rating(profile: ReputationProfile, rating: Rating) -> ReputationProfile:
-    return profile.record(rating)
 
 
 def classify(tau: float) -> TrustClass:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from tdgsim.config import AgentGroup, ScenarioConfig
-from tdgsim.distribution import FallbackToDRDS, SelectionFailed, dgds_select
+from tdgsim.distribution import (Candidate, FallbackToDRDS, SelectionFailed,
+                                 dgds_select)
 from tdgsim.engine import Profile
 from tdgsim.ledger import parse_ledger_lines
 from tdgsim.scenario import parse_scenario, run
@@ -114,10 +115,14 @@ def test_ac2_dgds_no_untrusted_majority(capsys):
         for cls, label in ((TrustClass.UNTRUSTED, "u"), (TrustClass.TRUSTED, "t"),
                            (TrustClass.UNDECIDED, "m")):
             for i in range(rng.randint(0, 10)):
-                from tdgsim.distribution import Candidate
-                pool.append(Candidate(agent=f"{label}{i}", tau=rng.random(),
-                                      f_min=rng.randint(1, 6), trust_class=cls,
-                                      busy=rng.random() < 0.2))
+                # Draw a busy coin per candidate and leave busy ones out of
+                # the pool, so the random stream and the groups checked stay
+                # those the suite has always checked.
+                tau, f_min, busy = rng.random(), rng.randint(1, 6), rng.random() < 0.2
+                if busy:
+                    continue
+                pool.append(Candidate(agent=f"{label}{i}", tau=tau,
+                                      f_min=f_min, trust_class=cls))
         try:
             group = dgds_select(pool, rng, wu="w")
         except (FallbackToDRDS, SelectionFailed):

@@ -1,14 +1,14 @@
 """Trust-community lifecycle state-machine tests."""
 import pytest
 
-from tdgsim.community import (ALLOWED_TRANSITIONS, AssignMonitor, CommunityParams,
-                              DissolutionTriggered, EventKind, Evict, Invite,
-                              Phase, StateError, TrustCommunity, assign_monitors,
-                              dissolve_check, elect_tcm, evaluate_formation,
-                              handle_tcm_failure, join_decision, operate_tick,
-                              replay_events)
+from tdgsim.community import (ALLOWED_TRANSITIONS, DissolutionTriggered,
+                              EventKind, Evict, Invite, Phase, StateError,
+                              TrustCommunity, dissolve_check, elect_tcm,
+                              evaluate_formation, handle_tcm_failure,
+                              join_decision, operate_tick, replay_events)
+from tdgsim.config import Params
 
-PARAMS = CommunityParams()
+PARAMS = Params()
 
 
 def formed_community(n=6, tick=10):
@@ -55,13 +55,6 @@ def test_dissolved_is_terminal():
     comm.dissolve(11)
     with pytest.raises(StateError):
         comm._transition(Phase.OPERATION, 12)
-
-
-def test_every_member_holds_the_binary():
-    comm = formed_community()
-    assert comm.binary_holders == set(comm.members)
-    comm.remove_member("a0", 11, EventKind.EVICTED)
-    assert "a0" not in comm.binary_holders
 
 
 # ------------------------------------------------------------ formation
@@ -151,13 +144,6 @@ def test_operate_tick_respects_max_size_and_declines():
     invites = [a for a in actions if isinstance(a, Invite)]
     assert len(invites) == PARAMS.max_size - len(comm.members)
     assert all(a.agent != "shy" for a in invites)
-
-
-def test_assign_monitors_round_robin_excludes_self():
-    duties = assign_monitors(["c", "a", "b"])
-    assert duties == [AssignMonitor("a", ("b",)), AssignMonitor("b", ("c",)),
-                      AssignMonitor("c", ("a",))]
-    assert assign_monitors(["solo"]) == []
 
 
 # ----------------------------------------------------------- dissolution

@@ -10,8 +10,8 @@ from tdgsim.distribution import (Candidate, FallbackToDRDS, SelectionFailed,
 from tdgsim.trust import TrustClass
 
 
-def cand(name, f_min=2, tau=0.5, cls=TrustClass.UNDECIDED, busy=False):
-    return Candidate(agent=name, tau=tau, f_min=f_min, trust_class=cls, busy=busy)
+def cand(name, f_min=2, tau=0.5, cls=TrustClass.UNDECIDED):
+    return Candidate(agent=name, tau=tau, f_min=f_min, trust_class=cls)
 
 
 # ---------------------------------------------------------------- DRDS
@@ -34,17 +34,9 @@ def test_drds_clamps_and_flags_short():
 
 def test_drds_needs_two_free_candidates():
     with pytest.raises(SelectionFailed):
-        drds_select([cand("a")], random.Random(0))
+        drds_select([], random.Random(0))
     with pytest.raises(SelectionFailed):
-        drds_select([cand("a"), cand("b", busy=True)], random.Random(0))
-
-
-def test_drds_ignores_busy_candidates():
-    pool = [cand("a", f_min=2), cand("b", f_min=2),
-            cand("c", f_min=2), cand("busy", busy=True)]
-    for seed in range(20):
-        group = drds_select(pool, random.Random(seed))
-        assert "busy" not in group.members
+        drds_select([cand("a")], random.Random(0))
 
 
 def test_drds_deterministic_for_seed():
@@ -61,33 +53,35 @@ def test_dods_ordered_fill_with_deferral():
     # its largest f_min (3) is satisfied by 4 members; E alone cannot
     # close a group, so the second WU is deferred.
     pool = [cand("A", 2), cand("B", 2), cand("C", 3), cand("D", 3), cand("E", 4)]
-    groups, deferred = dods_assign(pool, ["wu1", "wu2"])
-    assert len(groups) == 1
-    assert groups[0].wu == "wu1"
-    assert groups[0].members == ("A", "B", "C", "D")
-    assert deferred == ["wu2"]
+    group = dods_assign(pool, "wu1")
+    assert group.wu == "wu1"
+    assert group.members == ("A", "B", "C", "D")
+    assert not group.short
+    with pytest.raises(SelectionFailed):
+        dods_assign([cand("E", 4)], "wu2")
 
 
 def test_dods_allow_short_closes_remainder():
     pool = [cand("A", 2), cand("B", 2), cand("C", 3), cand("D", 3), cand("E", 4)]
-    groups, deferred = dods_assign(pool, ["wu1", "wu2"], allow_short=True)
-    assert len(groups) == 1  # a single agent still cannot form a group
-    assert deferred == ["wu2"]
+    assert dods_assign(pool, "wu1", allow_short=True).members == ("A", "B", "C", "D")
+    with pytest.raises(SelectionFailed):  # a single agent still cannot form a group
+        dods_assign([cand("E", 4)], "wu2", allow_short=True)
     pool.append(cand("F", 1))
-    groups, deferred = dods_assign(pool, ["wu1", "wu2"], allow_short=True)
-    assert len(groups) == 2
-    assert groups[1].short
+    assert dods_assign(pool, "wu1", allow_short=True).members == ("F", "A", "B")
+    group = dods_assign([cand("C", 3), cand("D", 3), cand("E", 4)], "wu2",
+                        allow_short=True)
+    assert group.members == ("C", "D", "E")
+    assert group.short
 
 
 def test_dods_sorts_ties_by_agent_id():
     pool = [cand("b", 1), cand("a", 1), cand("c", 1)]
-    groups, _ = dods_assign(pool, ["w1"])
-    assert groups[0].members == ("a", "b")
+    assert dods_assign(pool, "w1").members == ("a", "b")
 
 
 def test_dods_empty_pool_fails():
     with pytest.raises(SelectionFailed):
-        dods_assign([cand("a", busy=True)], ["w"])
+        dods_assign([], "w")
 
 
 # ---------------------------------------------------------------- DGDS

@@ -1,12 +1,15 @@
 """Scenario parsing, report emission, metrics recomputation and the CLI."""
+import configparser
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from tdgsim.cli import main
-from tdgsim.config import AgentGroup, ScenarioConfig
+from tdgsim.config import AgentGroup, Params, ScenarioConfig
 from tdgsim.engine import World
+from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
 from tdgsim.scenario import (ConfigError, parse_scenario, read_event_log,
                              render_config, run)
@@ -65,12 +68,22 @@ f0 = 5 w9 down
 [params]
 window = not-a-number
 bogus_key = 1
+election_delay = 1
 """
     with pytest.raises(ConfigError) as exc:
         parse_scenario(write(tmp_path, text))
     joined = "\n".join(exc.value.errors)
-    assert len(exc.value.errors) >= 3
+    assert len(exc.value.errors) >= 4
     assert "w9" in joined and "window" in joined and "bogus_key" in joined
+    assert "election_delay" in joined
+
+
+def test_defaults_file_documents_every_param():
+    path = SCENARIOS / "defaults.ini"
+    ini = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",))
+    ini.read(path, encoding="utf-8")
+    assert set(ini.options("params")) == {f.name for f in dataclasses.fields(Params)}
+    assert parse_scenario(path).params == Params()
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -218,6 +231,21 @@ def test_cli_config_error_exits_one(tmp_path, capsys):
     bad.write_text(MINIMAL + "\n[faults]\nf0 = 5 w9 down\n", encoding="utf-8")
     assert main(["run", "--scenario", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_ledger_audit_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(Ledger, "verify_chain", lambda self: 0)
+    assert main(["run", "--scenario", str(SCENARIOS / "defaults.ini"),
+                 "--ticks", "20"]) == 3
+    assert "ledger block 0" in capsys.readouterr().err
+
+
+def test_cli_other_runtime_error_exits_two(monkeypatch, capsys):
+    def fail(self):
+        raise RuntimeError("ledger append raced")
+    monkeypatch.setattr(World, "run", fail)
+    assert main(["run", "--scenario", str(SCENARIOS / "defaults.ini")]) == 2
+    assert "ledger append raced" in capsys.readouterr().err
 
 
 def test_cli_verify_ledger(tmp_path, capsys):

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from tdgsim.trust import (CAUSE_VALUES, Rating, RatingCause, ReplicationLimits,
                           ReputationProfile, TrustClass, ValidationError,
                           aggregate_reputation, classify, effective_f_min,
-                          raw_replication_factor, record_rating,
-                          roulette_round)
+                          raw_replication_factor, roulette_round)
 
 
 def test_cause_value_table():
@@ -57,7 +56,7 @@ def test_sliding_window_drops_oldest():
     for i, v in enumerate(values):
         cause = (RatingCause.CORRECT_ON_TIME if v > 0
                  else RatingCause.WRONG_RESULT)
-        record_rating(prof, Rating("r", "x", v, i, cause))
+        prof.record(Rating("r", "x", v, i, cause))
     # only the last three ratings count: mean(-1, 1, 1) = 1/3
     assert prof.tau == pytest.approx((1 + 1 / 3) / 2)
     assert len(prof.window) == 3
