@@ -298,9 +298,9 @@ class World:
 
         idle = [self.agents[a] for a in self.agent_order
                 if self.agents[a].online and self.agents[a].current_wu is None]
-        fmin = {a.id: effective_f_min(self.store.tau(a.id), self.limits, self.rng_issue)
+        fmin = {a.id: max(effective_f_min(self.store.tau(a.id), self.limits,
+                                          self.rng_issue), 1)
                 for a in idle}
-        assigned: set = set()
 
         member_of = {}
         for comm in self.communities.values():
@@ -308,7 +308,20 @@ class World:
                 for m in comm.members:
                     member_of[m] = comm.id
 
-        open_pool = [a for a in idle if a.id not in member_of]
+        # Each idle agent sits in one pool: its operating community's, or
+        # the open pool.  A pool's candidates are built when it first meets
+        # a non-empty queue and leave it as they are assigned.
+        open_agents = [a for a in idle if a.id not in member_of]
+        open_pool: Optional[Dict[str, Candidate]] = None
+
+        def drain_open(queue: Deque[WorkUnit], distributor: str,
+                       community: Optional[str]) -> None:
+            nonlocal open_pool
+            if not queue:
+                return
+            if open_pool is None:
+                open_pool = self._candidates(open_agents, fmin)
+            self._drain_queue(queue, open_pool, distributor, community)
 
         # Operating communities distribute their founders' queues first:
         # members get priority, leftover work spills to the open pool.
@@ -316,13 +329,12 @@ class World:
             comm = self.communities[comm_id]
             if comm.phase is not tc.Phase.OPERATION or not self._available(comm.tcm):
                 continue
-            members = [a for a in idle if member_of.get(a.id) == comm.id
-                       and a.id not in assigned]
             queue = self.servers[comm.founder].queue
-            self._drain_queue(queue, members, fmin, assigned,
-                              distributor=comm.tcm, community=comm.id)
-            self._drain_queue(queue, open_pool, fmin, assigned,
-                              distributor=comm.tcm, community=comm.id)
+            if queue:
+                members = [a for a in idle if member_of.get(a.id) == comm.id]
+                self._drain_queue(queue, self._candidates(members, fmin),
+                                  distributor=comm.tcm, community=comm.id)
+            drain_open(queue, distributor=comm.tcm, community=comm.id)
 
         # Queues without an operating community go straight to the open pool.
         for sid in self.server_order:
@@ -332,23 +344,32 @@ class World:
             if any(c.founder == sid and c.phase is tc.Phase.OPERATION
                    for c in self.communities.values()):
                 continue  # handled above
-            self._drain_queue(server.queue, open_pool, fmin, assigned,
-                              distributor=sid, community=None)
+            drain_open(server.queue, distributor=sid, community=None)
 
-    def _drain_queue(self, queue: Deque[WorkUnit], pool: List[AgentModel],
-                     fmin: Dict[str, int], assigned: set, distributor: str,
-                     community: Optional[str]) -> None:
+    def _candidate(self, agent_id: str, f_min: int) -> Candidate:
+        tau = self.store.tau(agent_id)
+        return Candidate(agent=agent_id, tau=tau, f_min=f_min,
+                         trust_class=classify(tau))
+
+    def _candidates(self, agents: List[AgentModel],
+                    fmin: Dict[str, int]) -> Dict[str, Candidate]:
+        return {a.id: self._candidate(a.id, fmin[a.id]) for a in agents}
+
+    def _drain_queue(self, queue: Deque[WorkUnit], pool: Dict[str, Candidate],
+                     distributor: str, community: Optional[str]) -> None:
+        """Issue work from `queue` to groups drawn from `pool`.
+
+        `pool` is updated in place: assigned agents leave it, and an agent
+        that rejects a work unit gets a new entry for its lowered tau.  A
+        dict keeps its insertion order, so the selectors see the agents in
+        the same order, and draw the same groups, as from a fresh list.
+        """
         params = self.config.params
         retries = 0
         while queue and retries <= len(queue):
-            free = [a for a in pool if a.id not in assigned]
-            candidates = [Candidate(agent=a.id, tau=self.store.tau(a.id),
-                                    f_min=max(fmin[a.id], 1),
-                                    trust_class=classify(self.store.tau(a.id)))
-                          for a in free]
             wu = queue[0]
             try:
-                group = self._select_group(candidates, wu.id)
+                group = self._select_group(list(pool.values()), wu.id)
             except SelectionFailed:
                 break
             if group.short and not params.allow_short_groups:
@@ -362,13 +383,14 @@ class World:
                 else:
                     self.emit("wu_rejected", wu=wu.id, agent=member)
                     self._rate(member, RatingCause.REJECTED_WU, rater=distributor)
+                    pool[member] = self._candidate(member, pool[member].f_min)
             if len(accepted) < 2:
                 queue.append(wu)
                 retries += 1
                 continue
             for member in accepted:
                 self._assign_wu(self.agents[member], wu)
-                assigned.add(member)
+                del pool[member]
             wu.deadline = self.tick + self.config.timeout_ticks
             self.assignments[wu.id] = Assignment(
                 wu=wu, members=tuple(accepted), initiator=group.initiator,
@@ -600,22 +622,35 @@ class World:
         for comm in self.communities.values():
             in_community.update(comm.members)
 
+        # No rating is issued and no agent goes on- or offline in this
+        # phase, so the online agents' taus, and their mean, are read once,
+        # on first use.
+        online_tau: Optional[Dict[str, float]] = None
+        pool_tau = NEUTRAL_TAU
+
+        def outsiders() -> Dict[str, float]:
+            nonlocal online_tau, pool_tau
+            if online_tau is None:
+                online_tau = {a: self.store.tau(a) for a in self.agent_order
+                              if self.agents[a].online}
+                if online_tau:
+                    pool_tau = sum(online_tau.values()) / len(online_tau)
+            return {a: t for a, t in online_tau.items() if a not in in_community}
+
         for comm_id in sorted(self.communities):
             comm = self.communities[comm_id]
             if comm.phase is not tc.Phase.OPERATION:
                 continue
             reputations = {m: self.store.tau(m) for m in comm.members
                            if m in self.agents}
-            outsiders = {a: self.store.tau(a) for a in self.agent_order
-                         if self.agents[a].online and a not in in_community}
-            for action in tc.operate_tick(comm, reputations, outsiders,
+            for action in tc.operate_tick(comm, reputations, outsiders(),
                                           params, self.tick):
                 if isinstance(action, tc.Evict):
                     comm.remove_member(action.agent, self.tick, tc.EventKind.EVICTED)
                     in_community.discard(action.agent)
                 elif isinstance(action, tc.Invite):
                     comm.log(self.tick, tc.EventKind.INVITED, action.agent)
-                    if self._accepts_invite(action.agent, comm):
+                    if self._accepts_invite(action.agent, comm, pool_tau):
                         comm.add_member(action.agent, self.tick,
                                         self.store.tau(action.agent))
                         in_community.add(action.agent)
@@ -637,14 +672,14 @@ class World:
                 continue
             if any(c.founder == sid for c in self.communities.values()):
                 continue
-            eligible = {a: self.store.tau(a) for a in self.agent_order
-                        if self.agents[a].online and a not in in_community}
+            eligible = outsiders()
             invites = tc.evaluate_formation(sid, eligible, params)
             if invites is None:
                 continue
             comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid)
-            joiners = [a for a in invites if self._accepts_invite(a, None,
-                                                                 invitee_taus=[eligible[x] for x in invites])]
+            invitee_taus = [eligible[x] for x in invites]
+            joiners = [a for a in invites
+                       if self._accepts_invite(a, None, pool_tau, invitee_taus)]
             if len(joiners) < params.min_size:
                 continue  # below quorum; retry when reputations improve
             self._tc_counter += 1
@@ -661,7 +696,9 @@ class World:
             self._flush_tc_events(comm)
 
     def _accepts_invite(self, agent_id: str, comm: Optional[tc.TrustCommunity],
+                        pool_tau: float,
                         invitee_taus: Optional[List[float]] = None) -> bool:
+        """`pool_tau` is the mean tau of all online agents."""
         agent = self.agents[agent_id]
         if comm is not None:
             member_taus = [self.store.tau(m) for m in comm.members
@@ -669,12 +706,9 @@ class World:
             inside_taus = member_taus or [self.store.tau(agent_id)]
         else:
             inside_taus = invitee_taus or [self.store.tau(agent_id)]
-        pool_taus = [self.store.tau(a) for a in self.agent_order
-                     if self.agents[a].online]
         inside_size = 1 + raw_replication_factor(
             sum(inside_taus) / len(inside_taus), self.limits)
-        outside_size = 1 + raw_replication_factor(
-            sum(pool_taus) / len(pool_taus), self.limits)
+        outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
         return tc.join_decision(agent.profile is Profile.EGOISTIC,
                                 value / inside_size, value / outside_size)

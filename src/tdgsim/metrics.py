@@ -86,7 +86,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
             elif k == "agent_down":
                 online.discard(p["agent"])
             elif k == "rating_issued":
-                store.profile(p["subject"]).window.append(p["value"])
+                store.profile(p["subject"]).push(p["value"])
             elif k == "credit_committed":
                 for agent, mc in p["allocations"].items():
                     credit_by_agent[agent] = credit_by_agent.get(agent, 0) + mc

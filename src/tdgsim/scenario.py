@@ -187,6 +187,8 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"fault at tick {f.tick} references unknown entity {f.entity!r}")
         if f.tick < 1:
             errors.append(f"fault tick {f.tick} must be >= 1")
+    if cfg.params.window < 0:
+        errors.append(f"window must be >= 0, got {cfg.params.window}")
     if cfg.params.dgds_same_amount not in ("total", "additional"):
         errors.append(f"dgds_same_amount must be total|additional, "
                       f"got {cfg.params.dgds_same_amount!r}")

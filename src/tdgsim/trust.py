@@ -36,6 +36,11 @@ CAUSE_VALUES = {
     RatingCause.TIMED_OUT: -0.75,
     RatingCause.WRONG_RESULT: -1.0,
 }
+# ReputationProfile keeps a running sum of its window.  That sum equals a
+# fresh sum() of the window only while every value is a multiple of 0.25,
+# so that every partial sum is exact in a float.
+if any(v * 4 != int(v * 4) for v in CAUSE_VALUES.values()):
+    raise ValidationError("every rating value must be a multiple of 0.25")
 
 
 class TrustClass(Enum):
@@ -77,25 +82,43 @@ def aggregate_reputation(values: Iterable[float]) -> float:
 
 @dataclass
 class ReputationProfile:
-    """Sliding window of the most recent rating values about one subject."""
+    """Sliding window of the most recent rating values about one subject.
+
+    `total` is the running sum of the window, so `tau` costs O(1) and
+    equals `aggregate_reputation(window)` exactly (see CAUSE_VALUES).
+    Values enter only through `push`.
+    """
 
     subject: str
     window_size: int = DEFAULT_WINDOW
     window: Deque[float] = field(init=False)
+    total: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         self.window = deque(maxlen=self.window_size)
 
     @property
     def tau(self) -> float:
-        return aggregate_reputation(self.window)
+        n = len(self.window)
+        return (1.0 + self.total / n) / 2.0 if n else NEUTRAL_TAU
+
+    def push(self, value: float) -> None:
+        if not -1.0 <= value <= 1.0:
+            raise ValidationError(f"rating value {value} outside [-1, 1]")
+        window = self.window
+        if len(window) == window.maxlen:
+            if not window:
+                return  # a zero-size window keeps nothing
+            self.total -= window[0]  # the value append() evicts
+        window.append(value)
+        self.total += value
 
     def record(self, rating: Rating) -> "ReputationProfile":
         if rating.subject != self.subject:
             raise ValidationError(
                 f"rating subject {rating.subject!r} does not match profile {self.subject!r}"
             )
-        self.window.append(rating.value)
+        self.push(rating.value)
         return self
 
 

@@ -1,8 +1,11 @@
 """Engine-level tests: phase order, both topologies, ratings and faults."""
+from collections import Counter
+
 import pytest
 
+from tdgsim import engine
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
-from tdgsim.engine import Profile, World, WuState, stream
+from tdgsim.engine import Profile, ReputationStore, World, WuState, stream
 from tdgsim.trust import ReplicationLimits
 
 
@@ -275,3 +278,39 @@ def test_egoistic_agents_skip_group_work_invitations():
     world.run()
     for comm in world.all_communities:
         assert not any(m.startswith("ego") for m in comm.members)
+
+
+# ------------------------------------------------------------ work count
+
+def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
+    # Counts calls, not time.  An idle agent gets one Candidate per tick,
+    # plus one more for each rejection that lowers its tau, however many
+    # work units the tick issues; and every tau is read a few times per
+    # tick, not once per work unit or per invite.
+    cfg = make_cfg(mode="trust", strategy="drds", wu_count=2000,
+                   horizon_ticks=50,
+                   agents=[AgentGroup("rel", 80, "reliable", accept_prob=0.9),
+                           AgentGroup("mal", 20, "malicious")])
+    assert cfg.params.formation
+    world = World(cfg)
+    idle, built, taus = Counter(), Counter(), Counter()
+
+    def counted(counter, fn):
+        def wrapper(*args, **kwargs):
+            counter[world.tick] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # one f_min draw per idle agent per tick
+    monkeypatch.setattr(engine, "effective_f_min",
+                        counted(idle, engine.effective_f_min))
+    monkeypatch.setattr(engine, "Candidate", counted(built, engine.Candidate))
+    monkeypatch.setattr(ReputationStore, "tau", counted(taus, ReputationStore.tau))
+    world.run()
+
+    rejections = Counter(e.tick for e in events_of(world, "wu_rejected"))
+    assert sum(rejections.values()) > 0 and world.all_communities
+    assert len(events_of(world, "wu_issued")) > 2 * cfg.horizon_ticks
+    for tick in range(1, cfg.horizon_ticks + 1):
+        assert built[tick] <= idle[tick] + rejections[tick], tick
+        assert taus[tick] <= 4 * len(world.agents), tick

@@ -4,6 +4,10 @@ A change that means to alter behaviour updates these digests and says why
 in CHANGES.md; any other change must leave them as they are.
 `effective_config.txt` is not pinned: it echoes the config schema, not
 the simulation.
+
+No bundled scenario has agents that reject work, so four inline trust
+scenarios, one per strategy, pin the issuance path where a rejection
+lowers a candidate's tau in the middle of a tick.
 """
 import hashlib
 from pathlib import Path
@@ -60,3 +64,76 @@ def test_outputs_match_golden_digests(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
                     for out in OUTPUTS)
     assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, GOLDEN[name]))
+
+
+def rejection_scenario(strategy):
+    return f"""\
+[scenario]
+name = rejections-{strategy}
+mode = trust
+strategy = {strategy}
+horizon_ticks = 400
+
+[work]
+wu_count = 600
+
+[servers]
+count = 2
+
+[agents rel]
+count = 30
+profile = reliable
+accept_prob = 0.7
+
+[agents ego]
+count = 6
+profile = egoistic
+accept_prob = 0.9
+
+[agents mal]
+count = 6
+profile = malicious
+
+[params]
+formation = on
+allow_short_groups = on
+"""
+
+
+REJECTION_GOLDEN = {
+    "dgds": (
+        "6071b63e9f46ff8ae609d899f5d239738ed6ce2bdd26fe99c29d336e136cf0e3",
+        "f28783b6464c005286adb6d99f49a3237e22a52fec233b488353f507d01ea2dc",
+        "2fad6be817cd4f8368ff86d2ce25c4f3794c662eba9be0120e776dc7f04d078e",
+        "fc51437ee70e639da0bd80007788b42a8db0d89490db0d4b3f856d04d4d0d44d",
+    ),
+    "dods": (
+        "46436588ed6f43b8f51c0fd789d457d79f39cdb7c316bc8f0c88ff4a7e4841cb",
+        "afd85eac8095eaec204c992901aef8d7e9415f94d2d21e767ac93b794d463f11",
+        "1ca9638942bc932b9deefa03342c37a46ee5247a9eb7f348059f292361849128",
+        "7b556a0e5a16d2675038ea67ba02f81185df2e1254b10b8dbe722c3a7cfd3d7d",
+    ),
+    "drds": (
+        "11a78a821c26f279569166a886b083a7fee1a1e9b81b128474e42600dffaa563",
+        "afa399329f88afd1fe38a2161d789a59a2ee302201e38dc5e2db2b3ee6788847",
+        "2c0ea99eab8f3dadac641d947379a603a458fad2358cbbaeafb95580ca006143",
+        "c56483d9ab1608dc0dc450fb9174422e43a9584114d23c6f74e2229892f19146",
+    ),
+    "random": (
+        "207a422d2e927b23114254fb0e4a712284effc7fc06ce369936e639b7c914a16",
+        "3555f057ca266c9eb08ec21033df189fecf56e1374b9ce590f468b60ad191653",
+        "0074c3289a82f05f1f30d8d9f33b8724ff20ff904c5d7f58d55fcf32b8a95e0c",
+        "f0951db507bf4914bf73a13e15fa41004ffc019ac105e4a378ec4dd779eb5d0f",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(REJECTION_GOLDEN))
+def test_rejection_outputs_match_golden_digests(strategy, tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(rejection_scenario(strategy), encoding="utf-8")
+    world, _, _ = run(parse_scenario(scenario), out_dir=tmp_path)
+    assert any(ev.kind == "wu_rejected" for ev in world.events)
+    digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+                    for out in OUTPUTS)
+    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, REJECTION_GOLDEN[strategy]))

@@ -233,6 +233,32 @@ def test_cli_config_error_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def trust_defaults(tmp_path, window):
+    text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
+    edited = (text.replace("mode = centralized ", "mode = trust ")
+              .replace("window = 50 ", f"window = {window} "))
+    assert edited.count("mode = trust ") == 1
+    assert edited.count(f"window = {window} ") == 1
+    return write(tmp_path, edited)
+
+
+def test_cli_negative_window_is_a_config_error(tmp_path, capsys):
+    assert main(["run", "--scenario", str(trust_defaults(tmp_path, -1))]) == 1
+    err = capsys.readouterr().err
+    assert "config error: window must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_zero_window_keeps_every_tau_neutral(tmp_path, capsys):
+    scenario = trust_defaults(tmp_path, 0)
+    assert main(["run", "--scenario", str(scenario), "--ticks", "200"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    taus = {metric: value for metric, value in rows
+            if metric.startswith("mean_tau_")}
+    assert taus and int(dict(rows)["issued"]) > 0
+    assert set(taus.values()) == {"0.5"}
+
+
 def test_cli_ledger_audit_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(Ledger, "verify_chain", lambda self: 0)
     assert main(["run", "--scenario", str(SCENARIOS / "defaults.ini"),

@@ -1,10 +1,12 @@
 """Rating, reputation and replication-factor unit tests."""
+import inspect
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tdgsim import trust
 from tdgsim.trust import (CAUSE_VALUES, Rating, RatingCause, ReplicationLimits,
                           ReputationProfile, TrustClass, ValidationError,
                           aggregate_reputation, classify, effective_f_min,
@@ -60,6 +62,31 @@ def test_sliding_window_drops_oldest():
     # only the last three ratings count: mean(-1, 1, 1) = 1/3
     assert prof.tau == pytest.approx((1 + 1 / 3) / 2)
     assert len(prof.window) == 3
+
+
+@given(st.integers(min_value=0, max_value=60),
+       st.lists(st.sampled_from(list(RatingCause)), max_size=200))
+def test_running_window_sum_equals_a_fresh_sum(window_size, causes):
+    prof = ReputationProfile("x", window_size=window_size)
+    for i, cause in enumerate(causes):
+        prof.record(Rating.from_cause("r", "x", cause, i))
+        assert prof.tau == aggregate_reputation(list(prof.window))
+    assert len(prof.window) == min(window_size, len(causes))
+
+
+def test_push_rejects_out_of_range():
+    with pytest.raises(ValidationError):
+        ReputationProfile("x").push(1.5)
+
+
+def test_non_dyadic_cause_value_fails_at_import():
+    source = inspect.getsource(trust)
+    mutant = source.replace("RatingCause.CORRECT_LATE: 0.5,",
+                            "RatingCause.CORRECT_LATE: 0.3,")
+    assert mutant != source
+    # the exec defines its own ValidationError, a ValueError
+    with pytest.raises(ValueError, match="multiple of 0.25"):
+        exec(compile(mutant, "trust_mutant", "exec"), {"__name__": "trust_mutant"})
 
 
 def test_profile_rejects_foreign_subject():
