@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .ledger import AuditError, LedgerError, parse_ledger_lines
 from .metrics import compute_metrics
-from .scenario import ConfigError, parse_scenario, read_event_log, run
+from .scenario import (ConfigError, EventLogError, parse_scenario,
+                       read_event_log, run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +93,14 @@ def cmd_replay(args) -> int:
         return 1
     try:
         header, events = read_event_log(path)
+    except (OSError, EventLogError) as exc:
+        print(f"runtime error: {path}: {exc}", file=sys.stderr)
+        return 2
+    try:
         report = compute_metrics(header, events)
-    except Exception as exc:  # malformed log
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # every line parsed, but some payload has the wrong keys or types
+        print(f"runtime error: malformed event in {path}: {exc!r}", file=sys.stderr)
         return 2
     for metric, value in report.scalar_rows():
         print(f"{metric},{value}")

@@ -39,12 +39,14 @@ def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
     """Random initiator; its f_min picks that many other random agents.
 
     If fewer agents exist than f_min requires, the group is clamped to
-    what is available and flagged short.
+    what is available and flagged short.  The pool holds one candidate per
+    agent, so the others are the pool without the initiator's slot.
     """
     if len(pool) < 2:
         raise SelectionFailed(f"need at least 2 candidates, have {len(pool)}")
-    initiator = pool[rng.randrange(len(pool))]
-    others = [c for c in pool if c.agent != initiator.agent]
+    i = rng.randrange(len(pool))
+    initiator = pool[i]
+    others = pool[:i] + pool[i + 1:]
     take = min(initiator.f_min, len(others))
     chosen = rng.sample(others, take)
     members = (initiator.agent,) + tuple(c.agent for c in chosen)

@@ -4,6 +4,11 @@ Each tick runs a fixed phase order: faults, work issuance, agent compute,
 result collection, validation (ratings, credits, timeouts), community
 lifecycle.  All randomness comes from named streams derived from the
 scenario seed, so identical (scenario, seed) pairs replay identically.
+
+The issuance stream is drawn only while some work unit is open, neither
+validated nor failed.  Once none is, no work unit can be queued again, so
+issuance and compute stop their per-agent work.  This is exact: the
+skipped draws could never reach an output.
 """
 from __future__ import annotations
 
@@ -147,6 +152,8 @@ class World:
                     speed=group.speed, churn=group.churn,
                     accept_prob=group.accept_prob)
         self.agent_order = sorted(self.agents)
+        # Insertion order, not agent_order: churn events keep their order.
+        self.churners = [a for a in self.agents.values() if a.churn is not None]
 
         self.servers: Dict[str, WorkServer] = {
             sid: WorkServer(sid) for sid in config.server_ids()}
@@ -162,6 +169,7 @@ class World:
                           ground_truth=f"ok-{wid}")
             self.wus[wid] = wu
             self.servers[owner].queue.append(wu)
+        self.open_wus = config.wu_count  # neither VALIDATED nor FAILED
 
         self.store = ReputationStore(config.params.window)
         self.ledger = Ledger()
@@ -213,9 +221,7 @@ class World:
 
     # -- phase 1: scheduled faults and churn ---------------------------
     def _phase_faults(self) -> None:
-        for agent in self.agents.values():
-            if agent.churn is None:
-                continue
+        for agent in self.churners:
             up, down = agent.churn
             desired = (self.tick - 1) % (up + down) < up
             if desired != agent.online:
@@ -295,6 +301,8 @@ class World:
                     comm.dissolve(self.tick)
                     del self.communities[comm.id]
                 self._flush_tc_events(comm)
+        if not self.open_wus:
+            return
 
         idle = [self.agents[a] for a in self.agent_order
                 if self.agents[a].online and self.agents[a].current_wu is None]
@@ -421,6 +429,8 @@ class World:
 
     # -- phase 3: agent compute -----------------------------------------
     def _phase_compute(self) -> None:
+        if not self.open_wus:
+            return  # no agent can hold a work unit
         for agent_id in self.agent_order:
             agent = self.agents[agent_id]
             if (not agent.online or agent.current_wu is None
@@ -497,6 +507,7 @@ class World:
     def _validate_centralized(self) -> None:
         for sid, wu, result, agent_id in self._routed:
             wu.state = WuState.VALIDATED
+            self.open_wus -= 1
             credit = self._commit_credit(wu, [agent_id])
             self.emit("wu_validated", wu=wu.id, members=[agent_id],
                       consensus=[agent_id], group_size=1,
@@ -581,6 +592,7 @@ class World:
                 self._rate(agent, cause, rater)
             wu.pending_judgments.clear()
             wu.state = WuState.VALIDATED
+            self.open_wus -= 1
             credit = self._commit_credit(wu, consensus)
             self.emit("wu_validated", wu=wu.id, members=list(assignment.members),
                       consensus=consensus, group_size=len(assignment.members),
@@ -600,6 +612,7 @@ class World:
             wu.requeues += 1
             if params.max_requeues and wu.requeues > params.max_requeues:
                 wu.state = WuState.FAILED
+                self.open_wus -= 1
                 self.emit("wu_redistributed", wu=wu.id, terminal=True)
             else:
                 wu.state = WuState.QUEUED

@@ -49,6 +49,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     profiles = {a: info["profile"] for a, info in header["agents"].items()}
     report = MetricsReport(horizon=horizon)
 
+    known = set(profiles)
     online = {a for a, info in header["agents"].items() if info["online"]}
     etc_members: Dict[str, set] = {}
 
@@ -98,7 +99,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                     members.discard(p["agent"])
                 elif p["kind"] == "dissolved":
                     members.clear()
-        active_per_tick[tick] = len(online & set(profiles))
+        active_per_tick[tick] = len(online & known)
         etc_per_tick[tick] = sum(len(m) for m in etc_members.values())
 
     report.issued = sum(issued_per_tick)

@@ -25,6 +25,14 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+class EventLogError(ValueError):
+    """A line of an event log that is not a well-formed header or event."""
+
+    def __init__(self, line: int, reason: str) -> None:
+        super().__init__(f"line {line}: {reason}")
+        self.line = line  # 1-based; the header is line 1
+
+
 _SCENARIO_KEYS = {"name", "mode", "strategy", "seed", "horizon_ticks"}
 _WORK_KEYS = {"wu_count", "complexity", "base_credit"}
 _SERVER_KEYS = {"count", "timeout_ticks"}
@@ -303,10 +311,37 @@ def write_event_log(path, header: dict, events) -> None:
 
 
 def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
+    """Load a log written by `write_event_log`; raises EventLogError naming
+    the first line that does not parse or lacks a required key."""
+    header = None
+    events: List[SimEvent] = []
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        events = []
-        for line in fh:
-            raw = json.loads(line)
-            events.append(SimEvent(raw["t"], raw["k"], raw["p"]))
+        # Each good event line adds one event, so a bad one is line
+        # len(events) + 2; a bad header is line 1.
+        try:
+            header = json.loads(fh.readline())
+            if not (isinstance(header, dict) and isinstance(header.get("horizon"), int)
+                    and isinstance(header.get("agents"), dict)):
+                raise EventLogError(1, "header lacks an int 'horizon' or an 'agents' object")
+            for line in fh:
+                raw = json.loads(line)
+                events.append(SimEvent(raw["t"], raw["k"], raw["p"]))
+        except UnicodeDecodeError:  # raised per read chunk, not per line
+            raise EventLogError(_first_undecodable_line(path), "not UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise EventLogError(1 if header is None else len(events) + 2,
+                                f"not JSON: {exc}") from None
+        except (KeyError, TypeError) as exc:
+            raise EventLogError(len(events) + 2,
+                                f"event lacks 't', 'k' or 'p': {exc!r}") from None
     return header, events
+
+
+def _first_undecodable_line(path) -> int:
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 1

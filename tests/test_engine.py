@@ -314,3 +314,58 @@ def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
     for tick in range(1, cfg.horizon_ticks + 1):
         assert built[tick] <= idle[tick] + rejections[tick], tick
         assert taus[tick] <= 4 * len(world.agents), tick
+
+
+TERMINAL = (WuState.VALIDATED, WuState.FAILED)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_open_wu_count_tracks_states_every_tick(mode):
+    cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=120, timeout_ticks=6,
+                   agents=[AgentGroup("rel", 6, "reliable"),
+                           AgentGroup("mal", 5, "malicious"),
+                           AgentGroup("fr", 2, "free_rider"),
+                           AgentGroup("ch", 3, "churner", churn=(4, 4))],
+                   faults=[Fault(5, "rel-000", True), Fault(30, "rel-000", False)])
+    cfg.params.max_requeues = 2
+    world = World(cfg)
+    assert world.open_wus == cfg.wu_count
+    for tick in range(1, cfg.horizon_ticks + 1):
+        world.step(tick)
+        assert world.open_wus == sum(wu.state not in TERMINAL
+                                     for wu in world.wus.values()), tick
+    assert events_of(world, "wu_timed_out")
+    assert world.open_wus == 0
+    if mode == "trust":
+        assert any(wu.state is WuState.FAILED for wu in world.wus.values())
+
+
+def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
+    # Counts calls, as the linearity test above does.  Once every work
+    # unit is validated or failed, issuance draws nothing more.
+    cfg = make_cfg(mode="trust", strategy="dgds", wu_count=60, horizon_ticks=200,
+                   timeout_ticks=6,
+                   agents=[AgentGroup("rel", 6, "reliable"),
+                           AgentGroup("mal", 8, "malicious"),
+                           AgentGroup("fr", 2, "free_rider"),
+                           AgentGroup("ch", 2, "churner", churn=(5, 5))])
+    cfg.params.max_requeues = 1
+    cfg.params.allow_short_groups = True
+    world = World(cfg)
+    draws = Counter()
+    effective_f_min = engine.effective_f_min
+
+    def counted(*args, **kwargs):
+        draws[world.tick] += 1
+        return effective_f_min(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "effective_f_min", counted)
+    world.run()
+
+    ends = [e.tick for e in world.events if e.kind == "wu_validated"
+            or (e.kind == "wu_redistributed" and e.payload["terminal"])]
+    assert len(ends) == cfg.wu_count
+    assert any(wu.state is WuState.FAILED for wu in world.wus.values())
+    last = max(ends)
+    assert last < cfg.horizon_ticks // 2 and draws[last] > 0
+    assert all(tick <= last for tick in draws)

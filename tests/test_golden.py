@@ -7,13 +7,15 @@ the simulation.
 
 No bundled scenario has agents that reject work, so four inline trust
 scenarios, one per strategy, pin the issuance path where a rejection
-lowers a candidate's tau in the middle of a tick.
+lowers a candidate's tau in the middle of a tick, and a fifth pins a run
+whose work units end partly FAILED long before its horizon.
 """
 import hashlib
 from pathlib import Path
 
 import pytest
 
+from tdgsim.engine import WuState
 from tdgsim.scenario import parse_scenario, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,3 +139,66 @@ def test_rejection_outputs_match_golden_digests(strategy, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
                     for out in OUTPUTS)
     assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, REJECTION_GOLDEN[strategy]))
+
+
+# Colluders outnumber the reliable agents and free riders drop their
+# replicas, so many rounds end without a strict majority and, with
+# max_requeues = 1, about a quarter of the work units end FAILED.  Every
+# work unit is terminal by about tick 100, so the last three hundred
+# ticks pin the idle tail, where only churn still emits events.
+FAILED_TAIL = """\
+[scenario]
+name = failed-tail
+mode = trust
+strategy = dgds
+horizon_ticks = 400
+
+[work]
+wu_count = 120
+
+[servers]
+count = 2
+timeout_ticks = 6
+
+[agents rel]
+count = 8
+profile = reliable
+
+[agents mal]
+count = 10
+profile = malicious
+
+[agents fr]
+count = 4
+profile = free_rider
+
+[agents ch]
+count = 4
+profile = churner
+churn = 5/5
+
+[params]
+max_requeues = 1
+allow_short_groups = on
+"""
+
+FAILED_TAIL_GOLDEN = (
+    "dad759cfb7a1af1070e5560e997f11575307f2e2305667b1d3126f298bb185c3",
+    "a5c2ada4e024399906a2a602dd7b6a033584b18050e7481334b4f6fa7fbd111e",
+    "58fb356b14e0ac5fd16d387be679b35974c78dcc15fc5070a5bb423b783329fc",
+    "6756600988be8840ab0fb006620e5b5f4097dd4958aae5eabe2a7648aa25a6fa",
+)
+
+
+def test_failed_tail_outputs_match_golden_digests(tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(FAILED_TAIL, encoding="utf-8")
+    world, _, _ = run(parse_scenario(scenario), out_dir=tmp_path)
+    assert any(wu.state is WuState.FAILED for wu in world.wus.values())
+    last_terminal = max(ev.tick for ev in world.events
+                        if ev.kind == "wu_validated"
+                        or (ev.kind == "wu_redistributed" and ev.payload["terminal"]))
+    assert last_terminal < world.config.horizon_ticks // 2
+    digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+                    for out in OUTPUTS)
+    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, FAILED_TAIL_GOLDEN))

@@ -11,8 +11,8 @@ from tdgsim.config import AgentGroup, Params, ScenarioConfig
 from tdgsim.engine import World
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
-from tdgsim.scenario import (ConfigError, parse_scenario, read_event_log,
-                             render_config, run)
+from tdgsim.scenario import (ConfigError, EventLogError, parse_scenario,
+                             read_event_log, render_config, run)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -305,3 +305,60 @@ def test_cli_replay_matches_run_output(tmp_path, capsys):
 
 def test_cli_replay_missing_log_exits_one(capsys):
     assert main(["replay", "--log", "/no/such/events.jsonl"]) == 1
+
+
+@pytest.fixture
+def replay_log(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(SCENARIOS / "defaults.ini"),
+                 "--out", str(out), "--ticks", "30"]) == 0
+    capsys.readouterr()
+    return out / "events.jsonl"
+
+
+def test_cli_replay_truncated_line_names_it(replay_log, capsys):
+    lines = replay_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = lines[4][:len(lines[4]) // 2] + "\n"
+    replay_log.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_cli_replay_missing_key_names_the_line(replay_log, capsys):
+    lines = replay_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    event = json.loads(lines[7])
+    del event["k"]
+    lines[7] = json.dumps(event) + "\n"
+    replay_log.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "line 8" in capsys.readouterr().err
+
+
+def test_cli_replay_bad_header_names_line_one(replay_log, capsys):
+    lines = replay_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    replay_log.write_text("[]\n" + "".join(lines[1:]), encoding="utf-8")
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_replay_bad_payload_exits_two(replay_log, capsys):
+    lines = replay_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    validated = next(i for i, line in enumerate(lines)
+                     if json.loads(line).get("k") == "wu_validated")
+    event = json.loads(lines[validated])
+    del event["p"]["group_size"]
+    lines[validated] = json.dumps(event) + "\n"
+    replay_log.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "group_size" in capsys.readouterr().err
+
+
+def test_cli_replay_undecodable_line_names_it(replay_log, capsys):
+    lines = replay_log.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5][:10] + b"\xff" + lines[5][10:]
+    replay_log.write_bytes(b"".join(lines))
+    with pytest.raises(EventLogError) as exc:
+        read_event_log(replay_log)
+    assert exc.value.line == 6
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "line 6" in capsys.readouterr().err
