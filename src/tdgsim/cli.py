@@ -75,7 +75,7 @@ def cmd_verify_ledger(args) -> int:
         return 1
     try:
         ledger = parse_ledger_lines(path.read_text(encoding="utf-8").split("\n"))
-    except (LedgerError, ValueError) as exc:
+    except (LedgerError, UnicodeDecodeError) as exc:
         print(f"ledger parse error: {exc}", file=sys.stderr)
         return 3
     bad = ledger.verify_chain()

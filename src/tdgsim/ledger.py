@@ -128,11 +128,16 @@ def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
             raise LedgerError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         index, prev_hash, wu, alloc_part, tick, digest = parts
         allocations: List[Allocation] = []
-        if alloc_part != "-":
-            for pair in alloc_part.split(","):
-                agent, _, mc = pair.rpartition(":")
-                allocations.append((agent, int(mc)))
-        blocks.append(CreditBlock(index=int(index), prev_hash=prev_hash, wu=wu,
-                                  allocations=tuple(allocations), tick=int(tick),
+        try:
+            if alloc_part != "-":
+                for pair in alloc_part.split(","):
+                    agent, _, mc = pair.rpartition(":")
+                    allocations.append((agent, int(mc)))
+            index_n, tick_n = int(index), int(tick)
+        except ValueError as exc:
+            raise LedgerError(f"line {lineno}: an index, tick or millicredit "
+                              f"field is not an integer: {exc}") from None
+        blocks.append(CreditBlock(index=index_n, prev_hash=prev_hash, wu=wu,
+                                  allocations=tuple(allocations), tick=tick_n,
                                   hash=digest))
     return Ledger(blocks)

@@ -7,6 +7,7 @@ a file are reported together, not just the first.
 from __future__ import annotations
 
 import configparser
+import gc
 import json
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -303,29 +304,57 @@ def emit_report(world: World, report: MetricsReport, out_dir) -> None:
 
 
 def write_event_log(path, header: dict, events) -> None:
+    """One line per event, each the text of
+    `json.dumps({"t": tick, "k": kind, "p": payload}, sort_keys=True)`.
+    The keys sort as k < p < t, so a line is the encoded kind, the encoded
+    payload and the int tick, joined in that order; one encoder serves the
+    whole file."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    prefixes = {}  # kind -> '{"k": <kind>, "p": '
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        write = fh.write
+        write(encode(header) + "\n")
         for ev in events:
-            fh.write(json.dumps({"t": ev.tick, "k": ev.kind, "p": ev.payload},
-                                sort_keys=True) + "\n")
+            prefix = prefixes.get(ev.kind)
+            if prefix is None:
+                prefix = prefixes[ev.kind] = '{"k": ' + encode(ev.kind) + ', "p": '
+            write(prefix + encode(ev.payload) + ', "t": ' + str(ev.tick) + "}\n")
+
+
+_JSON_WS = " \t\n\r"  # what json.loads skips around a value; not str.isspace()
 
 
 def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
     """Load a log written by `write_event_log`; raises EventLogError naming
-    the first line that does not parse or lacks a required key."""
+    the first line that does not parse or lacks a required key.
+
+    Each line is read exactly as `json.loads(line)` would: a value that
+    `raw_decode` takes from the start of the line, followed only by JSON
+    whitespace, is that value; any other line goes to `json.loads`.  The
+    cyclic collector is paused while the list grows: parsed events hold no
+    reference cycles, so it would only rescan them."""
     header = None
     events: List[SimEvent] = []
+    append, raw_decode, loads = events.append, json.JSONDecoder().raw_decode, json.loads
     with open(path, encoding="utf-8") as fh:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         # Each good event line adds one event, so a bad one is line
         # len(events) + 2; a bad header is line 1.
         try:
-            header = json.loads(fh.readline())
+            header = loads(fh.readline())
             if not (isinstance(header, dict) and isinstance(header.get("horizon"), int)
                     and isinstance(header.get("agents"), dict)):
                 raise EventLogError(1, "header lacks an int 'horizon' or an 'agents' object")
             for line in fh:
-                raw = json.loads(line)
-                events.append(SimEvent(raw["t"], raw["k"], raw["p"]))
+                try:
+                    raw, end = raw_decode(line)
+                except json.JSONDecodeError:
+                    raw = loads(line)
+                else:
+                    if line[end:].strip(_JSON_WS):
+                        raw = loads(line)
+                append(SimEvent(raw["t"], raw["k"], raw["p"]))
         except UnicodeDecodeError:  # raised per read chunk, not per line
             raise EventLogError(_first_undecodable_line(path), "not UTF-8") from None
         except json.JSONDecodeError as exc:
@@ -334,6 +363,9 @@ def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
         except (KeyError, TypeError) as exc:
             raise EventLogError(len(events) + 2,
                                 f"event lacks 't', 'k' or 'p': {exc!r}") from None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     return header, events
 
 

@@ -102,6 +102,17 @@ def test_parse_rejects_malformed_line():
         parse_ledger_lines(["not a ledger line"])
 
 
+@pytest.mark.parametrize("field, bad", [(0, "1x"), (3, "a:2.5"), (3, "a:100,b:"),
+                                        (4, "x9")])
+def test_parse_names_the_line_of_a_non_integer_field(field, bad):
+    lines = list(build_ledger().export_lines())
+    parts = lines[1].split(" ")
+    parts[field] = bad
+    lines[1] = " ".join(parts)
+    with pytest.raises(LedgerError, match=r"^line 2: .*not an integer"):
+        parse_ledger_lines(lines)
+
+
 def test_parse_handles_agent_ids_with_dashes():
     ledger = Ledger()
     ledger.append_block("wu0", [("rel-003", 250), ("rel-011", 250)], 2)

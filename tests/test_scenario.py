@@ -1,18 +1,21 @@
 """Scenario parsing, report emission, metrics recomputation and the CLI."""
 import configparser
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdgsim.cli import main
 from tdgsim.config import AgentGroup, Params, ScenarioConfig
-from tdgsim.engine import World
+from tdgsim.engine import SimEvent, World
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
 from tdgsim.scenario import (ConfigError, EventLogError, parse_scenario,
-                             read_event_log, render_config, run)
+                             read_event_log, render_config, run,
+                             write_event_log)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -197,8 +200,118 @@ def test_run_rerun_is_identical(small_run, tmp_path):
                                  AgentGroup("mal", 2, "malicious")])
     _, again, _ = run(cfg, tmp_path)
     assert again == report
-    for name in ("summary.csv", "series.csv", "ledger.txt"):
+    for name in ("summary.csv", "series.csv", "ledger.txt", "events.jsonl"):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+# ------------------------------------------------------- event log codec
+
+HEADER = {"horizon": 3, "agents": {"a-000": "reliable"}}
+EVENT = '{"k": "wu_issued", "p": {"wu": "wu-0"}, "t": 1}'
+
+
+def loads_per_line(path):
+    """The reference reader: `json.loads` on every line.  Returns the
+    events and the 1-based number and message of the first bad line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    events = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            raw = json.loads(line)
+            events.append(SimEvent(raw["t"], raw["k"], raw["p"]))
+        except json.JSONDecodeError as exc:
+            return events, number, f"not JSON: {exc}"
+        except (KeyError, TypeError) as exc:
+            return events, number, f"event lacks 't', 'k' or 'p': {exc!r}"
+    return events, None, None
+
+
+# Each case is the text after the header line, and the line the reference
+# reader rejects (None when it accepts the whole log).
+READER_CASES = {
+    "leading spaces": ("  " + EVENT + "\n" + EVENT + "\n", None),
+    # text mode reads "\r\n" as "\n", as it did for json.loads
+    "trailing json whitespace": (EVENT + " \t\r\n" + EVENT + "\n", None),
+    "form feed after the value": (EVENT + "\n" + EVENT + "\f\n", 3),
+    "vertical tab after the value": (EVENT + "\x0b\n" + EVENT + "\n", 2),
+    "nbsp after the value": (EVENT + "\xa0\n", 2),
+    "two values on one line": (EVENT + "\n" + EVENT + " " + EVENT + "\n", 3),
+    "blank line mid-file": (EVENT + "\n\n" + EVENT + "\n", 3),
+    "bom on an event line": (EVENT + "\n\ufeff" + EVENT + "\n", 3),
+    "last line without newline": (EVENT + "\n" + EVENT, None),
+    "bare value": (EVENT + "\n7\n", 3),
+}
+
+
+@pytest.mark.parametrize("body, bad_line", READER_CASES.values(), ids=READER_CASES)
+def test_reader_accepts_exactly_what_json_loads_does(tmp_path, body, bad_line):
+    log = tmp_path / "events.jsonl"
+    log.write_text(json.dumps(HEADER, sort_keys=True) + "\n" + body, encoding="utf-8")
+    expected, line, message = loads_per_line(log)
+    assert line == bad_line
+    if bad_line is None:
+        assert read_event_log(log) == (HEADER, expected)
+        return
+    with pytest.raises(EventLogError) as exc:
+        read_event_log(log)
+    assert exc.value.line == bad_line
+    assert str(exc.value) == f"line {bad_line}: {message}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "raises"])
+def test_reader_restores_the_collector_state(tmp_path, enabled, raises):
+    log = tmp_path / "events.jsonl"
+    log.write_text(json.dumps(HEADER) + "\n" + EVENT + "\n" + ("{\n" if raises else ""),
+                   encoding="utf-8")
+    before = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if raises:
+            with pytest.raises(EventLogError):
+                read_event_log(log)
+        else:
+            read_event_log(log)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if before else gc.disable()
+
+
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False)
+               | st.sampled_from([-0.0, 1e300, -1e-300, 0.1])
+               | st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f\x7f",
+                                              "caf\xe9", "\u6f22\u5b57", "\u2028"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0), st.text(max_size=12),
+                          st.dictionaries(st.text(max_size=6), json_values, max_size=5)
+                          | json_values),
+                max_size=6))
+def test_writer_lines_equal_json_dumps(codec_dir, triples):
+    log = codec_dir / "events.jsonl"
+    events = [SimEvent(t, k, p) for t, k, p in triples]
+    write_event_log(log, HEADER, events)
+    lines = log.read_bytes().decode("ascii").split("\n")
+    assert lines[0] == json.dumps(HEADER, sort_keys=True)
+    assert lines[1:-1] == [json.dumps({"t": t, "k": k, "p": p}, sort_keys=True)
+                           for t, k, p in triples]
+    assert lines[-1] == ""
+    # tuples come back as lists, as from any JSON round trip
+    assert read_event_log(log) == (HEADER, [SimEvent(t, k, json.loads(json.dumps(p)))
+                                            for t, k, p in triples])
 
 
 # ------------------------------------------------------------------ CLI
@@ -291,6 +404,27 @@ def test_cli_verify_ledger(tmp_path, capsys):
                                               + ledger_lines[1:]) + "\n")
     assert main(["verify-ledger", str(out / "ledger.txt")]) == 3
     assert "FAILED at block 0" in capsys.readouterr().err
+
+
+def test_cli_verify_ledger_names_a_bad_integer_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(SCENARIOS / "defaults.ini"),
+          "--out", str(out), "--ticks", "60"])
+    capsys.readouterr()
+    ledger_lines = (out / "ledger.txt").read_text().splitlines()
+    assert len(ledger_lines) >= 3
+    parts = ledger_lines[2].split(" ")
+    parts[4] = "x9"  # the tick field
+    ledger_lines[2] = " ".join(parts)
+    (out / "ledger.txt").write_text("\n".join(ledger_lines) + "\n")
+    assert main(["verify-ledger", str(out / "ledger.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ledger parse error: line 3: ")
+    assert "'x9'" in err
+
+    (out / "ledger.txt").write_bytes(b"\xff\n")
+    assert main(["verify-ledger", str(out / "ledger.txt")]) == 3
+    assert "ledger parse error" in capsys.readouterr().err
 
 
 def test_cli_replay_matches_run_output(tmp_path, capsys):
