@@ -18,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import community as tc
 from .config import ScenarioConfig
@@ -28,7 +28,7 @@ from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
 from .ledger import Ledger, split_credits
 from .trust import (NEUTRAL_TAU, Rating, RatingCause, ReplicationLimits,
                     ReputationProfile, classify, effective_f_min,
-                    raw_replication_factor, roulette_round)
+                    raw_replication_factor, roulette_round, sum_left)
 
 
 class Profile(Enum):
@@ -103,8 +103,9 @@ class Assignment:
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    # A tuple, not a frozen dataclass: one is built per emit and per log
+    # line read, and a frozen dataclass pays a setattr call per field.
     tick: int
     kind: str
     payload: dict
@@ -647,7 +648,7 @@ class World:
                 online_tau = {a: self.store.tau(a) for a in self.agent_order
                               if self.agents[a].online}
                 if online_tau:
-                    pool_tau = sum(online_tau.values()) / len(online_tau)
+                    pool_tau = sum_left(online_tau.values()) / len(online_tau)
             return {a: t for a, t in online_tau.items() if a not in in_community}
 
         for comm_id in sorted(self.communities):
@@ -720,7 +721,7 @@ class World:
         else:
             inside_taus = invitee_taus or [self.store.tau(agent_id)]
         inside_size = 1 + raw_replication_factor(
-            sum(inside_taus) / len(inside_taus), self.limits)
+            sum_left(inside_taus) / len(inside_taus), self.limits)
         outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
         return tc.join_decision(agent.profile is Profile.EGOISTIC,

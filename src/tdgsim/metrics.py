@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from .engine import ReputationStore, SimEvent
+from .trust import sum_left
 
 
 @dataclass
@@ -116,7 +117,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     for agent, profile in profiles.items():
         tau_by_profile.setdefault(profile, []).append(store.tau(agent))
     report.mean_tau_by_profile = {
-        prof: sum(taus) / len(taus) for prof, taus in tau_by_profile.items()}
+        prof: sum_left(taus) / len(taus) for prof, taus in tau_by_profile.items()}
 
     credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
     for agent, mc in credit_by_agent.items():

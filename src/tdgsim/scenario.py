@@ -307,18 +307,35 @@ def write_event_log(path, header: dict, events) -> None:
     """One line per event, each the text of
     `json.dumps({"t": tick, "k": kind, "p": payload}, sort_keys=True)`.
     The keys sort as k < p < t, so a line is the encoded kind, the encoded
-    payload and the int tick, joined in that order; one encoder serves the
-    whole file."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    payload and the int tick, joined in that order.
+
+    `JSONEncoder.encode` builds a new C encoder on every call, so the file
+    builds its own once, with the arguments `JSONEncoder.iterencode` passes
+    for `JSONEncoder(sort_keys=True)`.  Without the C accelerator, `encode`
+    gives the same text."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        encode = encoder.encode
+    else:
+        chunks = make_encoder(
+            {}, encoder.default, json.encoder.encode_basestring_ascii, None,
+            encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+            encoder.skipkeys, encoder.allow_nan)
+        join = "".join
+
+        def encode(obj) -> str:
+            return join(chunks(obj, 0))
+
     prefixes = {}  # kind -> '{"k": <kind>, "p": '
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write = fh.write
         write(encode(header) + "\n")
-        for ev in events:
-            prefix = prefixes.get(ev.kind)
+        for tick, kind, payload in events:
+            prefix = prefixes.get(kind)
             if prefix is None:
-                prefix = prefixes[ev.kind] = '{"k": ' + encode(ev.kind) + ', "p": '
-            write(prefix + encode(ev.payload) + ', "t": ' + str(ev.tick) + "}\n")
+                prefix = prefixes[kind] = '{"k": ' + encode(kind) + ', "p": '
+            write(prefix + encode(payload) + ', "t": ' + str(tick) + "}\n")
 
 
 _JSON_WS = " \t\n\r"  # what json.loads skips around a value; not str.isspace()
@@ -370,10 +387,11 @@ def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
 
 
 def _first_undecodable_line(path) -> int:
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
+    """The first line holding a byte that is not UTF-8, with lines split as
+    `read_event_log` splits them (universal newlines, so a bare "\\r" ends
+    a line too); surrogateescape maps each such byte to U+DC80..U+DCFF."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if any("\udc80" <= ch <= "\udcff" for ch in line):
                 return number
     return 1

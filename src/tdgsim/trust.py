@@ -66,6 +66,17 @@ class Rating:
         return cls(rater=rater, subject=subject, value=CAUSE_VALUES[cause], tick=tick, cause=cause)
 
 
+def sum_left(values: Iterable[float]) -> float:
+    """The sum of `values` added left to right from the int 0, as the
+    built-in sum() of floats does up to Python 3.11.  From 3.12 sum()
+    compensates rounding error, which can change the last bit of a mean
+    and so the bytes of an output; every float sum in tdgsim uses this."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate_reputation(values: Iterable[float]) -> float:
     """Map a window of ratings in [-1, 1] to a reputation in [0, 1].
 
@@ -77,7 +88,7 @@ def aggregate_reputation(values: Iterable[float]) -> float:
     for v in vals:
         if not -1.0 <= v <= 1.0:
             raise ValidationError(f"rating value {v} outside [-1, 1]")
-    return (1.0 + sum(vals) / len(vals)) / 2.0
+    return (1.0 + sum_left(vals) / len(vals)) / 2.0
 
 
 @dataclass

@@ -1,59 +1,24 @@
 """Golden digests: the bundled scenarios' outputs are pinned byte for byte.
 
-A change that means to alter behaviour updates these digests and says why
-in CHANGES.md; any other change must leave them as they are.
-`effective_config.txt` is not pinned: it echoes the config schema, not
-the simulation.
-
-No bundled scenario has agents that reject work, so four inline trust
-scenarios, one per strategy, pin the issuance path where a rejection
-lowers a candidate's tau in the middle of a tick, and a fifth pins a run
-whose work units end partly FAILED long before its horizon.
+The cases and their digests live in `golden_cases.py`, which imports no
+test framework, so the same cases also run under every other installed
+Python: the determinism contract holds across interpreters, not just
+across reruns of one.
 """
-import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from golden_cases import CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, pinned, run_case
 from tdgsim.engine import WuState
-from tdgsim.scenario import parse_scenario, run
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-OUTPUTS = ("summary.csv", "series.csv", "ledger.txt", "events.jsonl")
-
-GOLDEN = {
-    "centralized_outage": (
-        "da9cdaa1b68e3a368c6fb6a0ec00062c240d536163ed012eaf2bf061ff883f1d",
-        "0b136a89783a6cb409940fa5ec1fd2669df0ba2a34f752fb5ac4319fa4f99b7f",
-        "5877b13c03cf412d773051a99b97b70772d1834c99e711feca6890cd9e99c3dc",
-        "734ddbbb6941fbc391fda8aebba27b79c88d0b1ec1894a470fd322f791e27a1a",
-    ),
-    "defaults": (
-        "de9b7577c60faae20be8d642ad931436cc679b41a62597f9d202651d9c3d1b6c",
-        "ccc644bd561fa4cbec08ff2c753962da505723e0975891025a4607b77f9a6a09",
-        "ca7be56fcfe01c09771c2e857ef0813346f211aa31fa68d53255b5cd4296b3a7",
-        "298c597e5746e9335fed20483dd3b1699cd036cef7ade1d34f9b0202b021fa95",
-    ),
-    "etc_throughput": (
-        "c24e6f0421de5852f88c79f43763684c1f2469b862e10512e26c40db60e5ae16",
-        "2dc838c696f50e432802dd394398aa96625cb92654156ecb6bb0bec2f1fdc6f3",
-        "b8e34b1df9a58caf8efe95ae639e934beb2ada9c7eb256aa2daca4e41e4c7b7f",
-        "2500ccee48d09286d65dd611b780ed67f6c9647ed0d90aa5179dd7e9ba75a1ca",
-    ),
-    "malice_dgds": (
-        "400e67d3acd467046779cb11dd8e2f7b1d46b7676db1b2347d57f664e6cf65a6",
-        "596aad4ad0919d744718a04a33619a65d9fe47fe54a3387fa3688af73df140eb",
-        "817b631f07594de7967ec67d10accb289496eb6f012ab7f0a3e35c8f1983ad51",
-        "0a3ca5b6a815b84c4d80e42ffe01ce3c69b9a48155d67b10cfe9199a31662f2a",
-    ),
-    "tcm_failover": (
-        "67bcd688292651b15c77c3fbd8fbbc1648722d93bc23aada197fb0661b0c536d",
-        "198743288409f76b1000ca7966d3842a61abd66fdeac967dee95c562463ed166",
-        "356fdf7b8dfbfa43466e381dc470e233746d75c5b36412701119c7f758ca7b90",
-        "195ffda2639ac94b7ee101a818ff607aa6e030c7d26f21a0fc9bae8609aeb725",
-    ),
-}
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_every_bundled_scenario_is_pinned():
@@ -62,143 +27,99 @@ def test_every_bundled_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digests(name, tmp_path):
-    run(parse_scenario(SCENARIOS / f"{name}.ini"), out_dir=tmp_path)
-    digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
-                    for out in OUTPUTS)
-    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, GOLDEN[name]))
-
-
-def rejection_scenario(strategy):
-    return f"""\
-[scenario]
-name = rejections-{strategy}
-mode = trust
-strategy = {strategy}
-horizon_ticks = 400
-
-[work]
-wu_count = 600
-
-[servers]
-count = 2
-
-[agents rel]
-count = 30
-profile = reliable
-accept_prob = 0.7
-
-[agents ego]
-count = 6
-profile = egoistic
-accept_prob = 0.9
-
-[agents mal]
-count = 6
-profile = malicious
-
-[params]
-formation = on
-allow_short_groups = on
-"""
-
-
-REJECTION_GOLDEN = {
-    "dgds": (
-        "6071b63e9f46ff8ae609d899f5d239738ed6ce2bdd26fe99c29d336e136cf0e3",
-        "f28783b6464c005286adb6d99f49a3237e22a52fec233b488353f507d01ea2dc",
-        "2fad6be817cd4f8368ff86d2ce25c4f3794c662eba9be0120e776dc7f04d078e",
-        "fc51437ee70e639da0bd80007788b42a8db0d89490db0d4b3f856d04d4d0d44d",
-    ),
-    "dods": (
-        "46436588ed6f43b8f51c0fd789d457d79f39cdb7c316bc8f0c88ff4a7e4841cb",
-        "afd85eac8095eaec204c992901aef8d7e9415f94d2d21e767ac93b794d463f11",
-        "1ca9638942bc932b9deefa03342c37a46ee5247a9eb7f348059f292361849128",
-        "7b556a0e5a16d2675038ea67ba02f81185df2e1254b10b8dbe722c3a7cfd3d7d",
-    ),
-    "drds": (
-        "11a78a821c26f279569166a886b083a7fee1a1e9b81b128474e42600dffaa563",
-        "afa399329f88afd1fe38a2161d789a59a2ee302201e38dc5e2db2b3ee6788847",
-        "2c0ea99eab8f3dadac641d947379a603a458fad2358cbbaeafb95580ca006143",
-        "c56483d9ab1608dc0dc450fb9174422e43a9584114d23c6f74e2229892f19146",
-    ),
-    "random": (
-        "207a422d2e927b23114254fb0e4a712284effc7fc06ce369936e639b7c914a16",
-        "3555f057ca266c9eb08ec21033df189fecf56e1374b9ce590f468b60ad191653",
-        "0074c3289a82f05f1f30d8d9f33b8724ff20ff904c5d7f58d55fcf32b8a95e0c",
-        "f0951db507bf4914bf73a13e15fa41004ffc019ac105e4a378ec4dd779eb5d0f",
-    ),
-}
+    _, digests = run_case(name, tmp_path)
+    assert digests == pinned(name)
 
 
 @pytest.mark.parametrize("strategy", sorted(REJECTION_GOLDEN))
 def test_rejection_outputs_match_golden_digests(strategy, tmp_path):
-    scenario = tmp_path / "scenario.ini"
-    scenario.write_text(rejection_scenario(strategy), encoding="utf-8")
-    world, _, _ = run(parse_scenario(scenario), out_dir=tmp_path)
+    world, digests = run_case(f"rejections-{strategy}", tmp_path)
     assert any(ev.kind == "wu_rejected" for ev in world.events)
-    digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
-                    for out in OUTPUTS)
-    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, REJECTION_GOLDEN[strategy]))
-
-
-# Colluders outnumber the reliable agents and free riders drop their
-# replicas, so many rounds end without a strict majority and, with
-# max_requeues = 1, about a quarter of the work units end FAILED.  Every
-# work unit is terminal by about tick 100, so the last three hundred
-# ticks pin the idle tail, where only churn still emits events.
-FAILED_TAIL = """\
-[scenario]
-name = failed-tail
-mode = trust
-strategy = dgds
-horizon_ticks = 400
-
-[work]
-wu_count = 120
-
-[servers]
-count = 2
-timeout_ticks = 6
-
-[agents rel]
-count = 8
-profile = reliable
-
-[agents mal]
-count = 10
-profile = malicious
-
-[agents fr]
-count = 4
-profile = free_rider
-
-[agents ch]
-count = 4
-profile = churner
-churn = 5/5
-
-[params]
-max_requeues = 1
-allow_short_groups = on
-"""
-
-FAILED_TAIL_GOLDEN = (
-    "dad759cfb7a1af1070e5560e997f11575307f2e2305667b1d3126f298bb185c3",
-    "a5c2ada4e024399906a2a602dd7b6a033584b18050e7481334b4f6fa7fbd111e",
-    "58fb356b14e0ac5fd16d387be679b35974c78dcc15fc5070a5bb423b783329fc",
-    "6756600988be8840ab0fb006620e5b5f4097dd4958aae5eabe2a7648aa25a6fa",
-)
+    assert digests == pinned(f"rejections-{strategy}")
 
 
 def test_failed_tail_outputs_match_golden_digests(tmp_path):
-    scenario = tmp_path / "scenario.ini"
-    scenario.write_text(FAILED_TAIL, encoding="utf-8")
-    world, _, _ = run(parse_scenario(scenario), out_dir=tmp_path)
+    world, digests = run_case("failed-tail", tmp_path)
     assert any(wu.state is WuState.FAILED for wu in world.wus.values())
     last_terminal = max(ev.tick for ev in world.events
                         if ev.kind == "wu_validated"
                         or (ev.kind == "wu_redistributed" and ev.payload["terminal"]))
     assert last_terminal < world.config.horizon_ticks // 2
-    digests = tuple(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
-                    for out in OUTPUTS)
-    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, FAILED_TAIL_GOLDEN))
+    assert digests == pinned("failed-tail")
+
+
+# ------------------------------------------------- other interpreters
+
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+HASH_SEED = "123"
+
+
+def _version_of(exe, env):
+    try:
+        proc = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                              capture_output=True, text=True, env=env, timeout=60)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _find_python(version):
+    """The environment under which `python<version>` on PATH runs that
+    version, or None.  A pyenv shim runs an installed version that is not
+    selected once PYENV_VERSION names it."""
+    exe = shutil.which(f"python{version}")
+    if exe is None:
+        return None
+    env = dict(os.environ)
+    if _version_of(exe, env) != version and shutil.which("pyenv"):
+        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
+                                text=True, timeout=60).stdout.split()
+        patches = [v[len(version) + 1:] for v in listed if v.startswith(version + ".")]
+        patches = [int(p) for p in patches if p.isdigit()]
+        if patches:
+            env["PYENV_VERSION"] = f"{version}.{max(patches)}"
+    return env if _version_of(exe, env) == version else None
+
+
+@pytest.fixture(scope="module")
+def interpreter_runs():
+    """Start `golden_cases.py` under each other installed Python, and under
+    this one with PYTHONHASHSEED fixed, all at once.  Maps each variant to
+    its process, or to the reason it does not run."""
+    running = "%d.%d" % sys.version_info[:2]
+    runs = {}
+    for variant in OTHER_PYTHONS + ("hashseed",):
+        if variant == "hashseed":
+            exe, env = sys.executable, dict(os.environ, PYTHONHASHSEED=HASH_SEED)
+        elif variant == running:
+            runs[variant] = f"the in-process cases ran under python{variant}"
+            continue
+        else:
+            exe, env = f"python{variant}", _find_python(variant)
+            if env is None:
+                runs[variant] = f"python{variant} is not installed"
+                continue
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs[variant] = subprocess.Popen([exe, str(TESTS / "golden_cases.py")],
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                         text=True, env=env)
+    yield runs
+    for proc in runs.values():
+        if not isinstance(proc, str) and proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize("variant", OTHER_PYTHONS + ("hashseed",))
+def test_golden_digests_under_other_interpreters(variant, interpreter_runs):
+    proc = interpreter_runs[variant]
+    if isinstance(proc, str):
+        pytest.skip(proc)
+    out, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err[-2000:]
+    result = json.loads(out)
+    print(f"{variant}: ran under Python {result['python']}")
+    wrong = {case: sorted(name for name, digest in pinned(case).items()
+                          if result["digests"].get(case, {}).get(name) != digest)
+             for case in CASES}
+    assert {case: names for case, names in wrong.items() if names} == {}

@@ -314,6 +314,40 @@ def test_writer_lines_equal_json_dumps(codec_dir, triples):
                                             for t, k, p in triples])
 
 
+def test_writer_without_the_c_encoder_writes_the_same_bytes(small_run, tmp_path,
+                                                            monkeypatch):
+    _, world, _, _ = small_run
+    events = world.events + [SimEvent(7, "caf\xe9  ", {
+        "b": [1.5, -0.0, 1e300, -1e-300], "a": ("x", None, True),
+        "漢": {"z": "\x00\x1f\"\\", "y": 2}})]
+    write_event_log(tmp_path / "c.jsonl", world.header(), events)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    write_event_log(tmp_path / "py.jsonl", world.header(), events)
+    assert (tmp_path / "py.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
+
+
+def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
+    _, world, _, _ = small_run
+    write_event_log(tmp_path / "events.jsonl", world.header(), world.events)
+    header, events = read_event_log(tmp_path / "events.jsonl")
+    assert header == world.header()
+    assert events == world.events
+    assert all(type(ev) is SimEvent for ev in events)
+
+
+@pytest.mark.parametrize("bad", [b"{", EVENT[:10].encode() + b"\xff" + EVENT[10:].encode()],
+                         ids=["not JSON", "not UTF-8"])
+def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
+    # Universal newlines end line 2 at the bare "\r", so the bad line is 3
+    # whichever way it is bad.
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(json.dumps(HEADER).encode() + b"\n" + EVENT.encode() + b"\r"
+                    + bad + b"\n" + EVENT.encode() + b"\n")
+    with pytest.raises(EventLogError) as exc:
+        read_event_log(log)
+    assert exc.value.line == 3
+
+
 # ------------------------------------------------------------------ CLI
 
 def test_cli_run_prints_metrics(tmp_path, capsys):

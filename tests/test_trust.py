@@ -10,7 +10,7 @@ from tdgsim import trust
 from tdgsim.trust import (CAUSE_VALUES, Rating, RatingCause, ReplicationLimits,
                           ReputationProfile, TrustClass, ValidationError,
                           aggregate_reputation, classify, effective_f_min,
-                          raw_replication_factor, roulette_round)
+                          raw_replication_factor, roulette_round, sum_left)
 
 
 def test_cause_value_table():
@@ -45,6 +45,13 @@ def test_aggregate_examples():
 def test_aggregate_rejects_out_of_range():
     with pytest.raises(ValidationError):
         aggregate_reputation([0.0, 2.0])
+
+
+def test_sum_left_adds_left_to_right_from_int_zero():
+    # The built-in sum() gives 1.0 here from Python 3.12 on.
+    assert sum_left([0.1] * 10) == 0.9999999999999999
+    assert sum_left([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert sum_left([]) == 0 and type(sum_left([])) is int
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=100))
