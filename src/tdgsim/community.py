@@ -1,10 +1,11 @@
 """Explicit trust community state machine: formation, manager election,
-operation (invitation, eviction) and dissolution."""
+operation (invitation, eviction) and dissolution.  A community keeps no
+history: it writes each event, as it happens, into the run's event log."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from .config import Params
 
@@ -44,15 +45,6 @@ class EventKind(Enum):
     PHASE = "phase"
 
 
-@dataclass(frozen=True)
-class MembershipEvent:
-    tick: int
-    seq: int
-    kind: EventKind
-    agent: str
-    detail: str = ""
-
-
 # Actions emitted by operate_tick for the engine to apply.
 @dataclass(frozen=True)
 class Evict:
@@ -68,18 +60,17 @@ class Invite:
 class TrustCommunity:
     id: str
     founder: str
+    # Called as emit(tick, community=..., kind=..., agent=..., detail=...).
+    emit: Callable[..., None] = field(repr=False)
     phase: Phase = Phase.PRE_ORGANISATION
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
     tcm: Optional[str] = None
     peak_size: int = 0
-    events: List[MembershipEvent] = field(default_factory=list)
     declined: Set[str] = field(default_factory=set)
-    _seq: int = 0
 
     def log(self, tick: int, kind: EventKind, agent: str = "", detail: str = "") -> None:
-        self.events.append(MembershipEvent(tick, self._seq, kind, agent, detail))
-        self._seq += 1
+        self.emit(tick, community=self.id, kind=kind.value, agent=agent, detail=detail)
 
     def _transition(self, to: Phase, tick: int) -> None:
         if (self.phase, to) not in ALLOWED_TRANSITIONS:
@@ -202,23 +193,3 @@ def dissolve_check(tc: TrustCommunity, params: Params,
             or size < params.min_size
             or size < params.dissolve_fraction * tc.peak_size)
 
-
-def replay_events(events: Sequence[MembershipEvent]) -> dict:
-    """Rebuild the observable community state from its event log."""
-    phase = Phase.PRE_ORGANISATION
-    members: Dict[str, int] = {}
-    tcm: Optional[str] = None
-    peak = 0
-    for ev in events:
-        if ev.kind is EventKind.PHASE:
-            phase = Phase(ev.detail.split("->")[1])
-        elif ev.kind is EventKind.JOINED:
-            members[ev.agent] = ev.tick
-            peak = max(peak, len(members))
-        elif ev.kind in (EventKind.LEFT, EventKind.EVICTED):
-            members.pop(ev.agent, None)
-        elif ev.kind is EventKind.TCM_ELECTED:
-            tcm = ev.agent
-        elif ev.kind is EventKind.DISSOLVED:
-            tcm = None
-    return {"phase": phase, "members": members, "tcm": tcm, "peak_size": peak}

@@ -18,6 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import community as tc
@@ -26,7 +27,7 @@ from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
 from .ledger import Ledger, split_credits
-from .trust import (NEUTRAL_TAU, Rating, RatingCause, ReplicationLimits,
+from .trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause, ReplicationLimits,
                     ReputationProfile, classify, effective_f_min,
                     raw_replication_factor, roulette_round, sum_left)
 
@@ -111,6 +112,12 @@ class SimEvent(NamedTuple):
     payload: dict
 
 
+def _append_tc_event(events: List[SimEvent], tick: int, **payload) -> None:
+    # A community's sink.  It holds the event list, not the World: a bound
+    # World.emit would make a reference cycle that only the collector frees.
+    events.append(SimEvent(tick, "tc_event", payload))
+
+
 class ReputationStore:
     def __init__(self, window: int) -> None:
         self.window = window
@@ -118,15 +125,15 @@ class ReputationStore:
 
     def profile(self, subject: str) -> ReputationProfile:
         if subject not in self.profiles:
-            self.profiles[subject] = ReputationProfile(subject, self.window)
+            self.profiles[subject] = ReputationProfile(self.window)
         return self.profiles[subject]
 
     def tau(self, subject: str) -> float:
         prof = self.profiles.get(subject)
         return prof.tau if prof is not None else NEUTRAL_TAU
 
-    def record(self, rating: Rating) -> None:
-        self.profile(rating.subject).record(rating)
+    def record(self, subject: str, value: float) -> None:
+        self.profile(subject).push(value)
 
 
 def stream(seed: int, name: str) -> random.Random:
@@ -181,8 +188,6 @@ class World:
         self._routed: List[Tuple[str, WorkUnit, str, str]] = []
         self.central_assigned: Dict[str, str] = {}  # wu id -> holder agent
         self.communities: Dict[str, tc.TrustCommunity] = {}  # active, by id
-        self.all_communities: List[tc.TrustCommunity] = []
-        self._tc_flushed: Dict[str, int] = {}
         self._tc_counter = 0
         self.events: List[SimEvent] = []
         self.faults_at: Dict[int, List] = {}
@@ -301,7 +306,6 @@ class World:
                 except tc.DissolutionTriggered:
                     comm.dissolve(self.tick)
                     del self.communities[comm.id]
-                self._flush_tc_events(comm)
         if not self.open_wus:
             return
 
@@ -491,10 +495,10 @@ class World:
             self._validate_centralized()
 
     def _rate(self, subject: str, cause: RatingCause, rater: str) -> None:
-        rating = Rating.from_cause(rater, subject, cause, self.tick)
-        self.store.record(rating)
+        value = CAUSE_VALUES[cause]
+        self.store.record(subject, value)
         self.emit("rating_issued", subject=subject, rater=rater,
-                  cause=cause.value, value=rating.value)
+                  cause=cause.value, value=value)
 
     def _commit_credit(self, wu: WorkUnit, participants: List[str]) -> int:
         credit_total = self.config.base_credit_millis * wu.complexity
@@ -621,13 +625,6 @@ class World:
                 self.emit("wu_redistributed", wu=wu.id, terminal=False)
 
     # -- phase 6: community lifecycle -------------------------------------
-    def _flush_tc_events(self, comm: tc.TrustCommunity) -> None:
-        start = self._tc_flushed.get(comm.id, 0)
-        for ev in comm.events[start:]:
-            self.emit("tc_event", community=comm.id, kind=ev.kind.value,
-                      agent=ev.agent, detail=ev.detail)
-        self._tc_flushed[comm.id] = len(comm.events)
-
     def _phase_lifecycle(self) -> None:
         if not self.trust_mode or not self.config.params.formation:
             return
@@ -678,7 +675,6 @@ class World:
                     in_community.discard(member)
                 comm.dissolve(self.tick)
                 del self.communities[comm.id]
-            self._flush_tc_events(comm)
 
         for sid in self.server_order:
             server = self.servers[sid]
@@ -690,7 +686,8 @@ class World:
             invites = tc.evaluate_formation(sid, eligible, params)
             if invites is None:
                 continue
-            comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid)
+            comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
+                                     emit=partial(_append_tc_event, self.events))
             invitee_taus = [eligible[x] for x in invites]
             joiners = [a for a in invites
                        if self._accepts_invite(a, None, pool_tau, invitee_taus)]
@@ -705,9 +702,7 @@ class World:
             availability = {m: self._available(m) for m in comm.members}
             tc.elect_tcm(comm, availability, self.tick)
             self.communities[comm.id] = comm
-            self.all_communities.append(comm)
             in_community.update(comm.members)
-            self._flush_tc_events(comm)
 
     def _accepts_invite(self, agent_id: str, comm: Optional[tc.TrustCommunity],
                         pool_tau: float,

@@ -2,7 +2,9 @@
 
 The engine never keeps separate counters: `run` and `replay` both call
 `compute_metrics` on the log, so every reported number is reproducible
-from the persisted events alone.
+from the persisted events alone.  Communities keep no history either:
+each writes its `tc_event`s straight into the log, and `compute_metrics`
+is the package's only fold of them (the `etc_size` series).
 """
 from __future__ import annotations
 

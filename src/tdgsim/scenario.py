@@ -10,7 +10,7 @@ import configparser
 import gc
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig)
@@ -350,48 +350,53 @@ def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
     whitespace, is that value; any other line goes to `json.loads`.  The
     cyclic collector is paused while the list grows: parsed events hold no
     reference cycles, so it would only rescan them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return _parse_event_lines(fh)
+        except UnicodeDecodeError:  # raised per read chunk, not per line
+            pass
+    # Parse again, with each byte that is not UTF-8 mapped to U+DC80..U+DCFF,
+    # so the error names the first bad line, whichever way it is bad.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_event_lines(_decodable_lines(fh))
+
+
+def _decodable_lines(lines):
+    for number, line in enumerate(lines, start=1):
+        if any("\udc80" <= ch <= "\udcff" for ch in line):
+            raise EventLogError(number, "not UTF-8")
+        yield line
+
+
+def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
     header = None
     events: List[SimEvent] = []
     append, raw_decode, loads = events.append, json.JSONDecoder().raw_decode, json.loads
-    with open(path, encoding="utf-8") as fh:
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        # Each good event line adds one event, so a bad one is line
-        # len(events) + 2; a bad header is line 1.
-        try:
-            header = loads(fh.readline())
-            if not (isinstance(header, dict) and isinstance(header.get("horizon"), int)
-                    and isinstance(header.get("agents"), dict)):
-                raise EventLogError(1, "header lacks an int 'horizon' or an 'agents' object")
-            for line in fh:
-                try:
-                    raw, end = raw_decode(line)
-                except json.JSONDecodeError:
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    # Each good event line adds one event, so a bad one is line
+    # len(events) + 2; a bad header is line 1.
+    try:
+        header = loads(next(lines, ""))
+        if not (isinstance(header, dict) and isinstance(header.get("horizon"), int)
+                and isinstance(header.get("agents"), dict)):
+            raise EventLogError(1, "header lacks an int 'horizon' or an 'agents' object")
+        for line in lines:
+            try:
+                raw, end = raw_decode(line)
+            except json.JSONDecodeError:
+                raw = loads(line)
+            else:
+                if line[end:].strip(_JSON_WS):
                     raw = loads(line)
-                else:
-                    if line[end:].strip(_JSON_WS):
-                        raw = loads(line)
-                append(SimEvent(raw["t"], raw["k"], raw["p"]))
-        except UnicodeDecodeError:  # raised per read chunk, not per line
-            raise EventLogError(_first_undecodable_line(path), "not UTF-8") from None
-        except json.JSONDecodeError as exc:
-            raise EventLogError(1 if header is None else len(events) + 2,
-                                f"not JSON: {exc}") from None
-        except (KeyError, TypeError) as exc:
-            raise EventLogError(len(events) + 2,
-                                f"event lacks 't', 'k' or 'p': {exc!r}") from None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+            append(SimEvent(raw["t"], raw["k"], raw["p"]))
+    except json.JSONDecodeError as exc:
+        raise EventLogError(1 if header is None else len(events) + 2,
+                            f"not JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise EventLogError(len(events) + 2,
+                            f"event lacks 't', 'k' or 'p': {exc!r}") from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return header, events
-
-
-def _first_undecodable_line(path) -> int:
-    """The first line holding a byte that is not UTF-8, with lines split as
-    `read_event_log` splits them (universal newlines, so a bare "\\r" ends
-    a line too); surrogateescape maps each such byte to U+DC80..U+DCFF."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, start=1):
-            if any("\udc80" <= ch <= "\udcff" for ch in line):
-                return number
-    return 1

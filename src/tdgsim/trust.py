@@ -1,4 +1,4 @@
-"""Rating, reputation aggregation, trust classes and replication factors."""
+"""Rating values, reputation aggregation, trust classes and replication factors."""
 from __future__ import annotations
 
 import math
@@ -49,23 +49,6 @@ class TrustClass(Enum):
     UNTRUSTED = "untrusted"
 
 
-@dataclass(frozen=True)
-class Rating:
-    rater: str
-    subject: str
-    value: float
-    tick: int
-    cause: RatingCause
-
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.value <= 1.0:
-            raise ValidationError(f"rating value {self.value} outside [-1, 1]")
-
-    @classmethod
-    def from_cause(cls, rater: str, subject: str, cause: RatingCause, tick: int) -> "Rating":
-        return cls(rater=rater, subject=subject, value=CAUSE_VALUES[cause], tick=tick, cause=cause)
-
-
 def sum_left(values: Iterable[float]) -> float:
     """The sum of `values` added left to right from the int 0, as the
     built-in sum() of floats does up to Python 3.11.  From 3.12 sum()
@@ -100,7 +83,6 @@ class ReputationProfile:
     Values enter only through `push`.
     """
 
-    subject: str
     window_size: int = DEFAULT_WINDOW
     window: Deque[float] = field(init=False)
     total: float = field(init=False, default=0.0)
@@ -123,14 +105,6 @@ class ReputationProfile:
             self.total -= window[0]  # the value append() evicts
         window.append(value)
         self.total += value
-
-    def record(self, rating: Rating) -> "ReputationProfile":
-        if rating.subject != self.subject:
-            raise ValidationError(
-                f"rating subject {rating.subject!r} does not match profile {self.subject!r}"
-            )
-        self.push(rating.value)
-        return self
 
 
 def classify(tau: float) -> TrustClass:

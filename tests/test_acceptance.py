@@ -20,6 +20,8 @@ from tdgsim.trust import (ReplicationLimits, TrustClass, classify,
                           raw_replication_factor, roulette_round)
 from tdgsim.community import ALLOWED_TRANSITIONS, EventKind, Phase
 
+from community_log import community_logs
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SEEDS = range(1, 11)
 
@@ -46,7 +48,7 @@ def digest(cfg):
                             for e in world.events
                             if e.kind == "credit_committed"),
         "ledger_lines": list(ledger.export_lines()),
-        "communities": [list(c.events) for c in world.all_communities],
+        "communities": list(community_logs(world.events).values()),
         "min_size": cfg.params.min_size,
     }
 
@@ -240,8 +242,8 @@ def test_ac8_bundled_scenarios_deterministic(tmp_path, capsys):
 def _phase_log_legal(events):
     phase = Phase.PRE_ORGANISATION
     for ev in events:
-        if ev.kind is EventKind.PHASE:
-            src, dst = (Phase(p) for p in ev.detail.split("->"))
+        if ev.payload["kind"] == EventKind.PHASE.value:
+            src, dst = (Phase(p) for p in ev.payload["detail"].split("->"))
             if src is not phase or (src, dst) not in ALLOWED_TRANSITIONS:
                 return False
             phase = dst
@@ -261,9 +263,9 @@ def test_ac9_lifecycle_soundness(ac3_data, ac5_data, ac6_data, capsys):
     under_quorum = 0
     for events in logs:
         formation_ticks = [ev.tick for ev in events
-                           if ev.kind is EventKind.PHASE
-                           and ev.detail.endswith("->formation")]
-        joined = sum(ev.kind is EventKind.JOINED
+                           if ev.payload["kind"] == EventKind.PHASE.value
+                           and ev.payload["detail"].endswith("->formation")]
+        joined = sum(ev.payload["kind"] == EventKind.JOINED.value
                      and ev.tick == formation_ticks[0] for ev in events)
         if joined < min_size:
             under_quorum += 1

@@ -3,16 +3,17 @@ import pytest
 
 from tdgsim.community import (ALLOWED_TRANSITIONS, DissolutionTriggered,
                               EventKind, Evict, Invite, Phase, StateError,
-                              TrustCommunity, dissolve_check, elect_tcm,
-                              evaluate_formation, handle_tcm_failure,
-                              join_decision, operate_tick, replay_events)
+                              dissolve_check, elect_tcm, evaluate_formation,
+                              handle_tcm_failure, join_decision, operate_tick)
 from tdgsim.config import Params
+
+from community_log import fold, new_community, state
 
 PARAMS = Params()
 
 
-def formed_community(n=6, tick=10):
-    comm = TrustCommunity(id="tc0", founder="w0")
+def formed_community(n=6, tick=10, events=None):
+    comm = new_community([] if events is None else events)
     joiners = [f"a{i}" for i in range(n)]
     comm.form(tick, joiners, {a: 0.8 for a in joiners}, founder_tau=0.9)
     elect_tcm(comm, {m: True for m in comm.members}, tick)
@@ -36,14 +37,14 @@ def test_form_requires_pre_organisation():
 
 
 def test_cannot_dissolve_from_pre_organisation():
-    comm = TrustCommunity(id="tc0", founder="w0")
+    comm = new_community([])
     with pytest.raises(StateError):
         comm.dissolve(1)
 
 
 def test_formation_may_abort_to_dissolved():
     assert (Phase.FORMATION, Phase.DISSOLVED) in ALLOWED_TRANSITIONS
-    comm = TrustCommunity(id="tc0", founder="w0")
+    comm = new_community([])
     comm.form(1, ["a", "b"], {"a": 0.8, "b": 0.8})
     comm.dissolve(2)
     assert comm.phase is Phase.DISSOLVED
@@ -87,14 +88,17 @@ def test_join_decision():
 # ------------------------------------------------------------- election
 
 def test_failover_prefers_longest_serving_then_id():
-    comm = formed_community(tick=10)
+    events = []
+    comm = formed_community(tick=10, events=events)
     comm.add_member("z_late", 20, 0.9)
     availability = {m: m != "w0" for m in comm.members}
     winner = handle_tcm_failure(comm, availability, 30)
     assert winner == "a0"  # joined tick 10, smallest id among those
     assert comm.tcm == "a0"
-    kinds = [e.kind for e in comm.events[-2:]]
-    assert kinds == [EventKind.TCM_FAILED, EventKind.TCM_ELECTED]
+    kinds = [e.payload["kind"] for e in events[-2:]]
+    assert kinds == [EventKind.TCM_FAILED.value, EventKind.TCM_ELECTED.value]
+    assert all(e.kind == "tc_event" and e.tick == 30
+               and e.payload["community"] == "tc0" for e in events[-2:])
 
 
 def test_no_available_member_triggers_dissolution():
@@ -104,7 +108,7 @@ def test_no_available_member_triggers_dissolution():
 
 
 def test_failover_outside_operation_is_an_error():
-    comm = TrustCommunity(id="tc0", founder="w0")
+    comm = new_community([])
     with pytest.raises(StateError):
         handle_tcm_failure(comm, {}, 1)
 
@@ -159,7 +163,7 @@ def test_dissolve_check_triggers():
 
 
 def test_dissolve_check_requires_operation():
-    comm = TrustCommunity(id="tc0", founder="w0")
+    comm = new_community([])
     with pytest.raises(StateError):
         dissolve_check(comm, PARAMS, queue_exhausted=False)
 
@@ -167,21 +171,21 @@ def test_dissolve_check_requires_operation():
 # --------------------------------------------------------------- replay
 
 def test_replay_rebuilds_live_state():
-    comm = formed_community()
+    events = []
+    comm = formed_community(events=events)
     comm.remove_member("a3", 12, EventKind.EVICTED)
     comm.add_member("late", 13, 0.85)
     handle_tcm_failure(comm, {m: m != "w0" for m in comm.members}, 14)
-    state = replay_events(comm.events)
-    assert state["phase"] is comm.phase
-    assert state["members"] == comm.members
-    assert state["tcm"] == comm.tcm
-    assert state["peak_size"] == comm.peak_size
+    assert comm.tcm == "a0" and comm.members["late"] == 13
+    assert fold(events) == state(comm)
 
 
 def test_replay_after_dissolution():
-    comm = formed_community()
+    events = []
+    comm = formed_community(events=events)
     comm.dissolve(20)
-    state = replay_events(comm.events)
-    assert state["phase"] is Phase.DISSOLVED
-    assert state["members"] == {}
-    assert state["tcm"] is None
+    replayed = fold(events)
+    assert replayed["phase"] is Phase.DISSOLVED
+    assert replayed["members"] == {}
+    assert replayed["tcm"] is None
+    assert replayed["peak_size"] == 7

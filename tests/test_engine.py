@@ -1,12 +1,22 @@
-"""Engine-level tests: phase order, both topologies, ratings and faults."""
+"""Engine-level tests: phase order, both topologies, ratings, faults and
+communities."""
+import gc
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from tdgsim import engine
+from tdgsim.community import Phase
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
 from tdgsim.engine import Profile, ReputationStore, World, WuState, stream
+from tdgsim.scenario import parse_scenario
 from tdgsim.trust import ReplicationLimits
+
+from community_log import community_logs, fold, state
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_cfg(**overrides):
@@ -271,13 +281,58 @@ def test_work_units_never_vanish(mode):
 
 
 def test_egoistic_agents_skip_group_work_invitations():
+    # The malicious agents pull the pool's mean tau down, so the reliable
+    # ones gain by joining and a community forms.
     cfg = make_cfg(mode="trust", wu_count=30, horizon_ticks=40,
                    agents=[AgentGroup("rel", 6, "reliable"),
+                           AgentGroup("mal", 2, "malicious"),
                            AgentGroup("ego", 2, "egoistic")])
     world = World(cfg)
     world.run()
-    for comm in world.all_communities:
-        assert not any(m.startswith("ego") for m in comm.members)
+    by_kind = {}
+    for e in events_of(world, "tc_event"):
+        by_kind.setdefault(e.payload["kind"], set()).add(e.payload["agent"])
+    assert {"ego-000", "ego-001"} <= by_kind["invited"]
+    assert by_kind["joined"]
+    assert not any(agent.startswith("ego-") for agent in by_kind["joined"])
+
+
+# One bundled scenario per path through the lifecycle, and a tc_event
+# kind each must log: a manager failover in a community that is still
+# operating at the end, evictions, and two dissolutions.
+@pytest.mark.parametrize("scenario, kind", [("tcm_failover.ini", "tcm_failed"),
+                                            ("etc_throughput.ini", "evicted"),
+                                            ("malice_dgds.ini", "dissolved")])
+def test_event_log_alone_rebuilds_every_community(scenario, kind):
+    world = World(parse_scenario(SCENARIOS / scenario))
+    world.run()
+    logs = community_logs(world.events)
+    assert any(ev.payload["kind"] == kind for log in logs.values() for ev in log)
+    assert set(world.communities) <= set(logs)
+    for comm_id, log in logs.items():
+        if comm_id in world.communities:
+            assert fold(log) == state(world.communities[comm_id])
+        else:
+            replayed = fold(log)
+            assert replayed["phase"] is Phase.DISSOLVED
+            assert replayed["members"] == {} and replayed["tcm"] is None
+
+
+def test_finished_world_is_freed_by_reference_counting():
+    # tcm_failover ends with a community still operating, and a community
+    # that held a bound World.emit would keep its World in a cycle.
+    world = World(parse_scenario(SCENARIOS / "tcm_failover.ini"))
+    world.run()
+    assert world.communities
+    ref = weakref.ref(world)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del world
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------ work count
@@ -309,7 +364,7 @@ def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
     world.run()
 
     rejections = Counter(e.tick for e in events_of(world, "wu_rejected"))
-    assert sum(rejections.values()) > 0 and world.all_communities
+    assert sum(rejections.values()) > 0 and community_logs(world.events)
     assert len(events_of(world, "wu_issued")) > 2 * cfg.horizon_ticks
     for tick in range(1, cfg.horizon_ticks + 1):
         assert built[tick] <= idle[tick] + rejections[tick], tick

@@ -208,6 +208,7 @@ def test_run_rerun_is_identical(small_run, tmp_path):
 
 HEADER = {"horizon": 3, "agents": {"a-000": "reliable"}}
 EVENT = '{"k": "wu_issued", "p": {"wu": "wu-0"}, "t": 1}'
+UNDECODABLE = EVENT[:10].encode() + b"\xff" + EVENT[10:].encode()
 
 
 def loads_per_line(path):
@@ -335,8 +336,7 @@ def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
     assert all(type(ev) is SimEvent for ev in events)
 
 
-@pytest.mark.parametrize("bad", [b"{", EVENT[:10].encode() + b"\xff" + EVENT[10:].encode()],
-                         ids=["not JSON", "not UTF-8"])
+@pytest.mark.parametrize("bad", [b"{", UNDECODABLE], ids=["not JSON", "not UTF-8"])
 def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
     # Universal newlines end line 2 at the bare "\r", so the bad line is 3
     # whichever way it is bad.
@@ -346,6 +346,24 @@ def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
     with pytest.raises(EventLogError) as exc:
         read_event_log(log)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("line3, line5, reason", [
+    (b"{", UNDECODABLE, "not JSON"),
+    (UNDECODABLE, b"{", "not UTF-8"),
+], ids=["bad JSON first", "not UTF-8 first"])
+def test_the_first_bad_line_is_named_whichever_way_it_is_bad(tmp_path, line3,
+                                                              line5, reason):
+    # The text layer decodes a whole chunk, lines 1-5 here, before line 3
+    # is parsed, so a byte that is not UTF-8 on line 5 is seen first.
+    log = tmp_path / "events.jsonl"
+    event = EVENT.encode()
+    log.write_bytes(b"\n".join([json.dumps(HEADER).encode(), event, line3,
+                                event, line5, event, b""]))
+    with pytest.raises(EventLogError) as exc:
+        read_event_log(log)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"line 3: {reason}")
 
 
 # ------------------------------------------------------------------ CLI

@@ -1,4 +1,4 @@
-"""Rating, reputation and replication-factor unit tests."""
+"""Rating value, reputation and replication-factor unit tests."""
 import inspect
 import math
 import random
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdgsim import trust
-from tdgsim.trust import (CAUSE_VALUES, Rating, RatingCause, ReplicationLimits,
+from tdgsim.engine import ReputationStore
+from tdgsim.trust import (CAUSE_VALUES, RatingCause, ReplicationLimits,
                           ReputationProfile, TrustClass, ValidationError,
                           aggregate_reputation, classify, effective_f_min,
                           raw_replication_factor, roulette_round, sum_left)
@@ -20,15 +21,6 @@ def test_cause_value_table():
     assert CAUSE_VALUES[RatingCause.DROPPED_WU] == -0.75
     assert CAUSE_VALUES[RatingCause.TIMED_OUT] == -0.75
     assert CAUSE_VALUES[RatingCause.WRONG_RESULT] == -1.0
-
-
-def test_rating_range_validated():
-    with pytest.raises(ValidationError):
-        Rating("a", "b", 1.5, 1, RatingCause.CORRECT_ON_TIME)
-    with pytest.raises(ValidationError):
-        Rating("a", "b", -1.01, 1, RatingCause.WRONG_RESULT)
-    r = Rating.from_cause("a", "b", RatingCause.CORRECT_LATE, 7)
-    assert r.value == 0.5 and r.tick == 7
 
 
 def test_aggregate_empty_window_is_neutral():
@@ -60,12 +52,9 @@ def test_aggregate_stays_in_unit_interval(values):
 
 
 def test_sliding_window_drops_oldest():
-    prof = ReputationProfile("x", window_size=3)
-    values = [-1.0, -1.0, 1.0, 1.0]
-    for i, v in enumerate(values):
-        cause = (RatingCause.CORRECT_ON_TIME if v > 0
-                 else RatingCause.WRONG_RESULT)
-        prof.record(Rating("r", "x", v, i, cause))
+    prof = ReputationProfile(window_size=3)
+    for v in [-1.0, -1.0, 1.0, 1.0]:
+        prof.push(v)
     # only the last three ratings count: mean(-1, 1, 1) = 1/3
     assert prof.tau == pytest.approx((1 + 1 / 3) / 2)
     assert len(prof.window) == 3
@@ -74,16 +63,32 @@ def test_sliding_window_drops_oldest():
 @given(st.integers(min_value=0, max_value=60),
        st.lists(st.sampled_from(list(RatingCause)), max_size=200))
 def test_running_window_sum_equals_a_fresh_sum(window_size, causes):
-    prof = ReputationProfile("x", window_size=window_size)
-    for i, cause in enumerate(causes):
-        prof.record(Rating.from_cause("r", "x", cause, i))
+    prof = ReputationProfile(window_size=window_size)
+    for cause in causes:
+        prof.push(CAUSE_VALUES[cause])
         assert prof.tau == aggregate_reputation(list(prof.window))
     assert len(prof.window) == min(window_size, len(causes))
 
 
-def test_push_rejects_out_of_range():
+def test_rating_range_validated():
+    store = ReputationStore(window=10)
     with pytest.raises(ValidationError):
-        ReputationProfile("x").push(1.5)
+        store.record("b", 1.5)
+    with pytest.raises(ValidationError):
+        store.record("b", -1.01)
+    assert store.tau("b") == 0.5 and not store.profile("b").window
+    store.record("b", CAUSE_VALUES[RatingCause.CORRECT_LATE])
+    assert list(store.profile("b").window) == [0.5]
+    assert store.tau("b") == 0.75
+
+
+def test_push_rejects_out_of_range():
+    prof = ReputationProfile()
+    with pytest.raises(ValidationError):
+        prof.push(1.5)
+    with pytest.raises(ValidationError):
+        prof.push(-1.01)
+    assert not prof.window and prof.total == 0.0
 
 
 def test_non_dyadic_cause_value_fails_at_import():
@@ -94,12 +99,6 @@ def test_non_dyadic_cause_value_fails_at_import():
     # the exec defines its own ValidationError, a ValueError
     with pytest.raises(ValueError, match="multiple of 0.25"):
         exec(compile(mutant, "trust_mutant", "exec"), {"__name__": "trust_mutant"})
-
-
-def test_profile_rejects_foreign_subject():
-    prof = ReputationProfile("x")
-    with pytest.raises(ValidationError):
-        prof.record(Rating("r", "y", 1.0, 1, RatingCause.CORRECT_ON_TIME))
 
 
 def test_classify_boundaries():
