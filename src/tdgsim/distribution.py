@@ -5,8 +5,7 @@ rng stream owned by the caller; same pool + seed gives identical groups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .trust import TrustClass
 
@@ -19,16 +18,17 @@ class FallbackToDRDS(Exception):
     """DGDS precondition unmet (no trusted or no untrusted candidate)."""
 
 
-@dataclass(frozen=True)
-class Candidate:
+# Tuples, not frozen dataclasses: the engine builds one Candidate per idle
+# agent per tick and one ReplicaGroup per selection, and a frozen
+# dataclass pays a setattr call per field.
+class Candidate(NamedTuple):
     agent: str
     tau: float
     f_min: int  # pre-drawn via effective_f_min
     trust_class: TrustClass
 
 
-@dataclass(frozen=True)
-class ReplicaGroup:
+class ReplicaGroup(NamedTuple):
     wu: str
     members: Tuple[str, ...]
     initiator: str
@@ -50,8 +50,7 @@ def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
     take = min(initiator.f_min, len(others))
     chosen = rng.sample(others, take)
     members = (initiator.agent,) + tuple(c.agent for c in chosen)
-    return ReplicaGroup(wu=wu, members=members, initiator=initiator.agent,
-                        short=take < initiator.f_min)
+    return ReplicaGroup(wu, members, initiator.agent, take < initiator.f_min)
 
 
 def dods_assign(pool: Sequence[Candidate], wu: str,
@@ -76,8 +75,7 @@ def dods_assign(pool: Sequence[Candidate], wu: str,
     short = len(group) < 1 + max_f
     if short and not (allow_short and len(group) >= 2):
         raise SelectionFailed(f"dods group of {len(group)} cannot reach {1 + max_f}")
-    return ReplicaGroup(wu=wu, members=tuple(c.agent for c in group),
-                        initiator=group[0].agent, short=short)
+    return ReplicaGroup(wu, tuple(c.agent for c in group), group[0].agent, short)
 
 
 def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
@@ -125,9 +123,8 @@ def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
         max_f = max(max_f, nxt.f_min)
     if len(group) < 2:
         raise SelectionFailed("dgds group smaller than 2")
-    return ReplicaGroup(wu=wu, members=tuple(c.agent for c in group),
-                        initiator=picked_u[0].agent,
-                        short=len(group) < 1 + max_f)
+    return ReplicaGroup(wu, tuple(c.agent for c in group), picked_u[0].agent,
+                        len(group) < 1 + max_f)
 
 
 def random_baseline_select(pool: Sequence[Candidate], replication: int, rng,
@@ -138,5 +135,4 @@ def random_baseline_select(pool: Sequence[Candidate], replication: int, rng,
     if len(pool) < replication:
         raise SelectionFailed(f"need {replication} candidates, have {len(pool)}")
     chosen = rng.sample(pool, replication)
-    return ReplicaGroup(wu=wu, members=tuple(c.agent for c in chosen),
-                        initiator=chosen[0].agent)
+    return ReplicaGroup(wu, tuple(c.agent for c in chosen), chosen[0].agent)

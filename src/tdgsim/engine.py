@@ -84,8 +84,8 @@ class WorkServer:
     online: bool = True
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
+    # A tuple, as SimEvent is below: one is built per member per work unit.
     kind: str  # completed | dropped | timed_out
     result: Optional[str] = None
     units: int = 0
@@ -311,9 +311,15 @@ class World:
 
         idle = [self.agents[a] for a in self.agent_order
                 if self.agents[a].online and self.agents[a].current_wu is None]
-        fmin = {a.id: max(effective_f_min(self.store.tau(a.id), self.limits,
-                                          self.rng_issue), 1)
-                for a in idle}
+        # Each idle agent's tau is read once, for its f_min draw and its
+        # pool candidate.  This is exact: a rating issued while a pool
+        # drains reaches only a member of that pool, whose candidate is then
+        # rebuilt from a fresh read, and each idle agent sits in one pool.
+        drawn = {}  # agent id -> its Candidate fields after the id
+        for a in idle:
+            tau = self.store.tau(a.id)
+            f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
+            drawn[a.id] = (tau, f_min, classify(tau))
 
         member_of = {}
         for comm in self.communities.values():
@@ -333,7 +339,7 @@ class World:
             if not queue:
                 return
             if open_pool is None:
-                open_pool = self._candidates(open_agents, fmin)
+                open_pool = self._candidates(open_agents, drawn)
             self._drain_queue(queue, open_pool, distributor, community)
 
         # Operating communities distribute their founders' queues first:
@@ -345,7 +351,7 @@ class World:
             queue = self.servers[comm.founder].queue
             if queue:
                 members = [a for a in idle if member_of.get(a.id) == comm.id]
-                self._drain_queue(queue, self._candidates(members, fmin),
+                self._drain_queue(queue, self._candidates(members, drawn),
                                   distributor=comm.tcm, community=comm.id)
             drain_open(queue, distributor=comm.tcm, community=comm.id)
 
@@ -361,12 +367,12 @@ class World:
 
     def _candidate(self, agent_id: str, f_min: int) -> Candidate:
         tau = self.store.tau(agent_id)
-        return Candidate(agent=agent_id, tau=tau, f_min=f_min,
-                         trust_class=classify(tau))
+        return Candidate(agent_id, tau, f_min, classify(tau))
 
-    def _candidates(self, agents: List[AgentModel],
-                    fmin: Dict[str, int]) -> Dict[str, Candidate]:
-        return {a.id: self._candidate(a.id, fmin[a.id]) for a in agents}
+    @staticmethod
+    def _candidates(agents: List[AgentModel], drawn: Dict[str, tuple]
+                    ) -> Dict[str, Candidate]:
+        return {a.id: Candidate(a.id, *drawn[a.id]) for a in agents}
 
     def _drain_queue(self, queue: Deque[WorkUnit], pool: Dict[str, Candidate],
                      distributor: str, community: Optional[str]) -> None:
@@ -443,7 +449,7 @@ class World:
                 continue
             wu = self.wus[agent.current_wu]
             if agent.profile is Profile.FREE_RIDER:
-                self._terminal(agent, wu, "dropped", units=agent.progress)
+                self._terminal(agent, wu, "dropped", None, agent.progress, False)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id,
                           units=agent.progress)
                 continue
@@ -452,8 +458,7 @@ class World:
                 result = (f"bad-{wu.id}" if agent.profile is Profile.MALICIOUS
                           else wu.ground_truth)
                 late = (self.tick - agent.assigned_tick) > agent.quote
-                self._terminal(agent, wu, "completed", result=result,
-                               units=wu.complexity, late=late)
+                self._terminal(agent, wu, "completed", result, wu.complexity, late)
                 self.emit("wu_completed", wu=wu.id, agent=agent.id,
                           units=wu.complexity, late=late,
                           buffered=(not self.trust_mode
@@ -461,10 +466,11 @@ class World:
                 if not self.trust_mode:
                     self._completions.append((wu.project, wu, result, agent.id))
 
-    def _terminal(self, agent: AgentModel, wu: WorkUnit, kind: str, **outcome) -> None:
+    def _terminal(self, agent: AgentModel, wu: WorkUnit, kind: str,
+                  result: Optional[str], units: int, late: bool) -> None:
         assignment = self.assignments.get(wu.id)  # only trust mode has any
         if assignment is not None:
-            assignment.outcomes[agent.id] = Outcome(kind, **outcome)
+            assignment.outcomes[agent.id] = Outcome(kind, result, units, late)
         agent.current_wu = None
         agent.progress = 0
 
@@ -551,7 +557,7 @@ class World:
                     if agent.current_wu == wu_id:
                         agent.current_wu = None
                         agent.progress = 0
-                    assignment.outcomes[member] = Outcome("timed_out", units=units)
+                    assignment.outcomes[member] = Outcome("timed_out", None, units, False)
                     self.emit("wu_timed_out", wu=wu_id, agent=member, units=units)
             if len(assignment.outcomes) < len(assignment.members):
                 continue

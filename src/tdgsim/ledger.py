@@ -7,8 +7,7 @@ Amounts are integer millicredits for exact, platform-independent sums.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 GENESIS_PREV = "0" * 64
 
@@ -30,8 +29,10 @@ def block_digest(index: int, prev_hash: str, wu: str,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CreditBlock:
+class CreditBlock(NamedTuple):
+    # A tuple, not a frozen dataclass: one is built per committed work unit
+    # and per ledger line parsed, and a frozen dataclass pays a setattr call
+    # per field.
     index: int
     prev_hash: str
     wu: str
@@ -76,8 +77,7 @@ class Ledger:
         index = len(self.blocks)
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV
         digest = block_digest(index, prev_hash, wu, allocations, tick)
-        block = CreditBlock(index=index, prev_hash=prev_hash, wu=wu,
-                            allocations=allocations, tick=tick, hash=digest)
+        block = CreditBlock(index, prev_hash, wu, allocations, tick, digest)
         self.blocks.append(block)
         return block
 
@@ -85,11 +85,11 @@ class Ledger:
         """None if intact, else the lowest index whose hash or linkage fails."""
         prev = GENESIS_PREV
         for i, block in enumerate(self.blocks):
-            if (block.index != i or block.prev_hash != prev
-                    or block.hash != block_digest(i, block.prev_hash, block.wu,
-                                                  block.allocations, block.tick)):
+            index, prev_hash, wu, allocations, tick, digest = block
+            if (index != i or prev_hash != prev
+                    or digest != block_digest(i, prev_hash, wu, allocations, tick)):
                 return i
-            prev = block.hash
+            prev = digest
         return None
 
     def balances(self) -> Dict[str, int]:
@@ -110,9 +110,9 @@ class Ledger:
 
     # Line format: index prev_hash wu agent:mc,agent:mc tick hash
     def export_lines(self) -> Iterable[str]:
-        for b in self.blocks:
-            alloc = ",".join(f"{a}:{mc}" for a, mc in b.allocations) or "-"
-            yield f"{b.index} {b.prev_hash} {b.wu} {alloc} {b.tick} {b.hash}"
+        for index, prev_hash, wu, allocations, tick, digest in self.blocks:
+            alloc = ",".join(f"{a}:{mc}" for a, mc in allocations) or "-"
+            yield f"{index} {prev_hash} {wu} {alloc} {tick} {digest}"
 
 
 def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
@@ -137,7 +137,6 @@ def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
         except ValueError as exc:
             raise LedgerError(f"line {lineno}: an index, tick or millicredit "
                               f"field is not an integer: {exc}") from None
-        blocks.append(CreditBlock(index=index_n, prev_hash=prev_hash, wu=wu,
-                                  allocations=tuple(allocations), tick=tick_n,
-                                  hash=digest))
+        blocks.append(CreditBlock(index_n, prev_hash, wu, tuple(allocations),
+                                  tick_n, digest))
     return Ledger(blocks)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import gc
 import json
+import math
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -102,7 +103,8 @@ def parse_scenario(path) -> ScenarioConfig:
             cfg.timeout_ticks = get(section, "timeout_ticks", int, cfg.timeout_ticks)
         elif section.startswith("agents"):
             check_keys(section, _AGENT_KEYS)
-            label = section.split(None, 1)[1].strip() if " " in section else "agents"
+            label = (section.split(None, 1)[1].strip() if " " in section.strip()
+                     else "agents")
             group = AgentGroup(
                 label=label,
                 count=get(section, "count", int, 0),
@@ -183,9 +185,24 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append("servers count must be >= 1")
     if cfg.wu_count < 0:
         errors.append("wu_count must be >= 0")
+    if not _complexity_ok(cfg.complexity):
+        errors.append(f"complexity must be an int >= 0 or uniform:LO:HI with "
+                      f"0 <= LO <= HI, got {cfg.complexity!r}")
+    if cfg.base_credit < 0:
+        errors.append(f"base_credit must be >= 0, got {cfg.base_credit}")
     known = set(cfg.agent_ids()) | set(cfg.server_ids())
     seen = set()
     for g in cfg.agents:
+        # A ledger line separates its fields by spaces and its allocations
+        # by commas, so an agent id may hold neither.
+        if " " in g.label or "," in g.label:
+            errors.append(f"[agents {g.label}] label may not contain "
+                          f"a space or a comma")
+        if g.churn is not None:
+            up, down = g.churn
+            if up < 0 or down < 0 or up + down < 1:
+                errors.append(f"[agents {g.label}] churn must be UP/DOWN with "
+                              f"UP, DOWN >= 0 and UP + DOWN >= 1, got {up}/{down}")
         for aid in g.agent_ids():
             if aid in seen:
                 errors.append(f"duplicate agent group label {g.label!r}")
@@ -198,10 +215,25 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"fault tick {f.tick} must be >= 1")
     if cfg.params.window < 0:
         errors.append(f"window must be >= 0, got {cfg.params.window}")
+    if not 0 <= cfg.params.random_replication < math.inf:
+        errors.append(f"random_replication must be a finite number >= 0, "
+                      f"got {cfg.params.random_replication}")
     if cfg.params.dgds_same_amount not in ("total", "additional"):
         errors.append(f"dgds_same_amount must be total|additional, "
                       f"got {cfg.params.dgds_same_amount!r}")
     return errors
+
+
+def _complexity_ok(raw: str) -> bool:
+    """Whether `ScenarioConfig.complexity_draw` can draw from `raw` and
+    never draws a negative complexity."""
+    try:
+        if raw.startswith("uniform:"):
+            _, lo, hi = raw.split(":")
+            return 0 <= int(lo) <= int(hi)
+        return int(raw) >= 0
+    except ValueError:
+        return False
 
 
 def render_config(cfg: ScenarioConfig) -> str:

@@ -78,22 +78,19 @@ def aggregate_reputation(values: Iterable[float]) -> float:
 class ReputationProfile:
     """Sliding window of the most recent rating values about one subject.
 
-    `total` is the running sum of the window, so `tau` costs O(1) and
-    equals `aggregate_reputation(window)` exactly (see CAUSE_VALUES).
-    Values enter only through `push`.
+    `total` is the running sum of the window, and `push` stores the
+    reputation `tau` it gives, so reading `tau` costs an attribute lookup
+    and equals `aggregate_reputation(window)` exactly (see CAUSE_VALUES).
+    Values enter only through `push`; an empty window is neutral.
     """
 
     window_size: int = DEFAULT_WINDOW
     window: Deque[float] = field(init=False)
     total: float = field(init=False, default=0.0)
+    tau: float = field(init=False, default=NEUTRAL_TAU)
 
     def __post_init__(self) -> None:
         self.window = deque(maxlen=self.window_size)
-
-    @property
-    def tau(self) -> float:
-        n = len(self.window)
-        return (1.0 + self.total / n) / 2.0 if n else NEUTRAL_TAU
 
     def push(self, value: float) -> None:
         if not -1.0 <= value <= 1.0:
@@ -105,6 +102,7 @@ class ReputationProfile:
             self.total -= window[0]  # the value append() evicts
         window.append(value)
         self.total += value
+        self.tau = (1.0 + self.total / len(window)) / 2.0
 
 
 def classify(tau: float) -> TrustClass:

@@ -371,6 +371,49 @@ def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
         assert taus[tick] <= 4 * len(world.agents), tick
 
 
+def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):
+    # An idle agent's f_min draw and its pool candidate share one tau read;
+    # only an agent that rejects a work unit is read again, for its
+    # candidate's lowered tau.  Communities form, so both community pools
+    # and the open pool are drained.
+    cfg = make_cfg(mode="trust", strategy="dgds", wu_count=600,
+                   horizon_ticks=120,
+                   agents=[AgentGroup("rel", 30, "reliable", accept_prob=0.8),
+                           AgentGroup("mal", 8, "malicious")])
+    assert cfg.params.formation
+    world = World(cfg)
+    idle, reads = Counter(), Counter()
+    operating = set()  # ticks that issue work while a community operates
+    issuing = False
+    phase_issue, tau = World._phase_issue, ReputationStore.tau
+
+    def counted_issue(self):
+        nonlocal issuing
+        if self.open_wus:
+            idle[self.tick] = sum(a.online and a.current_wu is None
+                                  for a in self.agents.values())
+            if any(c.phase is Phase.OPERATION for c in self.communities.values()):
+                operating.add(self.tick)
+        issuing = True
+        try:
+            phase_issue(self)
+        finally:
+            issuing = False
+
+    def counted_tau(self, subject):
+        if issuing:
+            reads[world.tick] += 1
+        return tau(self, subject)
+
+    monkeypatch.setattr(World, "_phase_issue", counted_issue)
+    monkeypatch.setattr(ReputationStore, "tau", counted_tau)
+    world.run()
+
+    rejections = Counter(e.tick for e in events_of(world, "wu_rejected"))
+    assert sum(rejections.values()) > 0 and operating
+    assert reads == idle + rejections
+
+
 TERMINAL = (WuState.VALIDATED, WuState.FAILED)
 
 

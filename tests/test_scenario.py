@@ -424,6 +424,63 @@ def test_cli_zero_window_keeps_every_tau_neutral(tmp_path, capsys):
     assert set(taus.values()) == {"0.5"}
 
 
+def edited_defaults(tmp_path, old, new):
+    text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    return write(tmp_path, text.replace(old, new))
+
+
+# Each of these made `tdgsim run` die with a traceback before validate_config
+# checked it: a ValueError, a LedgerError, a ZeroDivisionError or a
+# trust.ValidationError from deep in the engine.
+@pytest.mark.parametrize("old, new, flags, message", [
+    ("complexity = 3 ", "complexity = abc ", [], "complexity must be"),
+    ("complexity = 3 ", "complexity = -2 ", [], "complexity must be"),
+    ("complexity = 3 ", "complexity = uniform:3:1 ", [], "complexity must be"),
+    ("base_credit = 100 ", "base_credit = -1 ", [],
+     "base_credit must be >= 0, got -1"),
+    ("# churn = 50/50", "churn = 0/0", [],
+     "[agents workers] churn must be UP/DOWN"),
+    ("# churn = 50/50", "churn = -1/1", [],
+     "[agents workers] churn must be UP/DOWN"),
+    ("random_replication = 3.0 ", "random_replication = -1 ",
+     ["--mode", "trust", "--strategy", "random"],
+     "random_replication must be a finite number >= 0, got -1.0"),
+    ("[agents workers]", "[agents a b]", [],
+     "[agents a b] label may not contain a space or a comma"),
+    ("[agents workers]", "[agents a,b]", [],
+     "[agents a,b] label may not contain a space or a comma"),
+], ids=["complexity-abc", "complexity-negative", "complexity-empty-range",
+        "base-credit-negative",
+        "churn-0/0", "churn-negative", "random-replication-negative",
+        "label-space", "label-comma"])
+def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
+                                         message):
+    scenario = edited_defaults(tmp_path, old, new)
+    assert main(["run", "--scenario", str(scenario), "--ticks", "50"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_label_with_colon_dot_and_underscore_verifies(tmp_path, capsys):
+    # An agent id ends up in every ledger line that credits it.
+    scenario = edited_defaults(tmp_path, "[agents workers]", "[agents w:1.x_y]")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                 "--ticks", "60"]) == 0
+    assert "w:1.x_y-000:" in (out / "ledger.txt").read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify-ledger", str(out / "ledger.txt")]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_agents_section_with_only_trailing_space_is_unlabelled(tmp_path):
+    cfg = parse_scenario(write(tmp_path, MINIMAL.replace("[agents solo]",
+                                                         "[agents ]")))
+    assert cfg.agents[0].agent_ids() == ["agents-000"]
+
+
 def test_cli_ledger_audit_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(Ledger, "verify_chain", lambda self: 0)
     assert main(["run", "--scenario", str(SCENARIOS / "defaults.ini"),
