@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .config import Params
 
@@ -43,17 +43,6 @@ class EventKind(Enum):
     TCM_FAILED = "tcm_failed"
     DISSOLVED = "dissolved"
     PHASE = "phase"
-
-
-# Actions emitted by operate_tick for the engine to apply.
-@dataclass(frozen=True)
-class Evict:
-    agent: str
-
-
-@dataclass(frozen=True)
-class Invite:
-    agent: str
 
 
 @dataclass
@@ -159,27 +148,28 @@ def handle_tcm_failure(tc: TrustCommunity, availability: Mapping[str, bool],
 
 
 def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
-                 outsiders: Mapping[str, float], params: Params,
-                 tick: int) -> List[object]:
-    """One operation-phase step: evict decayed members and invite strong
-    outsiders while below max size."""
+                 outsiders: Mapping[str, float],
+                 params: Params) -> Tuple[List[str], List[str]]:
+    """One operation-phase step: the decayed members to evict, then the
+    strong outsiders to invite while below max size (room counted before
+    the evictions)."""
     if tc.phase is not Phase.OPERATION:
         raise StateError(f"operate_tick in phase {tc.phase.value}")
-    actions: List[object] = []
+    evict: List[str] = []
     for a in sorted(tc.members):
         if a == tc.tcm:
             continue
         tau = reputations.get(a, 0.5)
         if tau < params.evict_threshold or tc.join_tau.get(a, tau) - tau > params.drop_delta:
-            actions.append(Evict(a))
+            evict.append(a)
     room = params.max_size - len(tc.members)
-    if room > 0:
-        eligible = [(tau, a) for a, tau in outsiders.items()
-                    if tau >= params.join_threshold
-                    and a not in tc.members and a not in tc.declined]
-        eligible.sort(key=lambda it: (-it[0], it[1]))
-        actions.extend(Invite(a) for _, a in eligible[:room])
-    return actions
+    if room <= 0:
+        return evict, []
+    eligible = [(tau, a) for a, tau in outsiders.items()
+                if tau >= params.join_threshold
+                and a not in tc.members and a not in tc.declined]
+    eligible.sort(key=lambda it: (-it[0], it[1]))
+    return evict, [a for _, a in eligible[:room]]
 
 
 def dissolve_check(tc: TrustCommunity, params: Params,

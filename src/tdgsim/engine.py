@@ -96,11 +96,8 @@ class Outcome(NamedTuple):
 class Assignment:
     wu: WorkUnit
     members: Tuple[str, ...]
-    initiator: str
     distributor: str
     community: Optional[str]
-    issue_tick: int
-    deadline: int
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
 
 
@@ -187,7 +184,10 @@ class World:
         self._completions: List[Tuple[str, WorkUnit, str, str]] = []
         self._routed: List[Tuple[str, WorkUnit, str, str]] = []
         self.central_assigned: Dict[str, str] = {}  # wu id -> holder agent
-        self.communities: Dict[str, tc.TrustCommunity] = {}  # active, by id
+        # Live communities, by id.  Every one is operating, shares no member
+        # with another, and, once _issue_trust's failover has run, has an
+        # available manager; the engine relies on this and checks none of it.
+        self.communities: Dict[str, tc.TrustCommunity] = {}
         self._tc_counter = 0
         self.events: List[SimEvent] = []
         self.faults_at: Dict[int, List] = {}
@@ -279,8 +279,7 @@ class World:
             server = self.servers[self.server_order[(self._rr + off) % n]]
             if server.online and server.queue:
                 self._rr = (self._rr + off + 1) % n
-                wu = server.queue.popleft()
-                return wu
+                return server.queue.popleft()
         return None
 
     def _assign_wu(self, agent: AgentModel, wu: WorkUnit) -> None:
@@ -299,7 +298,7 @@ class World:
     def _issue_trust(self) -> None:
         # Failover before issuance so a dead manager costs at most one tick.
         for comm in list(self.communities.values()):
-            if comm.phase is tc.Phase.OPERATION and not self._available(comm.tcm):
+            if not self._available(comm.tcm):
                 availability = {m: self._available(m) for m in comm.members}
                 try:
                     tc.handle_tcm_failure(comm, availability, self.tick)
@@ -321,16 +320,12 @@ class World:
             f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
             drawn[a.id] = (tau, f_min, classify(tau))
 
-        member_of = {}
-        for comm in self.communities.values():
-            if comm.phase is tc.Phase.OPERATION:
-                for m in comm.members:
-                    member_of[m] = comm.id
+        members = {m for c in self.communities.values() for m in c.members}
 
-        # Each idle agent sits in one pool: its operating community's, or
-        # the open pool.  A pool's candidates are built when it first meets
-        # a non-empty queue and leave it as they are assigned.
-        open_agents = [a for a in idle if a.id not in member_of]
+        # Each idle agent sits in one pool: its community's, or the open
+        # pool.  A pool's candidates are built when it first meets a
+        # non-empty queue and leave it as they are assigned.
+        open_agents = [a for a in idle if a.id not in members]
         open_pool: Optional[Dict[str, Candidate]] = None
 
         def drain_open(queue: Deque[WorkUnit], distributor: str,
@@ -342,28 +337,22 @@ class World:
                 open_pool = self._candidates(open_agents, drawn)
             self._drain_queue(queue, open_pool, distributor, community)
 
-        # Operating communities distribute their founders' queues first:
-        # members get priority, leftover work spills to the open pool.
+        # Communities distribute their founders' queues first: members get
+        # priority, leftover work spills to the open pool.
         for comm_id in sorted(self.communities):
             comm = self.communities[comm_id]
-            if comm.phase is not tc.Phase.OPERATION or not self._available(comm.tcm):
-                continue
             queue = self.servers[comm.founder].queue
             if queue:
-                members = [a for a in idle if member_of.get(a.id) == comm.id]
-                self._drain_queue(queue, self._candidates(members, drawn),
+                pool = [a for a in idle if a.id in comm.members]
+                self._drain_queue(queue, self._candidates(pool, drawn),
                                   distributor=comm.tcm, community=comm.id)
             drain_open(queue, distributor=comm.tcm, community=comm.id)
 
-        # Queues without an operating community go straight to the open pool.
+        # Queues without a community go straight to the open pool.
+        founders = {c.founder for c in self.communities.values()}
         for sid in self.server_order:
-            server = self.servers[sid]
-            if not server.online:
-                continue
-            if any(c.founder == sid and c.phase is tc.Phase.OPERATION
-                   for c in self.communities.values()):
-                continue  # handled above
-            drain_open(server.queue, distributor=sid, community=None)
+            if self.servers[sid].online and sid not in founders:
+                drain_open(self.servers[sid].queue, distributor=sid, community=None)
 
     def _candidate(self, agent_id: str, f_min: int) -> Candidate:
         tau = self.store.tau(agent_id)
@@ -410,11 +399,9 @@ class World:
             for member in accepted:
                 self._assign_wu(self.agents[member], wu)
                 del pool[member]
-            wu.deadline = self.tick + self.config.timeout_ticks
             self.assignments[wu.id] = Assignment(
-                wu=wu, members=tuple(accepted), initiator=group.initiator,
-                distributor=distributor, community=community,
-                issue_tick=self.tick, deadline=wu.deadline)
+                wu=wu, members=tuple(accepted), distributor=distributor,
+                community=community)
             self.emit("wu_issued", wu=wu.id, members=list(accepted),
                       initiator=group.initiator, distributor=distributor,
                       group_size=len(accepted), complexity=wu.complexity,
@@ -548,7 +535,7 @@ class World:
         for wu_id in list(self.assignments):
             assignment = self.assignments[wu_id]
             wu = assignment.wu
-            if self.tick >= assignment.deadline:
+            if self.tick >= wu.deadline:
                 for member in assignment.members:
                     if member in assignment.outcomes:
                         continue
@@ -635,9 +622,7 @@ class World:
         if not self.trust_mode or not self.config.params.formation:
             return
         params = self.config.params
-        in_community = set()
-        for comm in self.communities.values():
-            in_community.update(comm.members)
+        in_community = {m for c in self.communities.values() for m in c.members}
 
         # No rating is issued and no agent goes on- or offline in this
         # phase, so the online agents' taus, and their mean, are read once,
@@ -656,23 +641,19 @@ class World:
 
         for comm_id in sorted(self.communities):
             comm = self.communities[comm_id]
-            if comm.phase is not tc.Phase.OPERATION:
-                continue
             reputations = {m: self.store.tau(m) for m in comm.members
                            if m in self.agents}
-            for action in tc.operate_tick(comm, reputations, outsiders(),
-                                          params, self.tick):
-                if isinstance(action, tc.Evict):
-                    comm.remove_member(action.agent, self.tick, tc.EventKind.EVICTED)
-                    in_community.discard(action.agent)
-                elif isinstance(action, tc.Invite):
-                    comm.log(self.tick, tc.EventKind.INVITED, action.agent)
-                    if self._accepts_invite(action.agent, comm, pool_tau):
-                        comm.add_member(action.agent, self.tick,
-                                        self.store.tau(action.agent))
-                        in_community.add(action.agent)
-                    else:
-                        comm.declined.add(action.agent)
+            evict, invite = tc.operate_tick(comm, reputations, outsiders(), params)
+            for agent in evict:
+                comm.remove_member(agent, self.tick, tc.EventKind.EVICTED)
+                in_community.discard(agent)
+            for agent in invite:
+                comm.log(self.tick, tc.EventKind.INVITED, agent)
+                if self._accepts_invite(agent, comm, pool_tau):
+                    comm.add_member(agent, self.tick, self.store.tau(agent))
+                    in_community.add(agent)
+                else:
+                    comm.declined.add(agent)
             queue_empty = (not self.servers[comm.founder].queue
                            and not any(a.community == comm.id
                                        for a in self.assignments.values()))
@@ -682,11 +663,10 @@ class World:
                 comm.dissolve(self.tick)
                 del self.communities[comm.id]
 
+        founders = {c.founder for c in self.communities.values()}
         for sid in self.server_order:
             server = self.servers[sid]
-            if not server.online or not server.queue:
-                continue
-            if any(c.founder == sid for c in self.communities.values()):
+            if not server.online or not server.queue or sid in founders:
                 continue
             eligible = outsiders()
             invites = tc.evaluate_formation(sid, eligible, params)

@@ -7,11 +7,12 @@ a file are reported together, not just the first.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import gc
 import json
 import math
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Container, Iterator, List, Optional, Tuple
 
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig)
@@ -39,10 +40,6 @@ _SCENARIO_KEYS = {"name", "mode", "strategy", "seed", "horizon_ticks"}
 _WORK_KEYS = {"wu_count", "complexity", "base_credit"}
 _SERVER_KEYS = {"count", "timeout_ticks"}
 _AGENT_KEYS = {"count", "profile", "speed", "churn", "accept_prob"}
-_PARAM_KEYS = {"window", "min_size", "max_size", "join_threshold",
-               "evict_threshold", "drop_delta", "dissolve_fraction",
-               "formation", "allow_short_groups", "dgds_same_amount",
-               "max_requeues", "random_replication"}
 _LIMIT_KEYS = {"lo", "hi"}
 
 
@@ -52,6 +49,18 @@ def _bool(raw: str) -> bool:
     if raw.lower() in ("off", "false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+# The [params] keys are the Params fields, each parsed by the cast its
+# annotation names (a string: config.py postpones annotations).
+_PARAM_CASTS = {"int": int, "float": float, "bool": _bool, "str": str}
+_PARAMS = {f.name: _PARAM_CASTS[f.type] for f in dataclasses.fields(Params)}
+
+
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
 
 
 def parse_scenario(path) -> ScenarioConfig:
@@ -79,7 +88,7 @@ def parse_scenario(path) -> ScenarioConfig:
             errors.append(f"[{section}] {errlabel or key}: cannot parse {raw!r}")
             return default
 
-    def check_keys(section: str, allowed: set) -> None:
+    def check_keys(section: str, allowed: Container[str]) -> None:
         for key in ini.options(section):
             if key not in allowed:
                 errors.append(f"[{section}] unknown key {key!r}")
@@ -140,22 +149,10 @@ def parse_scenario(path) -> ScenarioConfig:
                 cfg.faults.append(Fault(tick=tick, entity=parts[1],
                                         down=parts[2] == "down"))
         elif section == "params":
-            check_keys(section, _PARAM_KEYS)
-            p = cfg.params
-            p.window = get(section, "window", int, p.window)
-            p.min_size = get(section, "min_size", int, p.min_size)
-            p.max_size = get(section, "max_size", int, p.max_size)
-            p.join_threshold = get(section, "join_threshold", float, p.join_threshold)
-            p.evict_threshold = get(section, "evict_threshold", float, p.evict_threshold)
-            p.drop_delta = get(section, "drop_delta", float, p.drop_delta)
-            p.dissolve_fraction = get(section, "dissolve_fraction", float, p.dissolve_fraction)
-            p.formation = get(section, "formation", _bool, p.formation)
-            p.allow_short_groups = get(section, "allow_short_groups", _bool,
-                                       p.allow_short_groups)
-            p.dgds_same_amount = get(section, "dgds_same_amount", str, p.dgds_same_amount)
-            p.max_requeues = get(section, "max_requeues", int, p.max_requeues)
-            p.random_replication = get(section, "random_replication", float,
-                                       p.random_replication)
+            check_keys(section, _PARAMS)
+            for key, cast in _PARAMS.items():
+                setattr(cfg.params, key,
+                        get(section, key, cast, getattr(cfg.params, key)))
         elif section == "limits":
             check_keys(section, _LIMIT_KEYS)
             lo = get(section, "lo", float, cfg.limits.lo)
@@ -183,6 +180,8 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append(f"horizon_ticks must be positive, got {cfg.horizon_ticks}")
     if cfg.server_count < 1:
         errors.append("servers count must be >= 1")
+    if cfg.timeout_ticks < 1:
+        errors.append(f"timeout_ticks must be >= 1, got {cfg.timeout_ticks}")
     if cfg.wu_count < 0:
         errors.append("wu_count must be >= 0")
     if not _complexity_ok(cfg.complexity):
@@ -198,6 +197,9 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         if " " in g.label or "," in g.label:
             errors.append(f"[agents {g.label}] label may not contain "
                           f"a space or a comma")
+        if not 0 <= g.accept_prob <= 1:
+            errors.append(f"[agents {g.label}] accept_prob must be in [0, 1], "
+                          f"got {g.accept_prob}")
         if g.churn is not None:
             up, down = g.churn
             if up < 0 or down < 0 or up + down < 1:
@@ -238,7 +240,6 @@ def _complexity_ok(raw: str) -> bool:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Effective configuration echo, itself a parseable scenario file."""
-    p = cfg.params
     lines = [
         "[scenario]",
         f"name = {cfg.name}",
@@ -266,21 +267,9 @@ def render_config(cfg: ScenarioConfig) -> str:
         lines += ["", "[faults]"]
         for i, f in enumerate(cfg.faults):
             lines.append(f"f{i} = {f.tick} {f.entity} {'down' if f.down else 'up'}")
+    lines += ["", "[params]"]
+    lines += [f"{key} = {_ini_value(getattr(cfg.params, key))}" for key in _PARAMS]
     lines += [
-        "",
-        "[params]",
-        f"window = {p.window}",
-        f"min_size = {p.min_size}",
-        f"max_size = {p.max_size}",
-        f"join_threshold = {p.join_threshold}",
-        f"evict_threshold = {p.evict_threshold}",
-        f"drop_delta = {p.drop_delta}",
-        f"dissolve_fraction = {p.dissolve_fraction}",
-        f"formation = {'on' if p.formation else 'off'}",
-        f"allow_short_groups = {'on' if p.allow_short_groups else 'off'}",
-        f"dgds_same_amount = {p.dgds_same_amount}",
-        f"max_requeues = {p.max_requeues}",
-        f"random_replication = {p.random_replication}",
         "",
         "[limits]",
         f"lo = {cfg.limits.lo}",

@@ -2,7 +2,7 @@
 import pytest
 
 from tdgsim.community import (ALLOWED_TRANSITIONS, DissolutionTriggered,
-                              EventKind, Evict, Invite, Phase, StateError,
+                              EventKind, Phase, StateError,
                               dissolve_check, elect_tcm, evaluate_formation,
                               handle_tcm_failure, join_decision, operate_tick)
 from tdgsim.config import Params
@@ -122,18 +122,18 @@ def test_operate_tick_evicts_and_invites():
     comm.join_tau["a2"] = 0.95  # dropped by more than drop_delta
     reps["a2"] = 0.7
     outsiders = {"new1": 0.9, "weak": 0.4}
-    actions = operate_tick(comm, reps, outsiders, PARAMS, 11)
-    assert Evict("a1") in actions
-    assert Evict("a2") in actions
-    assert Invite("new1") in actions
-    assert Invite("weak") not in actions
+    evict, invite = operate_tick(comm, reps, outsiders, PARAMS)
+    assert "a1" in evict
+    assert "a2" in evict
+    assert "new1" in invite
+    assert "weak" not in invite
 
 
 def test_operate_tick_never_evicts_the_manager():
     comm = formed_community()
     reps = {m: 0.1 for m in comm.members}
-    actions = operate_tick(comm, reps, {}, PARAMS, 11)
-    evicted = {a.agent for a in actions if isinstance(a, Evict)}
+    evict, _ = operate_tick(comm, reps, {}, PARAMS)
+    evicted = set(evict)
     assert comm.tcm not in evicted
     assert evicted == set(comm.members) - {comm.tcm}
 
@@ -143,11 +143,10 @@ def test_operate_tick_respects_max_size_and_declines():
     comm.declined.add("shy")
     outsiders = {f"o{i:02d}": 0.9 for i in range(40)}
     outsiders["shy"] = 0.99
-    actions = operate_tick(comm, {m: 0.8 for m in comm.members},
-                           outsiders, PARAMS, 11)
-    invites = [a for a in actions if isinstance(a, Invite)]
+    _, invites = operate_tick(comm, {m: 0.8 for m in comm.members},
+                              outsiders, PARAMS)
     assert len(invites) == PARAMS.max_size - len(comm.members)
-    assert all(a.agent != "shy" for a in invites)
+    assert all(a != "shy" for a in invites)
 
 
 # ----------------------------------------------------------- dissolution

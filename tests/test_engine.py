@@ -300,9 +300,12 @@ def test_egoistic_agents_skip_group_work_invitations():
 # One bundled scenario per path through the lifecycle, and a tc_event
 # kind each must log: a manager failover in a community that is still
 # operating at the end, evictions, and two dissolutions.
-@pytest.mark.parametrize("scenario, kind", [("tcm_failover.ini", "tcm_failed"),
-                                            ("etc_throughput.ini", "evicted"),
-                                            ("malice_dgds.ini", "dissolved")])
+LIFECYCLE_PATHS = [("tcm_failover.ini", "tcm_failed"),
+                   ("etc_throughput.ini", "evicted"),
+                   ("malice_dgds.ini", "dissolved")]
+
+
+@pytest.mark.parametrize("scenario, kind", LIFECYCLE_PATHS)
 def test_event_log_alone_rebuilds_every_community(scenario, kind):
     world = World(parse_scenario(SCENARIOS / scenario))
     world.run()
@@ -316,6 +319,27 @@ def test_event_log_alone_rebuilds_every_community(scenario, kind):
             replayed = fold(log)
             assert replayed["phase"] is Phase.DISSOLVED
             assert replayed["members"] == {} and replayed["tcm"] is None
+
+
+# The engine checks none of this itself: it relies on every live community
+# being operating, led by an available manager and disjoint from the rest.
+@pytest.mark.parametrize("scenario, kind", LIFECYCLE_PATHS)
+def test_live_communities_are_operating_led_and_disjoint(scenario, kind):
+    cfg = parse_scenario(SCENARIOS / scenario)
+    world = World(cfg)
+    ticks_with_communities = 0
+    for t in range(1, cfg.horizon_ticks + 1):
+        world.step(t)
+        seen = set()
+        for comm in world.communities.values():
+            assert comm.phase is Phase.OPERATION
+            assert world._available(comm.tcm)
+            assert seen.isdisjoint(comm.members)
+            seen.update(comm.members)
+        ticks_with_communities += bool(world.communities)
+    assert ticks_with_communities
+    assert any(e.kind == "tc_event" and e.payload["kind"] == kind
+               for e in world.events)
 
 
 def test_finished_world_is_freed_by_reference_counting():

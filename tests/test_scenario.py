@@ -102,10 +102,31 @@ def test_non_positive_horizon_rejected(tmp_path):
     assert any("horizon" in err for err in exc.value.errors)
 
 
+# Every [params] key set away from its default.
+ALL_PARAMS = MINIMAL + """
+[params]
+window = 7
+min_size = 3
+max_size = 9
+join_threshold = 0.65
+evict_threshold = 0.45
+drop_delta = 0.15
+dissolve_fraction = 0.25
+formation = off
+allow_short_groups = on
+dgds_same_amount = additional
+max_requeues = 4
+random_replication = 2.5
+"""
+
+
 def test_effective_config_round_trips(tmp_path):
-    original = parse_scenario(SCENARIOS / "tcm_failover.ini")
-    echoed = parse_scenario(write(tmp_path, render_config(original)))
-    assert echoed == original
+    all_params = parse_scenario(write(tmp_path, ALL_PARAMS, "all_params.ini"))
+    for f in dataclasses.fields(Params):
+        assert getattr(all_params.params, f.name) != f.default, f.name
+    for original in (parse_scenario(SCENARIOS / "tcm_failover.ini"), all_params):
+        echoed = parse_scenario(write(tmp_path, render_config(original)))
+        assert echoed == original
 
 
 @pytest.mark.parametrize("name", ["defaults.ini", "centralized_outage.ini",
@@ -432,7 +453,10 @@ def edited_defaults(tmp_path, old, new):
 
 # Each of these made `tdgsim run` die with a traceback before validate_config
 # checked it: a ValueError, a LedgerError, a ZeroDivisionError or a
-# trust.ValidationError from deep in the engine.
+# trust.ValidationError from deep in the engine.  The timeout_ticks and
+# accept_prob values ran silently instead: a deadline on or before the
+# issuing tick validates nothing, and a NaN accept_prob accepted every
+# offer in centralized mode but rejected every one in trust mode.
 @pytest.mark.parametrize("old, new, flags, message", [
     ("complexity = 3 ", "complexity = abc ", [], "complexity must be"),
     ("complexity = 3 ", "complexity = -2 ", [], "complexity must be"),
@@ -450,10 +474,21 @@ def edited_defaults(tmp_path, old, new):
      "[agents a b] label may not contain a space or a comma"),
     ("[agents workers]", "[agents a,b]", [],
      "[agents a,b] label may not contain a space or a comma"),
+    ("timeout_ticks = 50 ", "timeout_ticks = 0 ", [],
+     "timeout_ticks must be >= 1, got 0"),
+    ("timeout_ticks = 50 ", "timeout_ticks = -5 ", [],
+     "timeout_ticks must be >= 1, got -5"),
+    ("accept_prob = 1.0 ", "accept_prob = nan ", [],
+     "[agents workers] accept_prob must be in [0, 1], got nan"),
+    ("accept_prob = 1.0 ", "accept_prob = -0.1 ", [],
+     "[agents workers] accept_prob must be in [0, 1], got -0.1"),
+    ("accept_prob = 1.0 ", "accept_prob = 1.5 ", [],
+     "[agents workers] accept_prob must be in [0, 1], got 1.5"),
 ], ids=["complexity-abc", "complexity-negative", "complexity-empty-range",
         "base-credit-negative",
         "churn-0/0", "churn-negative", "random-replication-negative",
-        "label-space", "label-comma"])
+        "label-space", "label-comma", "timeout-zero", "timeout-negative",
+        "accept-prob-nan", "accept-prob-negative", "accept-prob-above-one"])
 def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
                                          message):
     scenario = edited_defaults(tmp_path, old, new)
