@@ -8,6 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .config import MODES, STRATEGIES
 from .ledger import AuditError, LedgerError, parse_ledger_lines
 from .metrics import compute_metrics
 from .scenario import (ConfigError, EventLogError, parse_scenario,
@@ -25,11 +26,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario file path")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--out", help="output directory for reports")
-    p_run.add_argument("--mode", choices=("centralized", "trust"),
-                       help="override the scenario mode")
-    p_run.add_argument("--strategy", choices=("drds", "dods", "dgds", "random"),
+    p_run.add_argument("--mode", choices=MODES, help="override the scenario mode")
+    p_run.add_argument("--strategy", choices=STRATEGIES,
                        help="override the distribution strategy")
-    p_run.add_argument("--ticks", type=int, help="override horizon_ticks")
+    p_run.add_argument("--ticks", type=int, dest="horizon_ticks", metavar="TICKS",
+                       help="override horizon_ticks")
 
     p_verify = sub.add_parser("verify-ledger", help="audit an exported ledger file")
     p_verify.add_argument("ledger", help="ledger.txt path")
@@ -42,19 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     try:
         cfg = parse_scenario(args.scenario)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.strategy is not None:
-        cfg.strategy = args.strategy
-    if args.ticks is not None:
-        cfg.horizon_ticks = args.ticks
-    try:
+        for attr in ("seed", "mode", "strategy", "horizon_ticks"):
+            if getattr(args, attr) is not None:
+                setattr(cfg, attr, getattr(args, attr))
         _, report, _ = run(cfg, out_dir=args.out)
     except ConfigError as exc:
         for err in exc.errors:

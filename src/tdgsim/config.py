@@ -14,8 +14,8 @@ PROFILES = ("reliable", "churner", "slow", "malicious", "free_rider", "egoistic"
 @dataclass
 class AgentGroup:
     label: str
-    count: int
-    profile: str
+    count: int = 0  # required in a scenario file: validate_config wants >= 1
+    profile: str = "reliable"
     speed: int = 1
     churn: Optional[Tuple[int, int]] = None  # (up_ticks, down_ticks)
     accept_prob: float = 1.0

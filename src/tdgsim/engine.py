@@ -88,7 +88,6 @@ class Outcome(NamedTuple):
     # A tuple, as SimEvent is below: one is built per member per work unit.
     kind: str  # completed | dropped | timed_out
     result: Optional[str] = None
-    units: int = 0
     late: bool = False
 
 
@@ -436,16 +435,15 @@ class World:
                 continue
             wu = self.wus[agent.current_wu]
             if agent.profile is Profile.FREE_RIDER:
-                self._terminal(agent, wu, "dropped", None, agent.progress, False)
-                self.emit("wu_dropped", wu=wu.id, agent=agent.id,
-                          units=agent.progress)
+                units = self._terminal(agent, wu, "dropped", None, False)
+                self.emit("wu_dropped", wu=wu.id, agent=agent.id, units=units)
                 continue
             agent.progress += agent.speed
             if agent.progress >= wu.complexity:
                 result = (f"bad-{wu.id}" if agent.profile is Profile.MALICIOUS
                           else wu.ground_truth)
                 late = (self.tick - agent.assigned_tick) > agent.quote
-                self._terminal(agent, wu, "completed", result, wu.complexity, late)
+                self._terminal(agent, wu, "completed", result, late)
                 self.emit("wu_completed", wu=wu.id, agent=agent.id,
                           units=wu.complexity, late=late,
                           buffered=(not self.trust_mode
@@ -454,12 +452,24 @@ class World:
                     self._completions.append((wu.project, wu, result, agent.id))
 
     def _terminal(self, agent: AgentModel, wu: WorkUnit, kind: str,
-                  result: Optional[str], units: int, late: bool) -> None:
+                  result: Optional[str], late: bool) -> int:
+        """Record how `agent` ended `wu`, which it holds, and free it;
+        returns the units it held."""
         assignment = self.assignments.get(wu.id)  # only trust mode has any
         if assignment is not None:
-            assignment.outcomes[agent.id] = Outcome(kind, result, units, late)
+            assignment.outcomes[agent.id] = Outcome(kind, result, late)
+        return self._release(agent, wu.id)
+
+    @staticmethod
+    def _release(agent: AgentModel, wu_id: str) -> int:
+        """Free `agent` if it holds `wu_id`; returns the units of progress
+        it held on it (0 if it holds another work unit or none)."""
+        if agent.current_wu != wu_id:
+            return 0
+        units = agent.progress
         agent.current_wu = None
         agent.progress = 0
+        return units
 
     # -- phase 4: result collection (centralized buffering) --------------
     def _phase_collect(self) -> None:
@@ -520,12 +530,9 @@ class World:
                 continue
             if self.tick < wu.deadline:
                 continue
-            holder = self.agents[self.central_assigned.pop(wu_id)]
-            units = holder.progress if holder.current_wu == wu_id else 0
-            if holder.current_wu == wu_id:
-                holder.current_wu = None
-                holder.progress = 0
-            self.emit("wu_timed_out", wu=wu.id, agent=holder.id, units=units)
+            holder = self.central_assigned.pop(wu_id)
+            units = self._release(self.agents[holder], wu_id)
+            self.emit("wu_timed_out", wu=wu.id, agent=holder, units=units)
             wu.state = WuState.QUEUED
             self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id)
@@ -539,12 +546,8 @@ class World:
                 for member in assignment.members:
                     if member in assignment.outcomes:
                         continue
-                    agent = self.agents[member]
-                    units = agent.progress if agent.current_wu == wu_id else 0
-                    if agent.current_wu == wu_id:
-                        agent.current_wu = None
-                        agent.progress = 0
-                    assignment.outcomes[member] = Outcome("timed_out", None, units, False)
+                    units = self._release(self.agents[member], wu_id)
+                    assignment.outcomes[member] = Outcome("timed_out")
                     self.emit("wu_timed_out", wu=wu_id, agent=member, units=units)
             if len(assignment.outcomes) < len(assignment.members):
                 continue

@@ -116,8 +116,8 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     report.issuance_gap_ticks = _longest_internal_gap(issued_per_tick)
 
     tau_by_profile: Dict[str, List[float]] = {}
-    for agent, profile in profiles.items():
-        tau_by_profile.setdefault(profile, []).append(store.tau(agent))
+    for agent in sorted(profiles):  # a log's header lists them sorted
+        tau_by_profile.setdefault(profiles[agent], []).append(store.tau(agent))
     report.mean_tau_by_profile = {
         prof: sum_left(taus) / len(taus) for prof, taus in tau_by_profile.items()}
 

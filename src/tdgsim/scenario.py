@@ -11,15 +11,15 @@ import dataclasses
 import gc
 import json
 import math
+import re
 from pathlib import Path
-from typing import Container, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig)
 from .engine import SimEvent, World
 from .ledger import AuditError, Ledger
 from .metrics import MetricsReport, compute_metrics
-from .trust import ReplicationLimits
 
 
 class ConfigError(ValueError):
@@ -36,13 +36,6 @@ class EventLogError(ValueError):
         self.line = line  # 1-based; the header is line 1
 
 
-_SCENARIO_KEYS = {"name", "mode", "strategy", "seed", "horizon_ticks"}
-_WORK_KEYS = {"wu_count", "complexity", "base_credit"}
-_SERVER_KEYS = {"count", "timeout_ticks"}
-_AGENT_KEYS = {"count", "profile", "speed", "churn", "accept_prob"}
-_LIMIT_KEYS = {"lo", "hi"}
-
-
 def _bool(raw: str) -> bool:
     if raw.lower() in ("on", "true", "yes", "1"):
         return True
@@ -51,10 +44,25 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# The [params] keys are the Params fields, each parsed by the cast its
-# annotation names (a string: config.py postpones annotations).
+# Each section's keys in file order, as (key, attribute, cast).  Parsing,
+# the unknown-key check and render_config all read these tables.  The
+# [params] rows are the Params fields, each cast by its annotation (a
+# string: config.py postpones annotations).
+_SCENARIO = (("name", "name", str), ("mode", "mode", str),
+             ("strategy", "strategy", str), ("seed", "seed", int),
+             ("horizon_ticks", "horizon_ticks", int))
+_WORK = (("wu_count", "wu_count", int), ("complexity", "complexity", str),
+         ("base_credit", "base_credit", int))
+_SERVERS = (("count", "server_count", int), ("timeout_ticks", "timeout_ticks", int))
+_AGENTS = (("count", "count", int), ("profile", "profile", str),
+           ("speed", "speed", int), ("accept_prob", "accept_prob", float))
 _PARAM_CASTS = {"int": int, "float": float, "bool": _bool, "str": str}
-_PARAMS = {f.name: _PARAM_CASTS[f.type] for f in dataclasses.fields(Params)}
+_PARAMS = tuple((f.name, f.name, _PARAM_CASTS[f.type])
+                for f in dataclasses.fields(Params))
+_LIMITS = (("lo", "lo", float), ("hi", "hi", float))
+_TOP_LEVEL = {"scenario": _SCENARIO, "work": _WORK, "servers": _SERVERS}
+# "agents", or "agents" then whitespace then the group's label.
+_AGENTS_SECTION = re.compile(r"agents(?:\s+(.*\S))?\s*")
 
 
 def _ini_value(value) -> str:
@@ -78,48 +86,34 @@ def parse_scenario(path) -> ScenarioConfig:
     errors: List[str] = []
     cfg = ScenarioConfig()
 
-    def get(section: str, key: str, cast, default, errlabel: Optional[str] = None):
+    def get(section: str, key: str, cast, default):
         if not ini.has_option(section, key):
             return default
         raw = ini.get(section, key)
         try:
             return cast(raw)
         except (ValueError, TypeError):
-            errors.append(f"[{section}] {errlabel or key}: cannot parse {raw!r}")
+            errors.append(f"[{section}] {key}: cannot parse {raw!r}")
             return default
 
-    def check_keys(section: str, allowed: Container[str]) -> None:
+    def read(section: str, table, obj, extra: Tuple[str, ...] = ()):
+        """`obj` with each key of `table` that `section` sets, cast; the
+        section's unknown keys and unparsable values become errors."""
+        known = {key for key, _, _ in table}.union(extra)
         for key in ini.options(section):
-            if key not in allowed:
+            if key not in known:
                 errors.append(f"[{section}] unknown key {key!r}")
+        return dataclasses.replace(obj, **{
+            attr: get(section, key, cast, getattr(obj, attr))
+            for key, attr, cast in table})
 
     for section in ini.sections():
-        if section == "scenario":
-            check_keys(section, _SCENARIO_KEYS)
-            cfg.name = get(section, "name", str, cfg.name)
-            cfg.mode = get(section, "mode", str, cfg.mode)
-            cfg.strategy = get(section, "strategy", str, cfg.strategy)
-            cfg.seed = get(section, "seed", int, cfg.seed)
-            cfg.horizon_ticks = get(section, "horizon_ticks", int, cfg.horizon_ticks)
-        elif section == "work":
-            check_keys(section, _WORK_KEYS)
-            cfg.wu_count = get(section, "wu_count", int, cfg.wu_count)
-            cfg.complexity = get(section, "complexity", str, cfg.complexity)
-            cfg.base_credit = get(section, "base_credit", int, cfg.base_credit)
-        elif section == "servers":
-            check_keys(section, _SERVER_KEYS)
-            cfg.server_count = get(section, "count", int, cfg.server_count)
-            cfg.timeout_ticks = get(section, "timeout_ticks", int, cfg.timeout_ticks)
-        elif section.startswith("agents"):
-            check_keys(section, _AGENT_KEYS)
-            label = (section.split(None, 1)[1].strip() if " " in section.strip()
-                     else "agents")
-            group = AgentGroup(
-                label=label,
-                count=get(section, "count", int, 0),
-                profile=get(section, "profile", str, "reliable"),
-                speed=get(section, "speed", int, 1),
-                accept_prob=get(section, "accept_prob", float, 1.0))
+        agents = _AGENTS_SECTION.fullmatch(section)
+        if section in _TOP_LEVEL:
+            cfg = read(section, _TOP_LEVEL[section], cfg)
+        elif agents:
+            group = read(section, _AGENTS, AgentGroup(agents[1] or "agents"),
+                         ("churn",))
             churn_raw = get(section, "churn", str, "")
             if churn_raw:
                 try:
@@ -127,12 +121,6 @@ def parse_scenario(path) -> ScenarioConfig:
                     group.churn = (up, down)
                 except ValueError:
                     errors.append(f"[{section}] churn: expected UP/DOWN, got {churn_raw!r}")
-            if group.profile not in PROFILES:
-                errors.append(f"[{section}] unknown profile {group.profile!r}")
-            if group.count < 1:
-                errors.append(f"[{section}] count must be >= 1")
-            if group.speed < 1:
-                errors.append(f"[{section}] speed must be >= 1")
             cfg.agents.append(group)
         elif section == "faults":
             for key in ini.options(section):
@@ -149,16 +137,10 @@ def parse_scenario(path) -> ScenarioConfig:
                 cfg.faults.append(Fault(tick=tick, entity=parts[1],
                                         down=parts[2] == "down"))
         elif section == "params":
-            check_keys(section, _PARAMS)
-            for key, cast in _PARAMS.items():
-                setattr(cfg.params, key,
-                        get(section, key, cast, getattr(cfg.params, key)))
+            cfg.params = read(section, _PARAMS, cfg.params)
         elif section == "limits":
-            check_keys(section, _LIMIT_KEYS)
-            lo = get(section, "lo", float, cfg.limits.lo)
-            hi = get(section, "hi", float, cfg.limits.hi)
-            try:
-                cfg.limits = ReplicationLimits(lo, hi)
+            try:  # ReplicationLimits checks its own values
+                cfg.limits = read(section, _LIMITS, cfg.limits)
             except ValueError as exc:
                 errors.append(f"[limits] {exc}")
         else:
@@ -192,6 +174,12 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
     known = set(cfg.agent_ids()) | set(cfg.server_ids())
     seen = set()
     for g in cfg.agents:
+        if g.profile not in PROFILES:
+            errors.append(f"[agents {g.label}] unknown profile {g.profile!r}")
+        if g.count < 1:
+            errors.append(f"[agents {g.label}] count must be >= 1")
+        if g.speed < 1:
+            errors.append(f"[agents {g.label}] speed must be >= 1")
         # A ledger line separates its fields by spaces and its allocations
         # by commas, so an agent id may hold neither.
         if " " in g.label or "," in g.label:
@@ -240,43 +228,26 @@ def _complexity_ok(raw: str) -> bool:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Effective configuration echo, itself a parseable scenario file."""
-    lines = [
-        "[scenario]",
-        f"name = {cfg.name}",
-        f"mode = {cfg.mode}",
-        f"strategy = {cfg.strategy}",
-        f"seed = {cfg.seed}",
-        f"horizon_ticks = {cfg.horizon_ticks}",
-        "",
-        "[work]",
-        f"wu_count = {cfg.wu_count}",
-        f"complexity = {cfg.complexity}",
-        f"base_credit = {cfg.base_credit}",
-        "",
-        "[servers]",
-        f"count = {cfg.server_count}",
-        f"timeout_ticks = {cfg.timeout_ticks}",
-    ]
+    lines: List[str] = []
+
+    def section(name: str, table, obj) -> None:
+        lines.extend(["", f"[{name}]"])
+        lines.extend(f"{key} = {_ini_value(getattr(obj, attr))}"
+                     for key, attr, _ in table)
+
+    for name, table in _TOP_LEVEL.items():
+        section(name, table, cfg)
     for g in cfg.agents:
-        lines += ["", f"[agents {g.label}]",
-                  f"count = {g.count}", f"profile = {g.profile}",
-                  f"speed = {g.speed}", f"accept_prob = {g.accept_prob}"]
+        section(f"agents {g.label}", _AGENTS, g)
         if g.churn:
             lines.append(f"churn = {g.churn[0]}/{g.churn[1]}")
     if cfg.faults:
         lines += ["", "[faults]"]
         for i, f in enumerate(cfg.faults):
             lines.append(f"f{i} = {f.tick} {f.entity} {'down' if f.down else 'up'}")
-    lines += ["", "[params]"]
-    lines += [f"{key} = {_ini_value(getattr(cfg.params, key))}" for key in _PARAMS]
-    lines += [
-        "",
-        "[limits]",
-        f"lo = {cfg.limits.lo}",
-        f"hi = {cfg.limits.hi}",
-        "",
-    ]
-    return "\n".join(lines)
+    section("params", _PARAMS, cfg.params)
+    section("limits", _LIMITS, cfg.limits)
+    return "\n".join(lines[1:] + [""])
 
 
 def run(cfg: ScenarioConfig,

@@ -16,6 +16,7 @@ from tdgsim.metrics import compute_metrics
 from tdgsim.scenario import (ConfigError, EventLogError, parse_scenario,
                              read_event_log, render_config, run,
                              write_event_log)
+from tdgsim.trust import ReplicationLimits
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -87,12 +88,39 @@ def test_defaults_file_documents_every_param():
     ini.read(path, encoding="utf-8")
     assert set(ini.options("params")) == {f.name for f in dataclasses.fields(Params)}
     assert parse_scenario(path).params == Params()
+    # Every section's keys, in the order render_config writes them from the
+    # section tables, each with its default value.  The name is a label and
+    # an [agents] count is required, so neither has a default to show.
+    echo = configparser.ConfigParser(delimiters=("=",))
+    echo.read_string(render_config(ScenarioConfig(agents=[AgentGroup("workers")])))
+    assert ini.sections() == echo.sections()
+    for section in echo.sections():
+        assert ini.options(section) == echo.options(section), section
+        for key in echo.options(section):
+            if (section, key) not in {("scenario", "name"), ("agents workers", "count")}:
+                assert ini.get(section, key) == echo.get(section, key), (section, key)
 
 
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(write(tmp_path, MINIMAL + "\n[wat]\nx = 1\n"))
     assert any("[wat]" in err for err in exc.value.errors)
+
+
+def test_misspelled_agents_section_is_unknown(tmp_path):
+    # Each was taken as an unlabelled group, and two of them as one label
+    # used twice.
+    text = MINIMAL + "\n[agentsrel]\ncount = 2\n\n[agents_mal]\ncount = 1\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(write(tmp_path, text))
+    assert exc.value.errors == ["unknown section [agentsrel]",
+                                "unknown section [agents_mal]"]
+
+
+def test_agents_label_may_follow_any_whitespace(tmp_path):
+    cfg = parse_scenario(write(tmp_path, MINIMAL.replace("[agents solo]",
+                                                         "[agents\tsolo ]")))
+    assert cfg.agents[0].agent_ids() == ["solo-000"]
 
 
 def test_non_positive_horizon_rejected(tmp_path):
@@ -103,7 +131,7 @@ def test_non_positive_horizon_rejected(tmp_path):
 
 
 # Every [params] key set away from its default.
-ALL_PARAMS = MINIMAL + """
+EVERY_PARAM = """
 [params]
 window = 7
 min_size = 3
@@ -118,20 +146,76 @@ dgds_same_amount = additional
 max_requeues = 4
 random_replication = 2.5
 """
+ALL_PARAMS = MINIMAL + EVERY_PARAM
+
+# Every key of every section set away from its default.
+EVERY_KEY = """
+[scenario]
+name = every-key
+mode = trust
+strategy = dgds
+seed = 11
+horizon_ticks = 40
+
+[work]
+wu_count = 12
+complexity = uniform:1:3
+base_credit = 7
+
+[servers]
+count = 2
+timeout_ticks = 9
+
+[agents fast]
+count = 3
+profile = churner
+speed = 2
+accept_prob = 0.75
+churn = 5/2
+
+[agents odd]
+count = 2
+profile = slow
+speed = 3
+accept_prob = 0.5
+churn = 0/4
+
+[faults]
+f0 = 5 w1 down
+f1 = 9 fast-000 down
+f2 = 12 w1 up
+
+[limits]
+lo = 1.25
+hi = 4.5
+""" + EVERY_PARAM
+
+BUNDLED = ["defaults.ini", "centralized_outage.ini", "tcm_failover.ini",
+           "malice_dgds.ini", "etc_throughput.ini"]
+
+
+def defaults_kept(obj, default):
+    """Names of the fields of `obj` still equal to those of `default`."""
+    return [f.name for f in dataclasses.fields(obj)
+            if getattr(obj, f.name) == getattr(default, f.name)]
 
 
 def test_effective_config_round_trips(tmp_path):
     all_params = parse_scenario(write(tmp_path, ALL_PARAMS, "all_params.ini"))
     for f in dataclasses.fields(Params):
         assert getattr(all_params.params, f.name) != f.default, f.name
-    for original in (parse_scenario(SCENARIOS / "tcm_failover.ini"), all_params):
+    every_key = parse_scenario(write(tmp_path, EVERY_KEY, "every_key.ini"))
+    pairs = [(every_key, ScenarioConfig()), (every_key.params, Params()),
+             (every_key.limits, ReplicationLimits())]
+    for obj, default in pairs + [(g, AgentGroup("agents")) for g in every_key.agents]:
+        assert defaults_kept(obj, default) == [], type(obj).__name__
+    originals = [parse_scenario(SCENARIOS / name) for name in BUNDLED]
+    for original in originals + [all_params, every_key]:
         echoed = parse_scenario(write(tmp_path, render_config(original)))
         assert echoed == original
 
 
-@pytest.mark.parametrize("name", ["defaults.ini", "centralized_outage.ini",
-                                  "tcm_failover.ini", "malice_dgds.ini",
-                                  "etc_throughput.ini"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_parse(name):
     cfg = parse_scenario(SCENARIOS / name)
     assert cfg.horizon_ticks > 0
@@ -223,6 +307,77 @@ def test_run_rerun_is_identical(small_run, tmp_path):
     assert again == report
     for name in ("summary.csv", "series.csv", "ledger.txt", "events.jsonl"):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+# validate_config makes these checks, so run(cfg) gets them too; when only
+# the parser made them, run(cfg) ran the first three and died in the engine
+# on the unknown profile.
+@pytest.mark.parametrize("change, message", [
+    ({"speed": 0}, "[agents rel] speed must be >= 1"),
+    ({"speed": -1}, "[agents rel] speed must be >= 1"),
+    ({"count": 0}, "[agents rel] count must be >= 1"),
+    ({"profile": "saint"}, "[agents rel] unknown profile 'saint'"),
+], ids=["speed-zero", "speed-negative", "count-zero", "profile-unknown"])
+def test_run_rejects_a_bad_agent_group(change, message):
+    group = dataclasses.replace(AgentGroup("rel", 2, "reliable"), **change)
+    cfg = ScenarioConfig(horizon_ticks=20, wu_count=1, agents=[group])
+    with pytest.raises(ConfigError) as exc:
+        run(cfg)
+    assert exc.value.errors == [message]
+
+
+def test_unlabelled_group_errors_name_the_agents_label(tmp_path):
+    text = MINIMAL.replace("[agents solo]\ncount = 1", "[agents]\nspeed = 0")
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(write(tmp_path, text))
+    assert exc.value.errors == ["[agents agents] count must be >= 1",
+                                "[agents agents] speed must be >= 1"]
+
+
+# Two groups of one profile, labelled out of sorted order, with seed 29:
+# run folded the profile's taus in group order and replay in the log's
+# sorted order, so mean_tau_reliable differed in its last digits.
+SHARED_PROFILE = """
+[scenario]
+mode = trust
+strategy = drds
+seed = 29
+horizon_ticks = 200
+
+[work]
+wu_count = 300
+complexity = uniform:1:4
+
+[servers]
+count = 2
+
+[agents zed]
+count = 7
+profile = reliable
+
+[agents abc]
+count = 5
+profile = reliable
+
+[agents mid]
+count = 3
+profile = reliable
+accept_prob = 0.8
+
+[agents mal]
+count = 4
+profile = malicious
+"""
+
+
+def test_cli_replay_matches_run_when_groups_share_a_profile(tmp_path, capsys):
+    out = tmp_path / "out"
+    scenario = write(tmp_path, SHARED_PROFILE)
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    run_stdout = capsys.readouterr().out
+    assert "mean_tau_reliable," in run_stdout
+    assert main(["replay", "--log", str(out / "events.jsonl")]) == 0
+    assert capsys.readouterr().out == run_stdout
 
 
 # ------------------------------------------------------- event log codec
