@@ -12,6 +12,7 @@ skipped draws could never reach an output.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -211,8 +212,16 @@ class World:
         }
 
     def run(self) -> List[SimEvent]:
-        for t in range(1, self.config.horizon_ticks + 1):
-            self.step(t)
+        # The engine makes no reference cycles (a test pins this), so the
+        # cyclic collector would only re-scan the growing event log.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for t in range(1, self.config.horizon_ticks + 1):
+                self.step(t)
+        finally:
+            if enabled:
+                gc.enable()
         return self.events
 
     def step(self, tick: int) -> None:

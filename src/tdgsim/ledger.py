@@ -7,7 +7,7 @@ Amounts are integer millicredits for exact, platform-independent sums.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 GENESIS_PREV = "0" * 64
 
@@ -91,19 +91,6 @@ class Ledger:
                 return i
             prev = digest
         return None
-
-    def balances(self) -> Dict[str, int]:
-        bad = self.verify_chain()
-        if bad is not None:
-            raise AuditError(f"ledger verification failed at block {bad}")
-        totals: Dict[str, int] = {}
-        for block in self.blocks:
-            for agent, mc in block.allocations:
-                totals[agent] = totals.get(agent, 0) + mc
-        return totals
-
-    def balance(self, agent: str) -> int:
-        return self.balances().get(agent, 0)
 
     def total_committed(self) -> int:
         return sum(b.total for b in self.blocks)

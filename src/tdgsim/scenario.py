@@ -75,11 +75,13 @@ def parse_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario file; raises ConfigError listing
     every problem found."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"scenario file not found: {path}"])
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read scenario file {path}: {exc}"]) from None
     ini = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#", ";"))
     try:
-        ini.read(path, encoding="utf-8")
+        ini.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError([f"malformed scenario file: {exc}"])
 

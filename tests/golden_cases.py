@@ -3,7 +3,8 @@
 A change that means to alter behaviour updates these digests and says why
 in CHANGES.md; any other change must leave them as they are.
 `effective_config.txt` is not pinned: it echoes the config schema, not
-the simulation.
+the simulation.  Instead each bundled scenario is run again from its own
+echo, and all five output files must come out byte for byte the same.
 
 No bundled scenario has agents that reject work, so four inline trust
 scenarios, one per strategy, pin the issuance path where a rejection
@@ -15,8 +16,9 @@ tdgsim runs it:
 
     PYTHONPATH=src python3.12 tests/golden_cases.py
 
-runs every case and prints one JSON object: the interpreter's version and,
-per case, the SHA-256 of each output.  `test_golden.py` checks the cases
+runs every case and prints one JSON object: the interpreter's version,
+per case the SHA-256 of each output, and per bundled scenario the output
+files that its echo rerun changed.  `test_golden.py` checks the cases
 in process and runs this under the other installed interpreters.
 """
 import hashlib
@@ -31,6 +33,7 @@ from tdgsim.scenario import parse_scenario, run
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 OUTPUTS = ("summary.csv", "series.csv", "ledger.txt", "events.jsonl")
+ECHO = "effective_config.txt"
 
 GOLDEN = {
     "centralized_outage": (
@@ -189,28 +192,46 @@ def pinned(case):
     return dict(zip(OUTPUTS, CASES[case][1]))
 
 
+def scenario_file(case, out_dir):
+    """The scenario file of `case`; an inline one is written to `out_dir`."""
+    text = CASES[case][0]
+    if text is None:
+        return SCENARIOS / f"{case}.ini"
+    scenario = Path(out_dir) / "scenario.ini"
+    scenario.write_text(text, encoding="utf-8")
+    return scenario
+
+
 def run_case(case, out_dir):
     """Run one case with its outputs in `out_dir`; returns the World and
     the SHA-256 of each output."""
-    text = CASES[case][0]
-    if text is None:
-        scenario = SCENARIOS / f"{case}.ini"
-    else:
-        scenario = Path(out_dir) / "scenario.ini"
-        scenario.write_text(text, encoding="utf-8")
-    world, _, _ = run(parse_scenario(scenario), out_dir=out_dir)
+    world, _, _ = run(parse_scenario(scenario_file(case, out_dir)), out_dir=out_dir)
     return world, {out: hashlib.sha256((Path(out_dir) / out).read_bytes()).hexdigest()
                    for out in OUTPUTS}
 
 
+def echo_rerun(out_dir):
+    """Run again from the `effective_config.txt` of the run in `out_dir`,
+    into its `echo/` subdirectory; returns the names of the output files,
+    the echo included, whose bytes differ between the two runs."""
+    out = Path(out_dir)
+    rerun = out / "echo"
+    run(parse_scenario(out / ECHO), out_dir=rerun)
+    return [name for name in OUTPUTS + (ECHO,)
+            if (rerun / name).read_bytes() != (out / name).read_bytes()]
+
+
 def main():
-    digests = {}
+    digests, echo = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out = Path(tmp) / case
             out.mkdir()
             digests[case] = run_case(case, out)[1]
-    json.dump({"python": platform.python_version(), "digests": digests}, sys.stdout)
+            if case in GOLDEN:
+                echo[case] = echo_rerun(out)
+    json.dump({"python": platform.python_version(), "digests": digests,
+               "echo": echo}, sys.stdout)
     print()
 
 

@@ -5,7 +5,10 @@ statistical unit checks; each prints its verdict even under pytest's
 output capture so the gate is visible in any run log.
 """
 import copy
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from tdgsim.trust import (ReplicationLimits, TrustClass, classify,
 from tdgsim.community import ALLOWED_TRANSITIONS, EventKind, Phase
 
 from community_log import community_logs
+from ledger_balances import balances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SEEDS = range(1, 11)
@@ -42,7 +46,7 @@ def digest(cfg):
         "malicious_taus": {a: world.store.profile(a).tau
                            for a, m in world.agents.items()
                            if m.profile is Profile.MALICIOUS},
-        "balances_sum": sum(ledger.balances().values()),
+        "balances_sum": sum(balances(ledger).values()),
         "committed": ledger.total_committed(),
         "event_credit": sum(sum(e.payload["allocations"].values())
                             for e in world.events
@@ -53,20 +57,47 @@ def digest(cfg):
     }
 
 
+def swept(cfg):
+    """`digest(cfg)` less its event list: no criterion reads a swept
+    run's events, and pickling them back from a worker costs about as
+    much as the run."""
+    result = digest(cfg)
+    del result["events"]
+    return result
+
+
+def sweep(pair):
+    """`[pair(seed) for seed in SEEDS]`, one worker process per core.
+    Each run is a pure function of its scenario and seed, so the results
+    are those of running the seeds one after another."""
+    with ProcessPoolExecutor(min(len(SEEDS), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(pair, SEEDS))
+
+
+def ac3_pair(seed):
+    cfg = parse_scenario(SCENARIOS / "malice_dgds.ini")
+    cfg.seed = seed
+    dgds = swept(cfg)
+    rnd_cfg = copy.deepcopy(cfg)
+    rnd_cfg.strategy = "random"
+    rnd_cfg.params.random_replication = dgds["report"].replication_overhead
+    return seed, dgds, swept(rnd_cfg)
+
+
+def ac6_pair(seed):
+    cfg = parse_scenario(SCENARIOS / "etc_throughput.ini")
+    cfg.seed = seed
+    off_cfg = copy.deepcopy(cfg)
+    off_cfg.params.formation = False
+    return seed, swept(cfg), swept(off_cfg)
+
+
 # --------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="module")
 def ac3_data():
-    pairs = []
-    for seed in SEEDS:
-        cfg = parse_scenario(SCENARIOS / "malice_dgds.ini")
-        cfg.seed = seed
-        dgds = digest(cfg)
-        rnd_cfg = copy.deepcopy(cfg)
-        rnd_cfg.strategy = "random"
-        rnd_cfg.params.random_replication = dgds["report"].replication_overhead
-        pairs.append((seed, dgds, digest(rnd_cfg)))
-    return pairs
+    return sweep(ac3_pair)
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +115,7 @@ def ac5_data():
 
 @pytest.fixture(scope="module")
 def ac6_data():
-    pairs = []
-    for seed in SEEDS:
-        cfg = parse_scenario(SCENARIOS / "etc_throughput.ini")
-        cfg.seed = seed
-        off_cfg = copy.deepcopy(cfg)
-        off_cfg.params.formation = False
-        pairs.append((seed, digest(cfg), digest(off_cfg)))
-    return pairs
+    return sweep(ac6_pair)
 
 
 # -------------------------------------------------------------- criteria

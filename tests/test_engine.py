@@ -15,6 +15,8 @@ from tdgsim.scenario import parse_scenario
 from tdgsim.trust import ReplicationLimits
 
 from community_log import community_logs, fold, state
+from golden_cases import CASES, scenario_file
+from ledger_balances import balances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -103,7 +105,7 @@ def test_minority_wrong_result_is_outvoted_and_rated():
                   for r in events_of(world, "rating_issued")}
     assert by_subject["mal-000"] == -1.0
     assert all(by_subject[f"rel-{i:03d}"] == 1.0 for i in range(3))
-    assert "mal-000" not in world.ledger.balances()
+    assert "mal-000" not in balances(world.ledger)
 
 
 def test_two_member_group_with_drop_fails_and_requeues():
@@ -357,6 +359,51 @@ def test_finished_world_is_freed_by_reference_counting():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# World.run pauses the cyclic collector, which is sound only while a run
+# makes no reference cycle: everything it allocates is freed by reference
+# counting, or kept.  parse_scenario leaves configparser's cycles behind,
+# so they are collected before the run.
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_run_creates_no_cyclic_garbage(case, tmp_path):
+    world = World(parse_scenario(scenario_file(case, tmp_path)))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        world.run()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("before, fail_at", [(True, None), (False, None), (True, 2)],
+                         ids=["enabled", "disabled", "step-raises"])
+def test_run_leaves_the_collector_as_it_found_it(before, fail_at, monkeypatch):
+    world = World(make_cfg(horizon_ticks=3, agents=[AgentGroup("rel", 2, "reliable")]))
+    step, paused = world.step, []
+
+    def spy(tick):
+        paused.append(not gc.isenabled())
+        if tick == fail_at:
+            raise RuntimeError("step failed")
+        step(tick)
+
+    monkeypatch.setattr(world, "step", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if before else gc.disable)()
+    try:
+        if fail_at is None:
+            world.run()
+        else:
+            with pytest.raises(RuntimeError, match="step failed"):
+                world.run()
+        assert gc.isenabled() is before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert paused == [True] * (fail_at or 3)
 
 
 # ------------------------------------------------------------ work count

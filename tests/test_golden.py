@@ -3,7 +3,8 @@
 The cases and their digests live in `golden_cases.py`, which imports no
 test framework, so the same cases also run under every other installed
 Python: the determinism contract holds across interpreters, not just
-across reruns of one.
+across reruns of one.  Each bundled scenario is also rerun from its
+`effective_config.txt` echo, here and under every other interpreter.
 """
 import json
 import os
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, pinned, run_case
+from golden_cases import (CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, echo_rerun,
+                          pinned, run_case)
 from tdgsim.engine import WuState
 
 TESTS = Path(__file__).resolve().parent
@@ -29,6 +31,7 @@ def test_every_bundled_scenario_is_pinned():
 def test_outputs_match_golden_digests(name, tmp_path):
     _, digests = run_case(name, tmp_path)
     assert digests == pinned(name)
+    assert echo_rerun(tmp_path) == []
 
 
 @pytest.mark.parametrize("strategy", sorted(REJECTION_GOLDEN))
@@ -123,3 +126,4 @@ def test_golden_digests_under_other_interpreters(variant, interpreter_runs):
                           if result["digests"].get(case, {}).get(name) != digest)
              for case in CASES}
     assert {case: names for case, names in wrong.items() if names} == {}
+    assert result["echo"] == {case: [] for case in GOLDEN}

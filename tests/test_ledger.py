@@ -8,6 +8,8 @@ from tdgsim.ledger import (GENESIS_PREV, AuditError, CreditBlock, Ledger,
                            LedgerError, block_digest, parse_ledger_lines,
                            split_credits)
 
+from ledger_balances import balance, balances
+
 
 def test_block_digest_matches_hand_computed_sha256():
     payload = "0|" + "0" * 64 + "|wu00001|a:500,b:500|7"
@@ -72,7 +74,7 @@ def test_tampered_amount_is_detected():
                                    (("b", 999),), victim.tick, victim.hash)
     assert ledger.verify_chain() == 1
     with pytest.raises(AuditError):
-        ledger.balances()
+        balances(ledger)
 
 
 def test_truncating_tail_keeps_prefix_valid():
@@ -83,10 +85,10 @@ def test_truncating_tail_keeps_prefix_valid():
 
 def test_balances_and_totals():
     ledger = build_ledger()
-    balances = ledger.balances()
-    assert balances == {"a": 600 + 333, "b": 400 + 1000 + 333, "c": 333}
-    assert sum(balances.values()) == ledger.total_committed() == 2999
-    assert ledger.balance("nobody") == 0
+    credit = balances(ledger)
+    assert credit == {"a": 600 + 333, "b": 400 + 1000 + 333, "c": 333}
+    assert sum(credit.values()) == ledger.total_committed() == 2999
+    assert balance(ledger, "nobody") == 0
 
 
 def test_export_parse_round_trip():
@@ -118,4 +120,4 @@ def test_parse_handles_agent_ids_with_dashes():
     ledger.append_block("wu0", [("rel-003", 250), ("rel-011", 250)], 2)
     parsed = parse_ledger_lines(ledger.export_lines())
     assert parsed.verify_chain() is None
-    assert parsed.balances() == {"rel-003": 250, "rel-011": 250}
+    assert balances(parsed) == {"rel-003": 250, "rel-011": 250}

@@ -18,6 +18,8 @@ from tdgsim.scenario import (ConfigError, EventLogError, parse_scenario,
                              write_event_log)
 from tdgsim.trust import ReplicationLimits
 
+from ledger_balances import balances
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
@@ -293,7 +295,7 @@ def test_replay_reproduces_the_report(small_run):
 def test_ledger_conserves_committed_credit(small_run):
     out, _, report, ledger = small_run
     assert ledger.verify_chain() is None
-    assert sum(ledger.balances().values()) == ledger.total_committed()
+    assert sum(balances(ledger).values()) == ledger.total_committed()
     assert sum(report.credit_millis_by_profile.values()) == ledger.total_committed()
 
 
@@ -572,6 +574,23 @@ def test_cli_config_error_exits_one(tmp_path, capsys):
     bad.write_text(MINIMAL + "\n[faults]\nf0 = 5 w9 down\n", encoding="utf-8")
     assert main(["run", "--scenario", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unreadable_scenario_is_a_config_error(tmp_path, capsys):
+    # configparser.read skips what it cannot open, which ran the defaults.
+    assert main(["run", "--scenario", str(tmp_path), "--ticks", "5"]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: cannot read scenario file {tmp_path}:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_non_utf8_scenario_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[scenario]\nname = \xff\n")
+    assert main(["run", "--scenario", str(bad), "--ticks", "5"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot read scenario file {bad}:" in err
+    assert "Traceback" not in err
 
 
 def trust_defaults(tmp_path, window):
