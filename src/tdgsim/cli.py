@@ -9,10 +9,10 @@ import sys
 from pathlib import Path
 
 from .config import MODES, STRATEGIES
+from .eventlog import EventLogError, read_event_log
 from .ledger import AuditError, LedgerError, parse_ledger_lines
 from .metrics import compute_metrics
-from .scenario import (ConfigError, EventLogError, parse_scenario,
-                       read_event_log, run)
+from .scenario import ConfigError, parse_scenario, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,11 +61,11 @@ def cmd_run(args) -> int:
 
 def cmd_verify_ledger(args) -> int:
     path = Path(args.ledger)
-    if not path.exists():
-        print(f"config error: no such file {path}", file=sys.stderr)
-        return 1
     try:
         ledger = parse_ledger_lines(path.read_text(encoding="utf-8").split("\n"))
+    except OSError as exc:
+        print(f"config error: cannot read ledger file {path}: {exc}", file=sys.stderr)
+        return 1
     except (LedgerError, UnicodeDecodeError) as exc:
         print(f"ledger parse error: {exc}", file=sys.stderr)
         return 3
@@ -83,15 +83,9 @@ def cmd_replay(args) -> int:
         print(f"config error: no such file {path}", file=sys.stderr)
         return 1
     try:
-        header, events = read_event_log(path)
+        report = compute_metrics(*read_event_log(path))
     except (OSError, EventLogError) as exc:
         print(f"runtime error: {path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = compute_metrics(header, events)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # every line parsed, but some payload has the wrong keys or types
-        print(f"runtime error: malformed event in {path}: {exc!r}", file=sys.stderr)
         return 2
     for metric, value in report.scalar_rows():
         print(f"{metric},{value}")

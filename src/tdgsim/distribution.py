@@ -29,13 +29,12 @@ class Candidate(NamedTuple):
 
 
 class ReplicaGroup(NamedTuple):
-    wu: str
     members: Tuple[str, ...]
     initiator: str
     short: bool = False  # availability clamped the group below its target size
 
 
-def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
+def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
     """Random initiator; its f_min picks that many other random agents.
 
     If fewer agents exist than f_min requires, the group is clamped to
@@ -50,11 +49,10 @@ def drds_select(pool: Sequence[Candidate], rng, wu: str = "") -> ReplicaGroup:
     take = min(initiator.f_min, len(others))
     chosen = rng.sample(others, take)
     members = (initiator.agent,) + tuple(c.agent for c in chosen)
-    return ReplicaGroup(wu, members, initiator.agent, take < initiator.f_min)
+    return ReplicaGroup(members, initiator.agent, take < initiator.f_min)
 
 
-def dods_assign(pool: Sequence[Candidate], wu: str,
-                allow_short: bool = False) -> ReplicaGroup:
+def dods_assign(pool: Sequence[Candidate], allow_short: bool = False) -> ReplicaGroup:
     """Ordered strategy: sort by f_min, fill the group until the highest
     f_min inside it is satisfied (a fixed point, since joining agents can
     raise the maximum).
@@ -75,10 +73,10 @@ def dods_assign(pool: Sequence[Candidate], wu: str,
     short = len(group) < 1 + max_f
     if short and not (allow_short and len(group) >= 2):
         raise SelectionFailed(f"dods group of {len(group)} cannot reach {1 + max_f}")
-    return ReplicaGroup(wu, tuple(c.agent for c in group), group[0].agent, short)
+    return ReplicaGroup(tuple(c.agent for c in group), group[0].agent, short)
 
 
-def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
+def dgds_select(pool: Sequence[Candidate], rng,
                 same_amount_total: bool = True) -> ReplicaGroup:
     """Grouping strategy: pair untrusted picks with at least as many
     trusted ones, then top up with undecided agents until the group's
@@ -123,16 +121,16 @@ def dgds_select(pool: Sequence[Candidate], rng, wu: str = "",
         max_f = max(max_f, nxt.f_min)
     if len(group) < 2:
         raise SelectionFailed("dgds group smaller than 2")
-    return ReplicaGroup(wu, tuple(c.agent for c in group), picked_u[0].agent,
+    return ReplicaGroup(tuple(c.agent for c in group), picked_u[0].agent,
                         len(group) < 1 + max_f)
 
 
-def random_baseline_select(pool: Sequence[Candidate], replication: int, rng,
-                           wu: str = "") -> ReplicaGroup:
+def random_baseline_select(pool: Sequence[Candidate], replication: int,
+                           rng) -> ReplicaGroup:
     """Control condition: uniform group of a fixed size, no trust input."""
     if replication < 1:
         raise SelectionFailed(f"replication {replication} must be >= 1")
     if len(pool) < replication:
         raise SelectionFailed(f"need {replication} candidates, have {len(pool)}")
     chosen = rng.sample(pool, replication)
-    return ReplicaGroup(wu, tuple(c.agent for c in chosen), chosen[0].agent)
+    return ReplicaGroup(tuple(c.agent for c in chosen), chosen[0].agent)

@@ -27,6 +27,7 @@ from .config import ScenarioConfig
 from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
+from .eventlog import SimEvent
 from .ledger import Ledger, split_credits
 from .trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause, ReplicationLimits,
                     ReputationProfile, classify, effective_f_min,
@@ -86,7 +87,7 @@ class WorkServer:
 
 
 class Outcome(NamedTuple):
-    # A tuple, as SimEvent is below: one is built per member per work unit.
+    # A tuple, as SimEvent is: one is built per member per work unit.
     kind: str  # completed | dropped | timed_out
     result: Optional[str] = None
     late: bool = False
@@ -99,14 +100,6 @@ class Assignment:
     distributor: str
     community: Optional[str]
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
-
-
-class SimEvent(NamedTuple):
-    # A tuple, not a frozen dataclass: one is built per emit and per log
-    # line read, and a frozen dataclass pays a setattr call per field.
-    tick: int
-    kind: str
-    payload: dict
 
 
 def _append_tc_event(events: List[SimEvent], tick: int, **payload) -> None:
@@ -385,7 +378,7 @@ class World:
         while queue and retries <= len(queue):
             wu = queue[0]
             try:
-                group = self._select_group(list(pool.values()), wu.id)
+                group = self._select_group(list(pool.values()))
             except SelectionFailed:
                 break
             if group.short and not params.allow_short_groups:
@@ -415,23 +408,21 @@ class World:
                       group_size=len(accepted), complexity=wu.complexity,
                       short=group.short)
 
-    def _select_group(self, candidates: List[Candidate], wu_id: str) -> ReplicaGroup:
+    def _select_group(self, candidates: List[Candidate]) -> ReplicaGroup:
         strategy = self.config.strategy
         params = self.config.params
         if strategy == "random":
             size = roulette_round(params.random_replication, self.rng_issue)
-            return random_baseline_select(candidates, max(size, 1),
-                                          self.rng_issue, wu=wu_id)
+            return random_baseline_select(candidates, max(size, 1), self.rng_issue)
         if strategy == "dods":
-            return dods_assign(candidates, wu_id,
-                               allow_short=params.allow_short_groups)
+            return dods_assign(candidates, allow_short=params.allow_short_groups)
         if strategy == "dgds":
             try:
-                return dgds_select(candidates, self.rng_issue, wu=wu_id,
+                return dgds_select(candidates, self.rng_issue,
                                    same_amount_total=params.dgds_same_amount == "total")
             except FallbackToDRDS:
-                return drds_select(candidates, self.rng_issue, wu=wu_id)
-        return drds_select(candidates, self.rng_issue, wu=wu_id)
+                return drds_select(candidates, self.rng_issue)
+        return drds_select(candidates, self.rng_issue)
 
     # -- phase 3: agent compute -----------------------------------------
     def _phase_compute(self) -> None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .engine import ReputationStore, SimEvent
+from .engine import ReputationStore
+from .eventlog import EventLogError, SimEvent
 from .trust import sum_left
 
 
@@ -66,44 +67,49 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     total_units = 0
     consensus_units = 0
     store = ReputationStore(header.get("window", 50))
-    credit_by_agent: Dict[str, int] = {}
+    credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
 
+    # Each value is checked where the fold reads it; the header is line 1.
     by_tick: Dict[int, List[SimEvent]] = {}
-    for ev in events:
-        by_tick.setdefault(ev.tick, []).append(ev)
-
-    for tick in range(1, horizon + 1):
-        for ev in by_tick.get(tick, ()):
-            k, p = ev.kind, ev.payload
-            if k == "wu_issued":
-                issued_per_tick[tick] += 1
-            elif k == "wu_validated":
-                validated_per_tick[tick] += 1
-                sum_group_sizes += p["group_size"]
-                if not p["correct"]:
-                    wrong_validated += 1
-                consensus_units += len(p["consensus"]) * p["complexity"]
-            elif k in ("wu_completed", "wu_dropped", "wu_timed_out"):
-                total_units += p["units"]
-            elif k == "agent_up":
-                online.add(p["agent"])
-            elif k == "agent_down":
-                online.discard(p["agent"])
-            elif k == "rating_issued":
-                store.profile(p["subject"]).push(p["value"])
-            elif k == "credit_committed":
-                for agent, mc in p["allocations"].items():
-                    credit_by_agent[agent] = credit_by_agent.get(agent, 0) + mc
-            elif k == "tc_event":
-                members = etc_members.setdefault(p["community"], set())
-                if p["kind"] == "joined":
-                    members.add(p["agent"])
-                elif p["kind"] in ("left", "evicted"):
-                    members.discard(p["agent"])
-                elif p["kind"] == "dissolved":
-                    members.clear()
-        active_per_tick[tick] = len(online & known)
-        etc_per_tick[tick] = sum(len(m) for m in etc_members.values())
+    try:
+        for ev in events:
+            by_tick.setdefault(ev.tick, []).append(ev)
+        for tick in range(1, horizon + 1):
+            for ev in by_tick.get(tick, ()):
+                k, p = ev.kind, ev.payload
+                if k == "wu_issued":
+                    issued_per_tick[tick] += 1
+                elif k == "wu_validated":
+                    validated_per_tick[tick] += 1
+                    sum_group_sizes += p["group_size"]
+                    if not p["correct"]:
+                        wrong_validated += 1
+                    consensus_units += len(p["consensus"]) * p["complexity"]
+                elif k in ("wu_completed", "wu_dropped", "wu_timed_out"):
+                    total_units += p["units"]
+                elif k == "agent_up":
+                    online.add(p["agent"])
+                elif k == "agent_down":
+                    online.discard(p["agent"])
+                elif k == "rating_issued":
+                    store.profile(p["subject"]).push(p["value"])
+                elif k == "credit_committed":
+                    # dict.items: allocations that are not an object are a TypeError
+                    for agent, mc in dict.items(p["allocations"]):
+                        credit_by_profile[profiles[agent]] += mc
+                elif k == "tc_event":
+                    members = etc_members.setdefault(p["community"], set())
+                    if p["kind"] == "joined":
+                        members.add(p["agent"])
+                    elif p["kind"] in ("left", "evicted"):
+                        members.discard(p["agent"])
+                    elif p["kind"] == "dissolved":
+                        members.clear()
+            active_per_tick[tick] = len(online & known)
+            etc_per_tick[tick] = sum(len(m) for m in etc_members.values())
+    except (KeyError, TypeError, ValueError) as exc:
+        line = next(i for i, e in enumerate(events) if e is ev) + 2
+        raise EventLogError(line, f"{ev.kind} event: {exc!r}") from None
 
     report.issued = sum(issued_per_tick)
     report.validated = sum(validated_per_tick)
@@ -120,11 +126,6 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
         tau_by_profile.setdefault(profiles[agent], []).append(store.tau(agent))
     report.mean_tau_by_profile = {
         prof: sum_left(taus) / len(taus) for prof, taus in tau_by_profile.items()}
-
-    credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
-    for agent, mc in credit_by_agent.items():
-        credit_by_profile[profiles[agent]] = (
-            credit_by_profile.get(profiles[agent], 0) + mc)
     report.credit_millis_by_profile = credit_by_profile
 
     report.series = {

@@ -8,7 +8,8 @@ from functools import partial
 from typing import Dict, List
 
 from tdgsim.community import EventKind, Phase, TrustCommunity
-from tdgsim.engine import SimEvent, _append_tc_event
+from tdgsim.engine import _append_tc_event
+from tdgsim.eventlog import SimEvent
 
 
 def new_community(events: List[SimEvent]) -> TrustCommunity:

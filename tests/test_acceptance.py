@@ -150,7 +150,7 @@ def test_ac2_dgds_no_untrusted_majority(capsys):
                 pool.append(Candidate(agent=f"{label}{i}", tau=tau,
                                       f_min=f_min, trust_class=cls))
         try:
-            group = dgds_select(pool, rng, wu="w")
+            group = dgds_select(pool, rng)
         except (FallbackToDRDS, SelectionFailed):
             continue
         emitted += 1

@@ -18,7 +18,7 @@ def cand(name, f_min=2, tau=0.5, cls=TrustClass.UNDECIDED):
 
 def test_drds_group_is_initiator_plus_f_min_others():
     pool = [cand(f"a{i}", f_min=3) for i in range(10)]
-    group = drds_select(pool, random.Random(1), wu="wu0")
+    group = drds_select(pool, random.Random(1))
     assert len(group.members) == 4
     assert group.members[0] == group.initiator
     assert len(set(group.members)) == 4
@@ -41,8 +41,8 @@ def test_drds_needs_two_free_candidates():
 
 def test_drds_deterministic_for_seed():
     pool = [cand(f"a{i}", f_min=2) for i in range(8)]
-    g1 = drds_select(pool, random.Random(9), wu="w")
-    g2 = drds_select(pool, random.Random(9), wu="w")
+    g1 = drds_select(pool, random.Random(9))
+    g2 = drds_select(pool, random.Random(9))
     assert g1 == g2
 
 
@@ -53,35 +53,33 @@ def test_dods_ordered_fill_with_deferral():
     # its largest f_min (3) is satisfied by 4 members; E alone cannot
     # close a group, so the second WU is deferred.
     pool = [cand("A", 2), cand("B", 2), cand("C", 3), cand("D", 3), cand("E", 4)]
-    group = dods_assign(pool, "wu1")
-    assert group.wu == "wu1"
+    group = dods_assign(pool)
     assert group.members == ("A", "B", "C", "D")
     assert not group.short
     with pytest.raises(SelectionFailed):
-        dods_assign([cand("E", 4)], "wu2")
+        dods_assign([cand("E", 4)])
 
 
 def test_dods_allow_short_closes_remainder():
     pool = [cand("A", 2), cand("B", 2), cand("C", 3), cand("D", 3), cand("E", 4)]
-    assert dods_assign(pool, "wu1", allow_short=True).members == ("A", "B", "C", "D")
+    assert dods_assign(pool, allow_short=True).members == ("A", "B", "C", "D")
     with pytest.raises(SelectionFailed):  # a single agent still cannot form a group
-        dods_assign([cand("E", 4)], "wu2", allow_short=True)
+        dods_assign([cand("E", 4)], allow_short=True)
     pool.append(cand("F", 1))
-    assert dods_assign(pool, "wu1", allow_short=True).members == ("F", "A", "B")
-    group = dods_assign([cand("C", 3), cand("D", 3), cand("E", 4)], "wu2",
-                        allow_short=True)
+    assert dods_assign(pool, allow_short=True).members == ("F", "A", "B")
+    group = dods_assign([cand("C", 3), cand("D", 3), cand("E", 4)], allow_short=True)
     assert group.members == ("C", "D", "E")
     assert group.short
 
 
 def test_dods_sorts_ties_by_agent_id():
     pool = [cand("b", 1), cand("a", 1), cand("c", 1)]
-    assert dods_assign(pool, "w1").members == ("a", "b")
+    assert dods_assign(pool).members == ("a", "b")
 
 
 def test_dods_empty_pool_fails():
     with pytest.raises(SelectionFailed):
-        dods_assign([], "w")
+        dods_assign([])
 
 
 # ---------------------------------------------------------------- DGDS
@@ -110,7 +108,7 @@ def test_dgds_untrusted_initiator_with_matching_trusted():
     # (5-1)//2 = 2 more untrusted agents, each matched by a trusted one:
     # 3 untrusted + 3 trusted = group of 6.
     pool = make_pool(5, 5, 0)
-    group = dgds_select(pool, random.Random(3), wu="wu")
+    group = dgds_select(pool, random.Random(3))
     counts = classify_members(pool, group)
     assert counts[TrustClass.UNTRUSTED] == 3
     assert counts[TrustClass.TRUSTED] == 3
@@ -158,7 +156,7 @@ def test_dgds_untrusted_never_outnumber_trusted(nu, nt, nd, fu, ft, seed):
 
 def test_random_baseline_fixed_size():
     pool = [cand(f"a{i}") for i in range(10)]
-    group = random_baseline_select(pool, 4, random.Random(2), wu="w")
+    group = random_baseline_select(pool, 4, random.Random(2))
     assert len(group.members) == 4
     assert len(set(group.members)) == 4
 

@@ -7,20 +7,13 @@ across reruns of one.  Each bundled scenario is also rerun from its
 `effective_config.txt` echo, here and under every other interpreter.
 """
 import json
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from background import OTHER_PYTHONS
 from golden_cases import (CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, echo_rerun,
                           pinned, run_case)
 from tdgsim.engine import WuState
-
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 
 def test_every_bundled_scenario_is_pinned():
@@ -53,73 +46,13 @@ def test_failed_tail_outputs_match_golden_digests(tmp_path):
 
 # ------------------------------------------------- other interpreters
 
-OTHER_PYTHONS = ("3.10", "3.12", "3.13")
-HASH_SEED = "123"
-
-
-def _version_of(exe, env):
-    try:
-        proc = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-                              capture_output=True, text=True, env=env, timeout=60)
-    except OSError:
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def _find_python(version):
-    """The environment under which `python<version>` on PATH runs that
-    version, or None.  A pyenv shim runs an installed version that is not
-    selected once PYENV_VERSION names it."""
-    exe = shutil.which(f"python{version}")
-    if exe is None:
-        return None
-    env = dict(os.environ)
-    if _version_of(exe, env) != version and shutil.which("pyenv"):
-        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
-                                text=True, timeout=60).stdout.split()
-        patches = [v[len(version) + 1:] for v in listed if v.startswith(version + ".")]
-        patches = [int(p) for p in patches if p.isdigit()]
-        if patches:
-            env["PYENV_VERSION"] = f"{version}.{max(patches)}"
-    return env if _version_of(exe, env) == version else None
-
-
-@pytest.fixture(scope="module")
-def interpreter_runs():
-    """Start `golden_cases.py` under each other installed Python, and under
-    this one with PYTHONHASHSEED fixed, all at once.  Maps each variant to
-    its process, or to the reason it does not run."""
-    running = "%d.%d" % sys.version_info[:2]
-    runs = {}
-    for variant in OTHER_PYTHONS + ("hashseed",):
-        if variant == "hashseed":
-            exe, env = sys.executable, dict(os.environ, PYTHONHASHSEED=HASH_SEED)
-        elif variant == running:
-            runs[variant] = f"the in-process cases ran under python{variant}"
-            continue
-        else:
-            exe, env = f"python{variant}", _find_python(variant)
-            if env is None:
-                runs[variant] = f"python{variant} is not installed"
-                continue
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        runs[variant] = subprocess.Popen([exe, str(TESTS / "golden_cases.py")],
-                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                         text=True, env=env)
-    yield runs
-    for proc in runs.values():
-        if not isinstance(proc, str) and proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
+# `golden_cases.py` runs under each other installed Python, and under this
+# one with PYTHONHASHSEED fixed, from the start of the session
+# (background.py).
 @pytest.mark.parametrize("variant", OTHER_PYTHONS + ("hashseed",))
-def test_golden_digests_under_other_interpreters(variant, interpreter_runs):
-    proc = interpreter_runs[variant]
-    if isinstance(proc, str):
-        pytest.skip(proc)
-    out, err = proc.communicate(timeout=600)
-    assert proc.returncode == 0, err[-2000:]
+def test_golden_digests_under_other_interpreters(variant, background, request):
+    returncode, out, err = background.result(request.node.name)
+    assert returncode == 0, err[-2000:]
     result = json.loads(out)
     print(f"{variant}: ran under Python {result['python']}")
     wrong = {case: sorted(name for name, digest in pinned(case).items()

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from tdgsim.cli import main
 from tdgsim.config import AgentGroup, Params, ScenarioConfig
-from tdgsim.engine import SimEvent, World
+from tdgsim.engine import World
+from tdgsim.eventlog import EventLogError, SimEvent, read_event_log, write_event_log
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
-from tdgsim.scenario import (ConfigError, EventLogError, parse_scenario,
-                             read_event_log, render_config, run,
-                             write_event_log)
+from tdgsim.scenario import ConfigError, parse_scenario, render_config, run
 from tdgsim.trust import ReplicationLimits
 
 from ledger_balances import balances
@@ -384,7 +383,7 @@ def test_cli_replay_matches_run_when_groups_share_a_profile(tmp_path, capsys):
 
 # ------------------------------------------------------- event log codec
 
-HEADER = {"horizon": 3, "agents": {"a-000": "reliable"}}
+HEADER = {"horizon": 3, "agents": {"a-000": {"profile": "reliable", "online": True}}}
 EVENT = '{"k": "wu_issued", "p": {"wu": "wu-0"}, "t": 1}'
 UNDECODABLE = EVENT[:10].encode() + b"\xff" + EVENT[10:].encode()
 
@@ -722,6 +721,12 @@ def test_cli_verify_ledger(tmp_path, capsys):
                                               + ledger_lines[1:]) + "\n")
     assert main(["verify-ledger", str(out / "ledger.txt")]) == 3
     assert "FAILED at block 0" in capsys.readouterr().err
+
+    for unreadable in (out, out / "no-such-ledger.txt"):
+        assert main(["verify-ledger", str(unreadable)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read ledger file {unreadable}: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_verify_ledger_names_a_bad_integer_line(tmp_path, capsys):
