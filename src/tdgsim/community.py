@@ -47,6 +47,11 @@ class EventKind(Enum):
 
 @dataclass
 class TrustCommunity:
+    """`members` includes the founder, a server.  Formation invites up to
+    `max_size` agents besides it, so a formed community can hold
+    `max_size + 1` members; `operate_tick` invites only while it holds
+    fewer than `max_size`, founder included."""
+
     id: str
     founder: str
     # Called as emit(tick, community=..., kind=..., agent=..., detail=...).
@@ -101,6 +106,8 @@ def evaluate_formation(founder: str, reputations: Mapping[str, float],
 
     All agents at or above the join threshold, best reputation first,
     capped at max_size; only worthwhile if at least min_size qualify.
+    The cap counts agents only: with its founder, a community formed
+    from a full list has max_size + 1 members.
     """
     eligible = [(tau, a) for a, tau in reputations.items()
                 if a != founder and tau >= params.join_threshold]

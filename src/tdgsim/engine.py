@@ -112,6 +112,9 @@ class ReputationStore:
     def __init__(self, window: int) -> None:
         self.window = window
         self.profiles: Dict[str, ReputationProfile] = {}
+        # Each rated subject's tau, kept by `record`; a subject it lacks is
+        # neutral.  Lifecycle reads it as a map, without a call per member.
+        self.taus: Dict[str, float] = {}
 
     def profile(self, subject: str) -> ReputationProfile:
         if subject not in self.profiles:
@@ -123,7 +126,9 @@ class ReputationStore:
         return prof.tau if prof is not None else NEUTRAL_TAU
 
     def record(self, subject: str, value: float) -> None:
-        self.profile(subject).push(value)
+        profile = self.profile(subject)
+        profile.push(value)
+        self.taus[subject] = profile.tau
 
 
 def stream(seed: int, name: str) -> random.Random:
@@ -628,31 +633,42 @@ class World:
         in_community = {m for c in self.communities.values() for m in c.members}
 
         # No rating is issued and no agent goes on- or offline in this
-        # phase, so the online agents' taus, and their mean, are read once,
-        # on first use.
+        # phase, so the online agents' taus are read once, on the first
+        # outsider view, and their mean once, on the first invite.
         online_tau: Optional[Dict[str, float]] = None
-        pool_tau = NEUTRAL_TAU
+        pool_tau: Optional[float] = None
 
-        def outsiders() -> Dict[str, float]:
-            nonlocal online_tau, pool_tau
+        def online() -> Dict[str, float]:
+            nonlocal online_tau
             if online_tau is None:
                 online_tau = {a: self.store.tau(a) for a in self.agent_order
                               if self.agents[a].online}
-                if online_tau:
-                    pool_tau = sum_left(online_tau.values()) / len(online_tau)
-            return {a: t for a, t in online_tau.items() if a not in in_community}
+            return online_tau
+
+        def outsiders() -> Dict[str, float]:
+            return {a: t for a, t in online().items() if a not in in_community}
+
+        def mean_online_tau() -> float:
+            nonlocal pool_tau
+            if pool_tau is None:
+                taus = online()
+                pool_tau = sum_left(taus.values()) / len(taus) if taus else NEUTRAL_TAU
+            return pool_tau
 
         for comm_id in sorted(self.communities):
             comm = self.communities[comm_id]
-            reputations = {m: self.store.tau(m) for m in comm.members
-                           if m in self.agents}
-            evict, invite = tc.operate_tick(comm, reputations, outsiders(), params)
+            # Members read their tau from the live map, where the founder, a
+            # server that is never rated, is absent and so neutral.  A full
+            # community invites no one, so it is shown no outsider.
+            has_room = len(comm.members) < params.max_size
+            evict, invite = tc.operate_tick(comm, self.store.taus,
+                                            outsiders() if has_room else {}, params)
             for agent in evict:
                 comm.remove_member(agent, self.tick, tc.EventKind.EVICTED)
                 in_community.discard(agent)
             for agent in invite:
                 comm.log(self.tick, tc.EventKind.INVITED, agent)
-                if self._accepts_invite(agent, comm, pool_tau):
+                if self._accepts_invite(agent, comm, mean_online_tau()):
                     comm.add_member(agent, self.tick, self.store.tau(agent))
                     in_community.add(agent)
                 else:
@@ -679,7 +695,7 @@ class World:
                                      emit=partial(_append_tc_event, self.events))
             invitee_taus = [eligible[x] for x in invites]
             joiners = [a for a in invites
-                       if self._accepts_invite(a, None, pool_tau, invitee_taus)]
+                       if self._accepts_invite(a, None, mean_online_tau(), invitee_taus)]
             if len(joiners) < params.min_size:
                 continue  # below quorum; retry when reputations improve
             self._tc_counter += 1

@@ -99,16 +99,18 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
     # len(events) + 2; a bad header is line 1.
     try:
         header = loads(next(lines, ""))
-        # The header has all that the metrics fold reads from it.
+        # The header has all that the metrics fold reads from it.  A window
+        # is a deque's maxlen, and a horizon sizes the fold's per-tick lists.
         window = header.get("window", 0) if isinstance(header, dict) else -1
-        if not (isinstance(window, int) and 0 <= window <= sys.maxsize  # a deque's maxlen
-                and isinstance(header.get("horizon"), int)
+        horizon = header.get("horizon") if isinstance(header, dict) else -1
+        if not (isinstance(window, int) and 0 <= window <= sys.maxsize
+                and isinstance(horizon, int) and 0 <= horizon <= sys.maxsize
                 and isinstance(header.get("agents"), dict)
                 and all(isinstance(a, dict) and isinstance(a.get("profile"), str)
                         and isinstance(a.get("online"), bool)
                         for a in header["agents"].values())):
-            raise EventLogError(1, f"header lacks an int 'horizon', an int 'window' in "
-                                   f"[0, {sys.maxsize}] or 'agents' of "
+            raise EventLogError(1, f"header lacks an int 'horizon' and an int 'window' "
+                                   f"in [0, {sys.maxsize}], or 'agents' of "
                                    "{'profile': str, 'online': bool}")
         for line in lines:
             try:
@@ -119,7 +121,9 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
                 if line[end:].strip(_JSON_WS):
                     raw = loads(line)
             append(SimEvent(raw["t"], raw["k"], raw["p"]))
-    except json.JSONDecodeError as exc:
+    except (EventLogError, UnicodeDecodeError):
+        raise  # a bad header or line, or a read chunk to decode again
+    except ValueError as exc:  # a JSONDecodeError, or an int past json's digit limit
         raise EventLogError(1 if header is None else len(events) + 2,
                             f"not JSON: {exc}") from None
     except (KeyError, TypeError) as exc:

@@ -10,6 +10,7 @@ import configparser
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 from typing import List, Tuple
 
@@ -199,6 +200,8 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"fault tick {f.tick} must be >= 1")
     if cfg.params.window < 0:
         errors.append(f"window must be >= 0, got {cfg.params.window}")
+    elif cfg.params.window > sys.maxsize:  # a deque's maxlen
+        errors.append(f"window must be <= {sys.maxsize}, got {cfg.params.window}")
     if not 0 <= cfg.params.random_replication < math.inf:
         errors.append(f"random_replication must be a finite number >= 0, "
                       f"got {cfg.params.random_replication}")

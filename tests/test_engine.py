@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tdgsim import engine
+from tdgsim import community, engine
 from tdgsim.community import Phase
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
 from tdgsim.engine import Profile, ReputationStore, World, WuState, stream
@@ -406,13 +406,57 @@ def test_run_leaves_the_collector_as_it_found_it(before, fail_at, monkeypatch):
     assert paused == [True] * (fail_at or 3)
 
 
+def spy_on_operate_tick(monkeypatch, world):
+    """Record, for each operate_tick call, whether the community was full,
+    the outsider view it was given, and whether its members' taus were
+    the store's live map."""
+    calls = []
+    operate_tick = community.operate_tick
+
+    def spy(comm, reputations, outsiders, params):
+        calls.append((len(comm.members) >= params.max_size, dict(outsiders),
+                      reputations is world.store.taus))
+        return operate_tick(comm, reputations, outsiders, params)
+
+    monkeypatch.setattr(community, "operate_tick", spy)
+    return calls
+
+
+def test_a_full_community_is_shown_no_outsider(monkeypatch):
+    # malice_dgds's communities are full from the tick they form, so
+    # lifecycle builds no outsider view for any of them.
+    world = World(parse_scenario(SCENARIOS / "malice_dgds.ini"))
+    calls = spy_on_operate_tick(monkeypatch, world)
+    for t in range(1, 201):
+        world.step(t)
+    assert calls
+    assert all(full and outsiders == {} and live for full, outsiders, live in calls)
+
+
+def test_a_community_with_room_still_invites_outsiders(monkeypatch):
+    world = World(parse_scenario(SCENARIOS / "tcm_failover.ini"))
+    calls = spy_on_operate_tick(monkeypatch, world)
+    world.run()
+    with_room = [outsiders for full, outsiders, _ in calls if not full]
+    assert with_room and all(with_room)
+    operating, invites = set(), 0
+    for ev in events_of(world, "tc_event"):
+        p = ev.payload
+        if p["kind"] == "phase" and p["detail"].endswith("->operation"):
+            operating.add(p["community"])
+        elif p["kind"] == "invited" and p["community"] in operating:
+            invites += 1
+    assert invites == 10
+
+
 # ------------------------------------------------------------ work count
 
 def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
     # Counts calls, not time.  An idle agent gets one Candidate per tick,
     # plus one more for each rejection that lowers its tau, however many
     # work units the tick issues; and every tau is read a few times per
-    # tick, not once per work unit or per invite.
+    # tick, not once per work unit or per invite.  Lifecycle reads members
+    # from the store's live map, not through tau().
     cfg = make_cfg(mode="trust", strategy="drds", wu_count=2000,
                    horizon_ticks=50,
                    agents=[AgentGroup("rel", 80, "reliable", accept_prob=0.9),
@@ -439,7 +483,7 @@ def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
     assert len(events_of(world, "wu_issued")) > 2 * cfg.horizon_ticks
     for tick in range(1, cfg.horizon_ticks + 1):
         assert built[tick] <= idle[tick] + rejections[tick], tick
-        assert taus[tick] <= 4 * len(world.agents), tick
+        assert taus[tick] <= 3 * len(world.agents), tick
 
 
 def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):

@@ -87,7 +87,12 @@ def short_log(tmp_path_factory):
 def replay(log, lines):
     """Write `lines` (one JSON value each) to `log` and replay it; returns
     the exit code and stderr."""
-    log.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return replay_text(log, [json.dumps(line) for line in lines])
+
+
+def replay_text(log, texts):
+    """`replay`, for lines given as their text."""
+    log.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["replay", "--log", str(log)])
@@ -112,8 +117,8 @@ def first_orphan_credit(lines, agents):
 
 
 # Integers stay within +-1000.  A header's horizon sizes the lists the fold
-# allocates and nothing bounds it, so a large random one could exhaust the
-# host's memory or raise OverflowError: a known gap this test leaves out.
+# allocates, and the reader bounds it only by sys.maxsize, so a large random
+# one could exhaust the host's memory: a known gap this test leaves out.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
     | st.text(max_size=4),
@@ -163,11 +168,14 @@ def _first_agent(header):
     lambda h: h.update(window=2 ** 63),
     lambda h: h.update(window="50"),
     lambda h: h.update(window=None),
+    lambda h: h.update(horizon=2 ** 70),
+    lambda h: h.update(horizon=-1),
     lambda h: h["agents"].update({min(h["agents"]): "reliable"}),
     lambda h: _first_agent(h).update(profile=None),
     lambda h: _first_agent(h).pop("online"),
     lambda h: _first_agent(h).update(online="yes"),
 ], ids=["negative window", "window past a deque's maxlen", "str window", "null window",
+        "horizon past sys.maxsize", "negative horizon",
         "agent not an object", "profile not a str", "no online", "online not a bool"])
 def test_a_header_the_fold_cannot_read_is_line_one(short_log, tmp_path, edit):
     _, lines = short_log
@@ -176,6 +184,21 @@ def test_a_header_the_fold_cannot_read_is_line_one(short_log, tmp_path, edit):
     code, err = replay(tmp_path / "events.jsonl", [header] + lines[1:])
     assert code == 2
     assert err.startswith(f"runtime error: {tmp_path / 'events.jsonl'}: line 1: header ")
+
+
+@pytest.mark.parametrize("number, key", [(1, "horizon"), (4, "t")])
+def test_an_int_past_jsons_digit_limit_names_its_line(short_log, tmp_path, number, key):
+    # json refuses an int literal of over 4300 digits with a plain
+    # ValueError, not a JSONDecodeError, and cannot write one either.
+    _, lines = short_log
+    texts = [json.dumps(line) for line in lines]
+    old = f'"{key}": {lines[number - 1][key]}'
+    assert texts[number - 1].count(old) == 1
+    texts[number - 1] = texts[number - 1].replace(old, f'"{key}": ' + "7" * 5000)
+    log = tmp_path / "events.jsonl"
+    code, err = replay_text(log, texts)
+    assert code == 2
+    assert err.startswith(f"runtime error: {log}: line {number}: not JSON: ")
 
 
 def test_a_credit_to_an_agent_the_header_lacks_names_its_line(short_log, tmp_path):

@@ -3,6 +3,7 @@ import configparser
 import dataclasses
 import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -606,6 +607,16 @@ def test_cli_negative_window_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: window must be >= 0, got -1" in err
     assert "Traceback" not in err
+
+
+def test_run_rejects_a_window_past_a_deques_maxlen():
+    # It used to die at the first rating, in deque(maxlen=window).
+    cfg = ScenarioConfig(mode="trust", horizon_ticks=20, wu_count=4,
+                         agents=[AgentGroup("rel", 4, "reliable")],
+                         params=Params(window=sys.maxsize + 1))
+    with pytest.raises(ConfigError) as exc:
+        run(cfg)
+    assert exc.value.errors == [f"window must be <= {sys.maxsize}, got {sys.maxsize + 1}"]
 
 
 def test_cli_zero_window_keeps_every_tau_neutral(tmp_path, capsys):

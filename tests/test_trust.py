@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from tdgsim import trust
 from tdgsim.engine import ReputationStore
-from tdgsim.trust import (CAUSE_VALUES, RatingCause, ReplicationLimits,
-                          ReputationProfile, TrustClass, ValidationError,
+from tdgsim.trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause,
+                          ReplicationLimits, ReputationProfile, TrustClass,
+                          ValidationError,
                           aggregate_reputation, classify, effective_f_min,
                           raw_replication_factor, roulette_round, sum_left)
 
@@ -80,6 +81,26 @@ def test_rating_range_validated():
     store.record("b", CAUSE_VALUES[RatingCause.CORRECT_LATE])
     assert list(store.profile("b").window) == [0.5]
     assert store.tau("b") == 0.75
+
+
+@given(st.integers(min_value=0, max_value=4),
+       st.lists(st.tuples(st.sampled_from("abc"),
+                          st.sampled_from(sorted(CAUSE_VALUES.values()) + [1.5, -1.01])),
+                max_size=60))
+def test_live_tau_map_follows_every_profile(window_size, ratings):
+    # Lifecycle reads the store's taus as a map; a subject it lacks is
+    # neutral, including one whose every rating was out of range.
+    store = ReputationStore(window=window_size)
+    for subject, value in ratings:
+        try:
+            store.record(subject, value)
+        except ValidationError:
+            assert not -1.0 <= value <= 1.0
+        for s in "abc":
+            assert (store.taus.get(s, NEUTRAL_TAU) == store.tau(s)
+                    == aggregate_reputation(store.profiles[s].window
+                                            if s in store.profiles else ()))
+    assert store.taus.keys() <= store.profiles.keys()
 
 
 def test_push_rejects_out_of_range():
