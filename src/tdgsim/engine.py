@@ -154,7 +154,7 @@ class World:
                     id=agent_id, profile=Profile(group.profile),
                     speed=group.speed, churn=group.churn,
                     accept_prob=group.accept_prob)
-        self.agent_order = sorted(self.agents)
+        self.agent_order = [self.agents[a] for a in sorted(self.agents)]
         # Insertion order, not agent_order: churn events keep their order.
         self.churners = [a for a in self.agents.values() if a.churn is not None]
 
@@ -181,7 +181,10 @@ class World:
             sid: deque() for sid in self.servers}
         self._completions: List[Tuple[str, WorkUnit, str, str]] = []
         self._routed: List[Tuple[str, WorkUnit, str, str]] = []
-        self.central_assigned: Dict[str, str] = {}  # wu id -> holder agent
+        # (work unit, holder) in issue order, which is deadline order: every
+        # deadline is its issue tick plus the run's fixed timeout_ticks.  An
+        # entry whose unit is no longer ASSIGNED is stale; it leaves at the head.
+        self.central_assigned: Deque[Tuple[WorkUnit, str]] = deque()
         # Live communities, by id.  Every one is operating, shares no member
         # with another, and, once _issue_trust's failover has run, has an
         # available manager; the engine relies on this and checks none of it.
@@ -195,7 +198,8 @@ class World:
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, /, **payload) -> None:
-        self.events.append(SimEvent(self.tick, kind, payload))
+        # Built without the Python-level __new__ that NamedTuple adds.
+        self.events.append(tuple.__new__(SimEvent, (self.tick, kind, payload)))
 
     def header(self) -> dict:
         cfg = self.config
@@ -262,8 +266,7 @@ class World:
             self._issue_centralized()
 
     def _issue_centralized(self) -> None:
-        for agent_id in self.agent_order:
-            agent = self.agents[agent_id]
+        for agent in self.agent_order:
             if not agent.online or agent.current_wu is not None:
                 continue
             wu = self._centralized_assign()
@@ -274,7 +277,7 @@ class World:
                 self.servers[wu.project].queue.append(wu)
                 continue
             self._assign_wu(agent, wu)
-            self.central_assigned[wu.id] = agent.id
+            self.central_assigned.append((wu, agent.id))
             self.emit("wu_issued", wu=wu.id, members=[agent.id],
                       initiator=agent.id, distributor=wu.project,
                       group_size=1, complexity=wu.complexity)
@@ -314,8 +317,7 @@ class World:
         if not self.open_wus:
             return
 
-        idle = [self.agents[a] for a in self.agent_order
-                if self.agents[a].online and self.agents[a].current_wu is None]
+        idle = [a for a in self.agent_order if a.online and a.current_wu is None]
         # Each idle agent's tau is read once, for its f_min draw and its
         # pool candidate.  This is exact: a rating issued while a pool
         # drains reaches only a member of that pool, whose candidate is then
@@ -433,8 +435,7 @@ class World:
     def _phase_compute(self) -> None:
         if not self.open_wus:
             return  # no agent can hold a work unit
-        for agent_id in self.agent_order:
-            agent = self.agents[agent_id]
+        for agent in self.agent_order:
             if (not agent.online or agent.current_wu is None
                     or agent.assigned_tick == self.tick):
                 continue
@@ -514,7 +515,7 @@ class World:
         self.ledger.append_block(wu.id, allocations, self.tick,
                                  expected_total=credit_total)
         self.emit("credit_committed", wu=wu.id,
-                  allocations={a: mc for a, mc in allocations})
+                  allocations=dict(allocations))
         return credit_total
 
     def _validate_centralized(self) -> None:
@@ -527,16 +528,17 @@ class World:
                       correct=result == wu.ground_truth,
                       complexity=wu.complexity, credit=credit)
         self._routed = []
-        # Timeout redistribution; the lapsed client is not penalized.
-        for wu_id in list(self.central_assigned):
-            wu = self.wus[wu_id]
+        # Timeout redistribution; the lapsed client is not penalized.  In
+        # deadline order, every lapsed assignment precedes any live one.
+        assigned = self.central_assigned
+        while assigned:
+            wu, holder = assigned[0]
+            if wu.state is WuState.ASSIGNED and self.tick < wu.deadline:
+                break
+            assigned.popleft()
             if wu.state is not WuState.ASSIGNED:
-                del self.central_assigned[wu_id]
                 continue
-            if self.tick < wu.deadline:
-                continue
-            holder = self.central_assigned.pop(wu_id)
-            units = self._release(self.agents[holder], wu_id)
+            units = self._release(self.agents[holder], wu.id)
             self.emit("wu_timed_out", wu=wu.id, agent=holder, units=units)
             wu.state = WuState.QUEUED
             self.servers[wu.project].queue.append(wu)
@@ -641,8 +643,8 @@ class World:
         def online() -> Dict[str, float]:
             nonlocal online_tau
             if online_tau is None:
-                online_tau = {a: self.store.tau(a) for a in self.agent_order
-                              if self.agents[a].online}
+                online_tau = {a.id: self.store.tau(a.id) for a in self.agent_order
+                              if a.online}
             return online_tau
 
         def outsiders() -> Dict[str, float]:

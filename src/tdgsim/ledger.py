@@ -24,7 +24,7 @@ class AuditError(RuntimeError):
 
 def block_digest(index: int, prev_hash: str, wu: str,
                  allocations: Sequence[Allocation], tick: int) -> str:
-    alloc_part = ",".join(f"{agent}:{mc}" for agent, mc in allocations)
+    alloc_part = ",".join([f"{agent}:{mc}" for agent, mc in allocations])
     payload = f"{index}|{prev_hash}|{wu}|{alloc_part}|{tick}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -70,14 +70,15 @@ class Ledger:
     def append_block(self, wu: str, allocations: Sequence[Allocation], tick: int,
                      expected_total: Optional[int] = None) -> CreditBlock:
         allocations = tuple(sorted(allocations))
-        if expected_total is not None and sum(mc for _, mc in allocations) != expected_total:
+        total = sum([mc for _, mc in allocations])
+        if expected_total is not None and total != expected_total:
             raise LedgerError(
-                f"allocations for {wu} sum to {sum(mc for _, mc in allocations)}, "
-                f"expected {expected_total}")
+                f"allocations for {wu} sum to {total}, expected {expected_total}")
         index = len(self.blocks)
         prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV
         digest = block_digest(index, prev_hash, wu, allocations, tick)
-        block = CreditBlock(index, prev_hash, wu, allocations, tick, digest)
+        # Built without the Python-level __new__ that NamedTuple adds.
+        block = tuple.__new__(CreditBlock, (index, prev_hash, wu, allocations, tick, digest))
         self.blocks.append(block)
         return block
 

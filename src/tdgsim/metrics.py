@@ -57,10 +57,12 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     online = {a for a, info in header["agents"].items() if info["online"]}
     etc_members: Dict[str, set] = {}
 
-    issued_per_tick = [0] * (horizon + 1)
-    validated_per_tick = [0] * (horizon + 1)
-    active_per_tick = [0] * (horizon + 1)
-    etc_per_tick = [0] * (horizon + 1)
+    try:  # a horizon past what a list can index fails here, allocating nothing
+        issued_per_tick, validated_per_tick, active_per_tick, etc_per_tick = (
+            [0] * (horizon + 1) for _ in range(4))
+    except (OverflowError, MemoryError) as exc:
+        raise EventLogError(1, f"header horizon {horizon} is too large "
+                               f"to fold: {exc!r}") from None
 
     sum_group_sizes = 0
     wrong_validated = 0

@@ -37,9 +37,10 @@ def payload_keys(kind, trust_mode):
     return EVENT_KEYS[kind] - TRUST_ONLY_KEYS.get(kind, set())
 
 
-# The golden cases emit no centralized wu_rejected, wu_timed_out,
-# wu_redistributed, agent_up or agent_down, and no trust-mode server_up;
-# these two scenarios do.
+# Of the golden cases, only centralized-timeouts, which `golden_cases.py`
+# widens from CENTRALIZED_CHURN, emits a centralized wu_rejected,
+# wu_timed_out, wu_redistributed, agent_up or agent_down, and none emits a
+# trust-mode server_up.  These two short scenarios emit them all.
 CENTRALIZED_CHURN = """\
 [scenario]
 name = centralized-churn

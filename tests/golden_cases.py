@@ -8,8 +8,9 @@ echo, and all five output files must come out byte for byte the same.
 
 No bundled scenario has agents that reject work, so four inline trust
 scenarios, one per strategy, pin the issuance path where a rejection
-lowers a candidate's tau in the middle of a tick, and a fifth pins a run
-whose work units end partly FAILED long before its horizon.
+lowers a candidate's tau in the middle of a tick, a fifth pins a run
+whose work units end partly FAILED long before its horizon, and a sixth
+pins the centralized timeout path, which no bundled scenario reaches.
 
 This module imports no test framework, so any Python that can import
 tdgsim runs it:
@@ -28,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from event_schema import CENTRALIZED_CHURN
 from tdgsim.scenario import parse_scenario, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -180,12 +182,30 @@ FAILED_TAIL_GOLDEN = (
 )
 
 
+# event_schema's centralized-churn, widened: its rejections, churners, free
+# riders and server outage lapse hundreds of assignments, each timed out
+# and redistributed by the assignment server.
+CENTRALIZED_TIMEOUTS = (
+    CENTRALIZED_CHURN.replace("centralized-churn", "centralized-timeouts")
+    .replace("horizon_ticks = 60", "horizon_ticks = 400")
+    .replace("wu_count = 40", "wu_count = 300")
+    .replace("complexity = 2", "complexity = uniform:1:6"))
+
+CENTRALIZED_TIMEOUTS_GOLDEN = (
+    "9ccd1e4c200d16bbf90bd81082eaffa8b27a84241ac192224fd84968eef331f4",
+    "2bf8cc72453ae922fed7b4b5c15b5e84d09dc493713b00396d52c4cab5637894",
+    "5d80eb736f523a86e496077fbd29b8f3060b51f39da60a63df1073d78dc4999e",
+    "6d12a42e9d6a8e9e639160856f9702990373076345260ec722380297839eb451",
+)
+
+
 # case name -> (scenario text, or None for the bundled file of that name;
 # the pinned digests of OUTPUTS)
 CASES = {name: (None, pins) for name, pins in GOLDEN.items()}
 CASES.update({f"rejections-{strategy}": (rejection_scenario(strategy), pins)
               for strategy, pins in REJECTION_GOLDEN.items()})
 CASES["failed-tail"] = (FAILED_TAIL, FAILED_TAIL_GOLDEN)
+CASES["centralized-timeouts"] = (CENTRALIZED_TIMEOUTS, CENTRALIZED_TIMEOUTS_GOLDEN)
 
 
 def pinned(case):

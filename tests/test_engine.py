@@ -553,6 +553,28 @@ def test_open_wu_count_tracks_states_every_tick(mode):
         assert any(wu.state is WuState.FAILED for wu in world.wus.values())
 
 
+def test_centralized_timeout_queue_is_in_deadline_order_every_tick(tmp_path):
+    # _validate_centralized stops at the first live entry not yet due, which
+    # is exact only while live entries are in deadline order.  Live means
+    # ASSIGNED: a free rider's dropped unit stays ASSIGNED, held by no
+    # agent, until it times out.  Stale entries leave only at the head, so
+    # at most timeout_ticks ticks of issues, one per agent each, remain.
+    world = World(parse_scenario(scenario_file("centralized-timeouts", tmp_path)))
+    cap = len(world.agents) * (world.config.timeout_ticks + 1)
+    for tick in range(1, world.config.horizon_ticks + 1):
+        world.step(tick)
+        live = [(wu, holder) for wu, holder in world.central_assigned
+                if wu.state is WuState.ASSIGNED]
+        deadlines = [wu.deadline for wu, _ in live]
+        assert deadlines == sorted(deadlines), tick
+        assert sorted(wu.id for wu, _ in live) == sorted(
+            wu.id for wu in world.wus.values() if wu.state is WuState.ASSIGNED), tick
+        held = {(a.current_wu, a.id) for a in world.agents.values() if a.current_wu}
+        assert held <= {(wu.id, holder) for wu, holder in live}, tick
+        assert len(world.central_assigned) <= cap, tick
+    assert events_of(world, "wu_timed_out")
+
+
 def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
     # Counts calls, as the linearity test above does.  Once every work
     # unit is validated or failed, issuance draws nothing more.

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,21 @@ def test_an_int_past_jsons_digit_limit_names_its_line(short_log, tmp_path, numbe
     code, err = replay_text(log, texts)
     assert code == 2
     assert err.startswith(f"runtime error: {log}: line {number}: not JSON: ")
+
+
+@pytest.mark.parametrize("horizon, error", [(sys.maxsize, "OverflowError"),
+                                             (sys.maxsize - 1, "MemoryError")],
+                         ids=["maxsize", "maxsize-1"])
+def test_a_horizon_no_list_can_hold_is_line_one(tmp_path, horizon, error):
+    # The reader accepts both; the fold's per-tick lists have horizon + 1
+    # slots, which fail the list's size check before any is allocated.
+    # A horizon that could be allocated, such as 10**9, is not tried: it
+    # is 8 GB per list.
+    log = tmp_path / "events.jsonl"
+    code, err = replay(log, [{"agents": {}, "horizon": horizon}])
+    assert code == 2
+    assert err.startswith(f"runtime error: {log}: line 1: header horizon {horizon} "
+                          f"is too large to fold: {error}("), err
 
 
 def test_a_credit_to_an_agent_the_header_lacks_names_its_line(short_log, tmp_path):

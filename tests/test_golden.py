@@ -44,6 +44,12 @@ def test_failed_tail_outputs_match_golden_digests(tmp_path):
     assert digests == pinned("failed-tail")
 
 
+def test_centralized_timeout_outputs_match_golden_digests(tmp_path):
+    world, digests = run_case("centralized-timeouts", tmp_path)
+    assert sum(ev.kind == "wu_timed_out" for ev in world.events) == 856
+    assert digests == pinned("centralized-timeouts")
+
+
 # ------------------------------------------------- other interpreters
 
 # `golden_cases.py` runs under each other installed Python, and under this
