@@ -79,12 +79,12 @@ def cmd_verify_ledger(args) -> int:
 
 def cmd_replay(args) -> int:
     path = Path(args.log)
-    if not path.exists():
-        print(f"config error: no such file {path}", file=sys.stderr)
-        return 1
     try:
         report = compute_metrics(*read_event_log(path))
-    except (OSError, EventLogError) as exc:
+    except OSError as exc:
+        print(f"config error: cannot read event log {path}: {exc}", file=sys.stderr)
+        return 1
+    except EventLogError as exc:
         print(f"runtime error: {path}: {exc}", file=sys.stderr)
         return 2
     for metric, value in report.scalar_rows():

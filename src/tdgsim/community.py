@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .config import Params
+from .eventlog import SimEvent
 
 
 class StateError(RuntimeError):
@@ -54,8 +55,9 @@ class TrustCommunity:
 
     id: str
     founder: str
-    # Called as emit(tick, community=..., kind=..., agent=..., detail=...).
-    emit: Callable[..., None] = field(repr=False)
+    # The run's event log.  The community holds the list, not the World,
+    # so it makes no reference cycle that only the collector frees.
+    events: List[SimEvent] = field(repr=False)
     phase: Phase = Phase.PRE_ORGANISATION
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
@@ -64,7 +66,8 @@ class TrustCommunity:
     declined: Set[str] = field(default_factory=set)
 
     def log(self, tick: int, kind: EventKind, agent: str = "", detail: str = "") -> None:
-        self.emit(tick, community=self.id, kind=kind.value, agent=agent, detail=detail)
+        self.events.append(SimEvent(tick, "tc_event", {
+            "community": self.id, "kind": kind.value, "agent": agent, "detail": detail}))
 
     def _transition(self, to: Phase, tick: int) -> None:
         if (self.phase, to) not in ALLOWED_TRANSITIONS:

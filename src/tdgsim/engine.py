@@ -19,7 +19,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import community as tc
@@ -60,9 +59,9 @@ class WorkUnit:
     state: WuState = WuState.QUEUED
     deadline: int = 0
     requeues: int = 0
-    # Completions from rounds that failed majority; judged retroactively
-    # once some later round reaches consensus.
-    pending_judgments: List[Tuple[str, str, bool]] = field(default_factory=list)
+    # (agent, outcome) for completions from rounds that failed majority;
+    # judged retroactively once some later round reaches consensus.
+    pending_judgments: List[Tuple[str, Outcome]] = field(default_factory=list)
 
 
 @dataclass
@@ -102,10 +101,16 @@ class Assignment:
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
 
 
-def _append_tc_event(events: List[SimEvent], tick: int, **payload) -> None:
-    # A community's sink.  It holds the event list, not the World: a bound
-    # World.emit would make a reference cycle that only the collector frees.
-    events.append(SimEvent(tick, "tc_event", payload))
+def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[RatingCause]:
+    """The rating `outcome` earns against the `consensus` result, or None
+    for a completion that waits for a round with a consensus."""
+    if outcome.kind == "completed":
+        if consensus is None:
+            return None
+        if outcome.result != consensus:
+            return RatingCause.WRONG_RESULT
+        return RatingCause.CORRECT_LATE if outcome.late else RatingCause.CORRECT_ON_TIME
+    return RatingCause.DROPPED_WU if outcome.kind == "dropped" else RatingCause.TIMED_OUT
 
 
 class ReputationStore:
@@ -179,8 +184,8 @@ class World:
         self.assignments: Dict[str, Assignment] = {}
         self.buffers: Dict[str, Deque[Tuple[WorkUnit, str, str]]] = {
             sid: deque() for sid in self.servers}
-        self._completions: List[Tuple[str, WorkUnit, str, str]] = []
-        self._routed: List[Tuple[str, WorkUnit, str, str]] = []
+        # (work unit, result, agent) to validate this tick.
+        self._routed: List[Tuple[WorkUnit, str, str]] = []
         # (work unit, holder) in issue order, which is deadline order: every
         # deadline is its issue tick plus the run's fixed timeout_ticks.  An
         # entry whose unit is no longer ASSIGNED is stale; it leaves at the head.
@@ -239,24 +244,19 @@ class World:
     def _phase_faults(self) -> None:
         for agent in self.churners:
             up, down = agent.churn
-            desired = (self.tick - 1) % (up + down) < up
-            if desired != agent.online:
-                agent.online = desired
-                self.emit("agent_up" if desired else "agent_down", agent=agent.id)
+            self._set_online("agent", agent, (self.tick - 1) % (up + down) < up)
         for fault in self.faults_at.get(self.tick, ()):
-            desired = not fault.down
             if fault.entity in self.servers:
-                server = self.servers[fault.entity]
-                if server.online != desired:
-                    server.online = desired
-                    self.emit("server_down" if fault.down else "server_up",
-                              server=server.id)
+                self._set_online("server", self.servers[fault.entity], not fault.down)
             else:
-                agent = self.agents[fault.entity]
-                if agent.online != desired:
-                    agent.online = desired
-                    self.emit("agent_down" if fault.down else "agent_up",
-                              agent=agent.id)
+                self._set_online("agent", self.agents[fault.entity], not fault.down)
+
+    def _set_online(self, kind: str, entity, online: bool) -> None:
+        """Set an agent's or a server's `online`; `<kind>_up` or
+        `<kind>_down` is emitted only when it changes."""
+        if entity.online != online:
+            entity.online = online
+            self.emit(f"{kind}_up" if online else f"{kind}_down", **{kind: entity.id})
 
     # -- phase 2: work issuance -----------------------------------------
     def _phase_issue(self) -> None:
@@ -362,10 +362,6 @@ class World:
             if self.servers[sid].online and sid not in founders:
                 drain_open(self.servers[sid].queue, distributor=sid, community=None)
 
-    def _candidate(self, agent_id: str, f_min: int) -> Candidate:
-        tau = self.store.tau(agent_id)
-        return Candidate(agent_id, tau, f_min, classify(tau))
-
     @staticmethod
     def _candidates(agents: List[AgentModel], drawn: Dict[str, tuple]
                     ) -> Dict[str, Candidate]:
@@ -399,7 +395,9 @@ class World:
                 else:
                     self.emit("wu_rejected", wu=wu.id, agent=member)
                     self._rate(member, RatingCause.REJECTED_WU, rater=distributor)
-                    pool[member] = self._candidate(member, pool[member].f_min)
+                    tau = self.store.tau(member)
+                    pool[member] = Candidate(member, tau, pool[member].f_min,
+                                             classify(tau))
             if len(accepted) < 2:
                 queue.append(wu)
                 retries += 1
@@ -450,12 +448,14 @@ class World:
                           else wu.ground_truth)
                 late = (self.tick - agent.assigned_tick) > agent.quote
                 self._terminal(agent, wu, "completed", result, late)
+                buffered = False
+                if not self.trust_mode:  # routed now, or held through an outage
+                    wu.state = WuState.COLLECTED
+                    buffered = not self.servers[wu.project].online
+                    (self.buffers[wu.project] if buffered else self._routed).append(
+                        (wu, result, agent.id))
                 self.emit("wu_completed", wu=wu.id, agent=agent.id,
-                          units=wu.complexity, late=late,
-                          buffered=(not self.trust_mode
-                                    and not self.servers[wu.project].online))
-                if not self.trust_mode:
-                    self._completions.append((wu.project, wu, result, agent.id))
+                          units=wu.complexity, late=late, buffered=buffered)
 
     def _terminal(self, agent: AgentModel, wu: WorkUnit, kind: str,
                   result: Optional[str], late: bool) -> int:
@@ -480,21 +480,16 @@ class World:
     # -- phase 4: result collection (centralized buffering) --------------
     def _phase_collect(self) -> None:
         if self.trust_mode:
-            return
-        self._routed = []
-        for sid in self.server_order:  # FIFO flush on the ServerUp tick
-            server = self.servers[sid]
-            if server.online:
-                while self.buffers[sid]:
-                    wu, result, agent_id = self.buffers[sid].popleft()
-                    self._routed.append((sid, wu, result, agent_id))
-        for sid, wu, result, agent_id in self._completions:
-            wu.state = WuState.COLLECTED
-            if self.servers[sid].online:
-                self._routed.append((sid, wu, result, agent_id))
-            else:
-                self.buffers[sid].append((wu, result, agent_id))
-        self._completions = []
+            return  # nothing is buffered
+        # Buffers flush FIFO on the ServerUp tick, in server order, ahead of
+        # the completions compute routed this tick.
+        flushed = []
+        for sid in self.server_order:
+            buffer = self.buffers[sid]
+            if buffer and self.servers[sid].online:
+                flushed.extend(buffer)
+                buffer.clear()
+        self._routed[:0] = flushed
 
     # -- phase 5: validation, ratings, credits, timeouts -----------------
     def _phase_validate(self) -> None:
@@ -519,7 +514,7 @@ class World:
         return credit_total
 
     def _validate_centralized(self) -> None:
-        for sid, wu, result, agent_id in self._routed:
+        for wu, result, agent_id in self._routed:
             wu.state = WuState.VALIDATED
             self.open_wus -= 1
             credit = self._commit_credit(wu, [agent_id])
@@ -562,70 +557,45 @@ class World:
             del self.assignments[wu_id]
 
     def _finish_assignment(self, assignment: Assignment, params) -> None:
-        wu = assignment.wu
+        wu, members, outcomes = assignment.wu, assignment.members, assignment.outcomes
         counts: Dict[str, int] = {}
-        for outcome in assignment.outcomes.values():
+        for outcome in outcomes.values():
             if outcome.kind == "completed":
                 counts[outcome.result] = counts.get(outcome.result, 0) + 1
-        consensus_token = None
-        for token in sorted(counts):
-            if counts[token] * 2 > len(assignment.members):
-                consensus_token = token
-                break
+        # A strict majority, if any, is unique.
+        token = next((t for t, n in counts.items() if n * 2 > len(members)), None)
         rater = assignment.distributor
-        if consensus_token is not None:
-            consensus = [m for m in assignment.members
-                         if assignment.outcomes[m].kind == "completed"
-                         and assignment.outcomes[m].result == consensus_token]
-            for member in assignment.members:
-                outcome = assignment.outcomes[member]
-                if member in consensus:
-                    cause = (RatingCause.CORRECT_LATE if outcome.late
-                             else RatingCause.CORRECT_ON_TIME)
-                elif outcome.kind == "completed":
-                    cause = RatingCause.WRONG_RESULT
-                elif outcome.kind == "dropped":
-                    cause = RatingCause.DROPPED_WU
-                else:
-                    cause = RatingCause.TIMED_OUT
+        # Without a strict majority only behavioral failures can be judged;
+        # the completions wait for a round that reaches consensus.
+        for member in members:
+            cause = _cause(outcomes[member], token)
+            if cause is None:
+                wu.pending_judgments.append((member, outcomes[member]))
+            else:
                 self._rate(member, cause, rater)
-            # Completions from earlier failed rounds can now be judged
-            # against the validated result.
-            for agent, token, late in wu.pending_judgments:
-                if token == consensus_token:
-                    cause = (RatingCause.CORRECT_LATE if late
-                             else RatingCause.CORRECT_ON_TIME)
-                else:
-                    cause = RatingCause.WRONG_RESULT
-                self._rate(agent, cause, rater)
-            wu.pending_judgments.clear()
-            wu.state = WuState.VALIDATED
-            self.open_wus -= 1
-            credit = self._commit_credit(wu, consensus)
-            self.emit("wu_validated", wu=wu.id, members=list(assignment.members),
-                      consensus=consensus, group_size=len(assignment.members),
-                      correct=consensus_token == wu.ground_truth,
-                      complexity=wu.complexity, credit=credit)
-        else:
-            # No strict majority: only behavioral failures can be judged.
-            for member in assignment.members:
-                outcome = assignment.outcomes[member]
-                if outcome.kind == "dropped":
-                    self._rate(member, RatingCause.DROPPED_WU, rater)
-                elif outcome.kind == "timed_out":
-                    self._rate(member, RatingCause.TIMED_OUT, rater)
-                else:
-                    wu.pending_judgments.append(
-                        (member, outcome.result, outcome.late))
+        if token is None:
             wu.requeues += 1
-            if params.max_requeues and wu.requeues > params.max_requeues:
+            terminal = bool(params.max_requeues) and wu.requeues > params.max_requeues
+            if terminal:
                 wu.state = WuState.FAILED
                 self.open_wus -= 1
-                self.emit("wu_redistributed", wu=wu.id, terminal=True)
             else:
                 wu.state = WuState.QUEUED
                 self.servers[wu.project].queue.append(wu)
-                self.emit("wu_redistributed", wu=wu.id, terminal=False)
+            self.emit("wu_redistributed", wu=wu.id, terminal=terminal)
+            return
+        for agent, outcome in wu.pending_judgments:
+            self._rate(agent, _cause(outcome, token), rater)
+        wu.pending_judgments.clear()
+        wu.state = WuState.VALIDATED
+        self.open_wus -= 1
+        # Only a completed outcome has a result.
+        consensus = [m for m in members if outcomes[m].result == token]
+        credit = self._commit_credit(wu, consensus)
+        self.emit("wu_validated", wu=wu.id, members=list(members),
+                  consensus=consensus, group_size=len(members),
+                  correct=token == wu.ground_truth,
+                  complexity=wu.complexity, credit=credit)
 
     # -- phase 6: community lifecycle -------------------------------------
     def _phase_lifecycle(self) -> None:
@@ -694,7 +664,7 @@ class World:
             if invites is None:
                 continue
             comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
-                                     emit=partial(_append_tc_event, self.events))
+                                     events=self.events)
             invitee_taus = [eligible[x] for x in invites]
             joiners = [a for a in invites
                        if self._accepts_invite(a, None, mean_online_tau(), invitee_taus)]

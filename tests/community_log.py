@@ -4,19 +4,16 @@ The event log is the only record of community membership, so tests fold
 it back into community state here; `metrics.compute_metrics` is the only
 membership fold in the package.
 """
-from functools import partial
 from typing import Dict, List
 
 from tdgsim.community import EventKind, Phase, TrustCommunity
-from tdgsim.engine import _append_tc_event
 from tdgsim.eventlog import SimEvent
 
 
 def new_community(events: List[SimEvent]) -> TrustCommunity:
     """Community tc0, founded by w0, whose `tc_event`s are appended to
     `events` as a World appends them to its event log."""
-    return TrustCommunity(id="tc0", founder="w0",
-                          emit=partial(_append_tc_event, events))
+    return TrustCommunity(id="tc0", founder="w0", events=events)
 
 
 def community_logs(events) -> Dict[str, List[SimEvent]]:

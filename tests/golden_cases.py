@@ -9,8 +9,9 @@ echo, and all five output files must come out byte for byte the same.
 No bundled scenario has agents that reject work, so four inline trust
 scenarios, one per strategy, pin the issuance path where a rejection
 lowers a candidate's tau in the middle of a tick, a fifth pins a run
-whose work units end partly FAILED long before its horizon, and a sixth
-pins the centralized timeout path, which no bundled scenario reaches.
+whose work units end partly FAILED long before its horizon, a sixth
+pins the centralized timeout path, which no bundled scenario reaches, and
+a seventh pins agent faults and a community that dissolves on failover.
 
 This module imports no test framework, so any Python that can import
 tdgsim runs it:
@@ -199,6 +200,51 @@ CENTRALIZED_TIMEOUTS_GOLDEN = (
 )
 
 
+# A community whose manager and members all go down on one tick finds no
+# member to take over: failover dissolves it.  The agent faults reach the
+# `[faults]` agent branch, a repeated `down` included, which no bundled
+# scenario does.
+FAILOVER_DISSOLUTION = """\
+[scenario]
+name = failover-dissolution
+mode = trust
+strategy = drds
+seed = 3
+horizon_ticks = 160
+
+[work]
+wu_count = 400
+complexity = 2
+
+[servers]
+count = 1
+timeout_ticks = 10
+
+[agents rel]
+count = 6
+profile = reliable
+
+[faults]
+f0 = 100 w0 down
+f1 = 100 rel-000 down
+f2 = 100 rel-001 down
+f3 = 100 rel-002 down
+f4 = 100 rel-003 down
+f5 = 100 rel-004 down
+f6 = 100 rel-005 down
+f7 = 100 rel-005 down
+f8 = 120 rel-000 up
+f9 = 120 w0 up
+"""
+
+FAILOVER_DISSOLUTION_GOLDEN = (
+    "b66f5c0eecdd916c4816b92a682f7a9e7701193e8d40dc95a8b38f1f723178f5",
+    "f13baabd4eab8370e1178f613d79054e06d9da44c140bfde95140bdce02a89d7",
+    "56f9d37a2769be528d6ff9cea3c84f783d173f7511c0b9f95b813cfbf5d7084f",
+    "4d641e4a6a0fdaf006d2c1caabb41c30bb041e2fcf0aba3f776b4f012fb1f355",
+)
+
+
 # case name -> (scenario text, or None for the bundled file of that name;
 # the pinned digests of OUTPUTS)
 CASES = {name: (None, pins) for name, pins in GOLDEN.items()}
@@ -206,6 +252,7 @@ CASES.update({f"rejections-{strategy}": (rejection_scenario(strategy), pins)
               for strategy, pins in REJECTION_GOLDEN.items()})
 CASES["failed-tail"] = (FAILED_TAIL, FAILED_TAIL_GOLDEN)
 CASES["centralized-timeouts"] = (CENTRALIZED_TIMEOUTS, CENTRALIZED_TIMEOUTS_GOLDEN)
+CASES["failover-dissolution"] = (FAILOVER_DISSOLUTION, FAILOVER_DISSOLUTION_GOLDEN)
 
 
 def pinned(case):

@@ -253,15 +253,19 @@ def test_churn_toggles_with_configured_period():
     assert ups == [6, 11]
 
 
-def test_fault_events_only_fire_on_state_change():
+@pytest.mark.parametrize("entity, kind", [("w0", "server"), ("rel-000", "agent")],
+                         ids=["server", "agent"])
+def test_fault_events_only_fire_on_state_change(entity, kind):
     cfg = make_cfg(mode="centralized", wu_count=0, horizon_ticks=5,
                    agents=[AgentGroup("rel", 1, "reliable")],
-                   faults=[Fault(2, "w0", True), Fault(3, "w0", True),
-                           Fault(4, "w0", False)])
+                   faults=[Fault(2, entity, True), Fault(3, entity, True),
+                           Fault(4, entity, False), Fault(5, entity, False)])
     world = World(cfg)
     world.run()
-    assert [e.tick for e in events_of(world, "server_down")] == [2]
-    assert [e.tick for e in events_of(world, "server_up")] == [4]
+    assert [(e.tick, e.payload) for e in events_of(world, f"{kind}_down")] == [
+        (2, {kind: entity})]
+    assert [(e.tick, e.payload) for e in events_of(world, f"{kind}_up")] == [
+        (4, {kind: entity})]
 
 
 # ------------------------------------------------------- conservation

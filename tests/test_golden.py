@@ -50,6 +50,19 @@ def test_centralized_timeout_outputs_match_golden_digests(tmp_path):
     assert digests == pinned("centralized-timeouts")
 
 
+def test_failover_dissolution_outputs_match_golden_digests(tmp_path):
+    world, digests = run_case("failover-dissolution", tmp_path)
+    tc0 = [(ev.tick, ev.payload["kind"]) for ev in world.events
+           if ev.kind == "tc_event" and ev.payload["community"] == "tc0"]
+    assert (3, "tcm_elected") in tc0
+    assert [kind for tick, kind in tc0 if tick == 100] == (
+        ["tcm_failed", "phase"] + ["left"] * 6 + ["dissolved"])
+    assert world.communities == {}
+    assert [ev.tick for ev in world.events
+            if ev.kind == "agent_down" and ev.payload["agent"] == "rel-005"] == [100]
+    assert digests == pinned("failover-dissolution")
+
+
 # ------------------------------------------------- other interpreters
 
 # `golden_cases.py` runs under each other installed Python, and under this

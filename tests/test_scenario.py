@@ -773,6 +773,15 @@ def test_cli_replay_matches_run_output(tmp_path, capsys):
 
 def test_cli_replay_missing_log_exits_one(capsys):
     assert main(["replay", "--log", "/no/such/events.jsonl"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read event log /no/such/events.jsonl: ")
+
+
+def test_cli_replay_directory_log_exits_one(tmp_path, capsys):
+    assert main(["replay", "--log", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read event log {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.fixture
