@@ -46,6 +46,14 @@ class EventKind(Enum):
     PHASE = "phase"
 
 
+# Hot paths read Enum members through module names (why: trust.TRUSTED).
+OPERATION = Phase.OPERATION
+INVITED = EventKind.INVITED
+JOINED = EventKind.JOINED
+LEFT = EventKind.LEFT
+EVICTED = EventKind.EVICTED
+
+
 @dataclass
 class TrustCommunity:
     """`members` includes the founder, a server.  Formation invites up to
@@ -66,8 +74,9 @@ class TrustCommunity:
     declined: Set[str] = field(default_factory=set)
 
     def log(self, tick: int, kind: EventKind, agent: str = "", detail: str = "") -> None:
+        # `_value_` is the member's plain attribute; `.value` is a property.
         self.events.append(SimEvent(tick, "tc_event", {
-            "community": self.id, "kind": kind.value, "agent": agent, "detail": detail}))
+            "community": self.id, "kind": kind._value_, "agent": agent, "detail": detail}))
 
     def _transition(self, to: Phase, tick: int) -> None:
         if (self.phase, to) not in ALLOWED_TRANSITIONS:
@@ -79,7 +88,7 @@ class TrustCommunity:
         self.members[agent] = tick
         self.join_tau[agent] = tau
         self.peak_size = max(self.peak_size, len(self.members))
-        self.log(tick, EventKind.JOINED, agent)
+        self.log(tick, JOINED, agent)
 
     def remove_member(self, agent: str, tick: int, kind: EventKind) -> None:
         self.members.pop(agent, None)
@@ -99,7 +108,7 @@ class TrustCommunity:
         self._transition(Phase.DISSOLVED, tick)
         self.tcm = None
         for a in sorted(self.members):
-            self.remove_member(a, tick, EventKind.LEFT)
+            self.remove_member(a, tick, LEFT)
         self.log(tick, EventKind.DISSOLVED)
 
 
@@ -163,7 +172,7 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
     """One operation-phase step: the decayed members to evict, then the
     strong outsiders to invite while below max size (room counted before
     the evictions)."""
-    if tc.phase is not Phase.OPERATION:
+    if tc.phase is not OPERATION:
         raise StateError(f"operate_tick in phase {tc.phase.value}")
     evict: List[str] = []
     for a in sorted(tc.members):
@@ -186,7 +195,7 @@ def dissolve_check(tc: TrustCommunity, params: Params,
                    queue_exhausted: bool) -> bool:
     """True when the community no longer carries its weight: shrunk below
     quorum, below the dissolution fraction of its peak, or out of work."""
-    if tc.phase is not Phase.OPERATION:
+    if tc.phase is not OPERATION:
         raise StateError("dissolve_check outside operation")
     size = len(tc.members)
     return (queue_exhausted

@@ -5,9 +5,9 @@ rng stream owned by the caller; same pool + seed gives identical groups.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .trust import TrustClass
+from .trust import TRUSTED, UNDECIDED, UNTRUSTED, TrustClass
 
 
 class SelectionFailed(Exception):
@@ -39,17 +39,22 @@ def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
 
     If fewer agents exist than f_min requires, the group is clamped to
     what is available and flagged short.  The pool holds one candidate per
-    agent, so the others are the pool without the initiator's slot.
+    agent, so the others are the pool without the initiator's slot.  They
+    are drawn as pool slots, not copied: slot j of the others is pool slot
+    j, or j + 1 from the initiator's on.  `random.sample` draws from the
+    population's length and k alone, so sampling range(n - 1) picks the
+    same members, with the same draws, as sampling a copy of the others.
     """
-    if len(pool) < 2:
-        raise SelectionFailed(f"need at least 2 candidates, have {len(pool)}")
-    i = rng.randrange(len(pool))
+    n = len(pool)
+    if n < 2:
+        raise SelectionFailed(f"need at least 2 candidates, have {n}")
+    i = rng.randrange(n)
     initiator = pool[i]
-    others = pool[:i] + pool[i + 1:]
-    take = min(initiator.f_min, len(others))
-    chosen = rng.sample(others, take)
-    members = (initiator.agent,) + tuple(c.agent for c in chosen)
-    return ReplicaGroup(members, initiator.agent, take < initiator.f_min)
+    take = min(initiator.f_min, n - 1)
+    members = [initiator.agent]
+    for j in rng.sample(range(n - 1), take):
+        members.append(pool[j + (j >= i)].agent)
+    return ReplicaGroup(tuple(members), initiator.agent, take < initiator.f_min)
 
 
 def dods_assign(pool: Sequence[Candidate], allow_short: bool = False) -> ReplicaGroup:
@@ -85,9 +90,17 @@ def dgds_select(pool: Sequence[Candidate], rng,
     Untrusted members can never outnumber trusted ones, so they cannot
     form a majority in the group.
     """
-    untrusted = [c for c in pool if c.trust_class is TrustClass.UNTRUSTED]
-    trusted = [c for c in pool if c.trust_class is TrustClass.TRUSTED]
-    undecided = [c for c in pool if c.trust_class is TrustClass.UNDECIDED]
+    untrusted: List[Candidate] = []
+    trusted: List[Candidate] = []
+    undecided: List[Candidate] = []
+    for c in pool:  # one pass; each class keeps pool order
+        cls = c.trust_class
+        if cls is UNTRUSTED:
+            untrusted.append(c)
+        elif cls is TRUSTED:
+            trusted.append(c)
+        elif cls is UNDECIDED:
+            undecided.append(c)
     if not untrusted or not trusted:
         raise FallbackToDRDS("pool lacks a trusted/untrusted partition")
 

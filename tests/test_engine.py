@@ -10,9 +10,10 @@ import pytest
 from tdgsim import community, engine
 from tdgsim.community import Phase
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
-from tdgsim.engine import Profile, ReputationStore, World, WuState, stream
+from tdgsim.engine import (RATINGS, Outcome, Profile, ReputationStore, World,
+                           WuState, _cause, stream)
 from tdgsim.scenario import parse_scenario
-from tdgsim.trust import ReplicationLimits
+from tdgsim.trust import CAUSE_VALUES, RatingCause, ReplicationLimits
 
 from community_log import community_logs, fold, state
 from golden_cases import CASES, scenario_file
@@ -59,6 +60,30 @@ def test_same_seed_gives_identical_event_log():
         world.run()
         return world.events
     assert go() == go()
+
+
+# -------------------------------------------------------------- ratings
+
+def test_every_cause_has_its_prebuilt_rating_pair():
+    assert set(RATINGS) == set(RatingCause)
+    for cause in RatingCause:
+        assert RATINGS[cause] == (cause.value, CAUSE_VALUES[cause])
+
+
+@pytest.mark.parametrize("outcome, consensus, cause", [
+    (Outcome("completed", "ok", False), "ok", RatingCause.CORRECT_ON_TIME),
+    (Outcome("completed", "ok", True), "ok", RatingCause.CORRECT_LATE),
+    (Outcome("completed", "bad", False), "ok", RatingCause.WRONG_RESULT),
+    (Outcome("completed", "bad", True), "ok", RatingCause.WRONG_RESULT),
+    (Outcome("dropped"), "ok", RatingCause.DROPPED_WU),
+    (Outcome("dropped"), None, RatingCause.DROPPED_WU),
+    (Outcome("timed_out"), "ok", RatingCause.TIMED_OUT),
+    (Outcome("timed_out"), None, RatingCause.TIMED_OUT),
+    (Outcome("completed", "ok", False), None, None),
+], ids=["on-time", "late", "wrong", "wrong-late", "dropped", "dropped-no-consensus",
+        "timed-out", "timed-out-no-consensus", "completed-no-consensus"])
+def test_cause_gives_the_rating_pair_of_each_outcome(outcome, consensus, cause):
+    assert _cause(outcome, consensus) == (None if cause is None else RATINGS[cause])
 
 
 # ------------------------------------------------- trust-mode hand trace
