@@ -59,13 +59,18 @@ class TrustCommunity:
     """`members` includes the founder, a server.  Formation invites up to
     `max_size` agents besides it, so a formed community can hold
     `max_size + 1` members; `operate_tick` invites only while it holds
-    fewer than `max_size`, founder included."""
+    fewer than `max_size`, founder included.
+
+    `add_member` and `remove_member` also keep `live_members`, the run's
+    one set of every live community's members, founders included."""
 
     id: str
     founder: str
     # The run's event log.  The community holds the list, not the World,
     # so it makes no reference cycle that only the collector frees.
     events: List[SimEvent] = field(repr=False)
+    # Shared by the run's communities, which hold no member in common.
+    live_members: Set[str] = field(default_factory=set, repr=False)
     phase: Phase = Phase.PRE_ORGANISATION
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
@@ -87,11 +92,13 @@ class TrustCommunity:
     def add_member(self, agent: str, tick: int, tau: float) -> None:
         self.members[agent] = tick
         self.join_tau[agent] = tau
+        self.live_members.add(agent)
         self.peak_size = max(self.peak_size, len(self.members))
         self.log(tick, JOINED, agent)
 
     def remove_member(self, agent: str, tick: int, kind: EventKind) -> None:
-        self.members.pop(agent, None)
+        if self.members.pop(agent, None) is not None:
+            self.live_members.discard(agent)
         self.join_tau.pop(agent, None)
         self.log(tick, kind, agent)
 

@@ -19,7 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import community as tc
 from .config import ScenarioConfig
@@ -219,6 +219,9 @@ class World:
         # with another, and, once _issue_trust's failover has run, has an
         # available manager; the engine relies on this and checks none of it.
         self.communities: Dict[str, tc.TrustCommunity] = {}
+        # Every live community's members, founders included, kept by the
+        # communities themselves as members join and leave.
+        self.live_members: Set[str] = set()
         self._tc_counter = 0
         self.events: List[SimEvent] = []
         self.faults_at: Dict[int, List] = {}
@@ -342,33 +345,19 @@ class World:
         if not self.open_wus:
             return
 
-        idle = [a for a in self.agent_order if a.online and a.current_wu is None]
-        # Each idle agent's tau is read once, for its f_min draw and its
-        # pool candidate.  This is exact: a rating issued while a pool
-        # drains reaches only a member of that pool, whose candidate is then
-        # rebuilt from a fresh read, and each idle agent sits in one pool.
-        drawn = {}  # agent id -> its Candidate fields after the id
-        for a in idle:
-            tau = self.store.tau(a.id)
-            f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
-            drawn[a.id] = (tau, f_min, classify(tau))
-
-        members = {m for c in self.communities.values() for m in c.members}
-
-        # Each idle agent sits in one pool: its community's, or the open
-        # pool.  A pool's candidates are built when it first meets a
-        # non-empty queue and leave it as they are assigned.
-        open_agents = [a for a in idle if a.id not in members]
-        open_pool: Optional[Dict[str, Candidate]] = None
-
-        def drain_open(queue: Deque[WorkUnit], distributor: str,
-                       community: Optional[str]) -> None:
-            nonlocal open_pool
-            if not queue:
-                return
-            if open_pool is None:
-                open_pool = self._candidates(open_agents, drawn)
-            self._drain_queue(queue, open_pool, distributor, community)
+        # Each idle agent's candidate is built once, from one tau read.
+        # This is exact: a rating issued while a pool drains reaches only a
+        # member of that pool, whose candidate is then rebuilt there from a
+        # fresh read, and each idle agent sits in one pool: its community's,
+        # or the open pool.  Candidates leave a pool as they are assigned.
+        candidates: Dict[str, Candidate] = {}
+        for a in self.agent_order:
+            if a.online and a.current_wu is None:
+                tau = self.store.tau(a.id)
+                f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
+                candidates[a.id] = Candidate(a.id, tau, f_min, classify(tau))
+        members = self.live_members  # a founder is a member
+        open_pool = {a: c for a, c in candidates.items() if a not in members}
 
         # Communities distribute their founders' queues first: members get
         # priority, leftover work spills to the open pool.
@@ -376,21 +365,14 @@ class World:
             comm = self.communities[comm_id]
             queue = self.servers[comm.founder].queue
             if queue:
-                pool = [a for a in idle if a.id in comm.members]
-                self._drain_queue(queue, self._candidates(pool, drawn),
-                                  distributor=comm.tcm, community=comm.id)
-            drain_open(queue, distributor=comm.tcm, community=comm.id)
+                pool = {a: c for a, c in candidates.items() if a in comm.members}
+                self._drain_queue(queue, pool, comm.tcm, comm.id)
+            self._drain_queue(queue, open_pool, comm.tcm, comm.id)
 
         # Queues without a community go straight to the open pool.
-        founders = {c.founder for c in self.communities.values()}
         for sid in self.server_order:
-            if self.servers[sid].online and sid not in founders:
-                drain_open(self.servers[sid].queue, distributor=sid, community=None)
-
-    @staticmethod
-    def _candidates(agents: List[AgentModel], drawn: Dict[str, tuple]
-                    ) -> Dict[str, Candidate]:
-        return {a.id: Candidate(a.id, *drawn[a.id]) for a in agents}
+            if self.servers[sid].online and sid not in members:
+                self._drain_queue(self.servers[sid].queue, open_pool, sid, None)
 
     def _drain_queue(self, queue: Deque[WorkUnit], pool: Dict[str, Candidate],
                      distributor: str, community: Optional[str]) -> None:
@@ -627,7 +609,7 @@ class World:
         if not self.trust_mode or not self.config.params.formation:
             return
         params = self.config.params
-        in_community = {m for c in self.communities.values() for m in c.members}
+        members = self.live_members  # a founder is a member
 
         # No rating is issued and no agent goes on- or offline in this
         # phase, so the online agents' taus are read once, on the first
@@ -643,7 +625,7 @@ class World:
             return online_tau
 
         def outsiders() -> Dict[str, float]:
-            return {a: t for a, t in online().items() if a not in in_community}
+            return {a: t for a, t in online().items() if a not in members}
 
         def mean_online_tau() -> float:
             nonlocal pool_tau
@@ -662,34 +644,30 @@ class World:
                                             outsiders() if has_room else {}, params)
             for agent in evict:
                 comm.remove_member(agent, self.tick, tc.EVICTED)
-                in_community.discard(agent)
             for agent in invite:
                 comm.log(self.tick, tc.INVITED, agent)
                 if self._accepts_invite(agent, comm, mean_online_tau()):
                     comm.add_member(agent, self.tick, self.store.tau(agent))
-                    in_community.add(agent)
                 else:
                     comm.declined.add(agent)
             queue_empty = (not self.servers[comm.founder].queue
                            and not any(a.community == comm.id
                                        for a in self.assignments.values()))
             if tc.dissolve_check(comm, params, queue_empty):
-                for member in comm.members:
-                    in_community.discard(member)
                 comm.dissolve(self.tick)
                 del self.communities[comm.id]
 
-        founders = {c.founder for c in self.communities.values()}
         for sid in self.server_order:
             server = self.servers[sid]
-            if not server.online or not server.queue or sid in founders:
+            if not server.online or not server.queue or sid in members:
                 continue
             eligible = outsiders()
             invites = tc.evaluate_formation(sid, eligible, params)
             if invites is None:
                 continue
             comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
-                                     events=self.events)
+                                     events=self.events,
+                                     live_members=self.live_members)
             invitee_taus = [eligible[x] for x in invites]
             joiners = [a for a in invites
                        if self._accepts_invite(a, None, mean_online_tau(), invitee_taus)]
@@ -704,7 +682,6 @@ class World:
             availability = {m: self._available(m) for m in comm.members}
             tc.elect_tcm(comm, availability, self.tick)
             self.communities[comm.id] = comm
-            in_community.update(comm.members)
 
     def _accepts_invite(self, agent_id: str, comm: Optional[tc.TrustCommunity],
                         pool_tau: float,

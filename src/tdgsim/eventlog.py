@@ -103,8 +103,9 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
         # is a deque's maxlen, and a horizon sizes the fold's per-tick lists.
         window = header.get("window", 0) if isinstance(header, dict) else -1
         horizon = header.get("horizon") if isinstance(header, dict) else -1
-        if not (isinstance(window, int) and 0 <= window <= sys.maxsize
-                and isinstance(horizon, int) and 0 <= horizon <= sys.maxsize
+        # type(), not isinstance(): JSON true and false load as bools, which are ints.
+        if not (type(window) is int and 0 <= window <= sys.maxsize
+                and type(horizon) is int and 0 <= horizon <= sys.maxsize
                 and isinstance(header.get("agents"), dict)
                 and all(isinstance(a, dict) and isinstance(a.get("profile"), str)
                         and isinstance(a.get("online"), bool)

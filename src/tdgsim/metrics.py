@@ -28,7 +28,8 @@ class MetricsReport:
     issuance_gap_ticks: int = 0
     mean_tau_by_profile: Dict[str, float] = field(default_factory=dict)
     credit_millis_by_profile: Dict[str, int] = field(default_factory=dict)
-    series: Dict[str, List[int]] = field(default_factory=dict)  # per-tick rows
+    # Per-tick columns, indexed by tick: slot 0, before tick 1, is unused.
+    series: Dict[str, List[int]] = field(default_factory=dict)
 
     def scalar_rows(self) -> List[tuple]:
         rows = [
@@ -131,11 +132,10 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     report.credit_millis_by_profile = credit_by_profile
 
     report.series = {
-        "tick": list(range(1, horizon + 1)),
-        "issued": issued_per_tick[1:],
-        "validated": validated_per_tick[1:],
-        "active_agents": active_per_tick[1:],
-        "etc_size": etc_per_tick[1:],
+        "issued": issued_per_tick,
+        "validated": validated_per_tick,
+        "active_agents": active_per_tick,
+        "etc_size": etc_per_tick,
     }
     return report
 

@@ -198,6 +198,10 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"fault at tick {f.tick} references unknown entity {f.entity!r}")
         if f.tick < 1:
             errors.append(f"fault tick {f.tick} must be >= 1")
+    for key in ("min_size", "max_size"):  # a negative max_size slices from the end
+        size = getattr(cfg.params, key)
+        if size < 0:
+            errors.append(f"{key} must be >= 0, got {size}")
     if cfg.params.window < 0:
         errors.append(f"window must be >= 0, got {cfg.params.window}")
     elif cfg.params.window > sys.maxsize:  # a deque's maxlen
@@ -281,9 +285,10 @@ def emit_report(world: World, report: MetricsReport, out_dir) -> None:
     with open(out / "series.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,issued,validated,active_agents,etc_size\n")
         s = report.series
-        for i in range(len(s.get("tick", ()))):
-            fh.write(f"{s['tick'][i]},{s['issued'][i]},{s['validated'][i]},"
-                     f"{s['active_agents'][i]},{s['etc_size'][i]}\n")
+        rows = zip(s["issued"], s["validated"], s["active_agents"], s["etc_size"])
+        next(rows)  # slot 0 comes before tick 1
+        for tick, (issued, validated, active, etc) in enumerate(rows, 1):
+            fh.write(f"{tick},{issued},{validated},{active},{etc}\n")
     with open(out / "ledger.txt", "w", encoding="utf-8", newline="\n") as fh:
         for line in world.ledger.export_lines():
             fh.write(line + "\n")

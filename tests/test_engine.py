@@ -353,10 +353,15 @@ def test_event_log_alone_rebuilds_every_community(scenario, kind):
 
 
 # The engine checks none of this itself: it relies on every live community
-# being operating, led by an available manager and disjoint from the rest.
-@pytest.mark.parametrize("scenario, kind", LIFECYCLE_PATHS)
-def test_live_communities_are_operating_led_and_disjoint(scenario, kind):
-    cfg = parse_scenario(SCENARIOS / scenario)
+# being operating, led by an available manager and disjoint from the rest,
+# and on World.live_members holding exactly their members.  The golden
+# failover-dissolution case dissolves a community in _issue_trust's
+# failover, which no bundled scenario does.
+@pytest.mark.parametrize("scenario, kind",
+                         LIFECYCLE_PATHS + [("failover-dissolution", "dissolved")])
+def test_live_communities_are_operating_led_and_disjoint(scenario, kind, tmp_path):
+    cfg = parse_scenario(SCENARIOS / scenario if scenario.endswith(".ini")
+                         else scenario_file(scenario, tmp_path))
     world = World(cfg)
     ticks_with_communities = 0
     for t in range(1, cfg.horizon_ticks + 1):
@@ -367,6 +372,7 @@ def test_live_communities_are_operating_led_and_disjoint(scenario, kind):
             assert world._available(comm.tcm)
             assert seen.isdisjoint(comm.members)
             seen.update(comm.members)
+        assert world.live_members == seen
         ticks_with_communities += bool(world.communities)
     assert ticks_with_communities
     assert any(e.kind == "tc_event" and e.payload["kind"] == kind

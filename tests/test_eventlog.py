@@ -171,12 +171,14 @@ def _first_agent(header):
     lambda h: h.update(window=None),
     lambda h: h.update(horizon=2 ** 70),
     lambda h: h.update(horizon=-1),
+    lambda h: h.update(horizon=True),
+    lambda h: h.update(window=False),
     lambda h: h["agents"].update({min(h["agents"]): "reliable"}),
     lambda h: _first_agent(h).update(profile=None),
     lambda h: _first_agent(h).pop("online"),
     lambda h: _first_agent(h).update(online="yes"),
 ], ids=["negative window", "window past a deque's maxlen", "str window", "null window",
-        "horizon past sys.maxsize", "negative horizon",
+        "horizon past sys.maxsize", "negative horizon", "bool horizon", "bool window",
         "agent not an object", "profile not a str", "no online", "online not a bool"])
 def test_a_header_the_fold_cannot_read_is_line_one(short_log, tmp_path, edit):
     _, lines = short_log

@@ -640,7 +640,10 @@ def edited_defaults(tmp_path, old, new):
 # trust.ValidationError from deep in the engine.  The timeout_ticks and
 # accept_prob values ran silently instead: a deadline on or before the
 # issuing tick validates nothing, and a NaN accept_prob accepted every
-# offer in centralized mode but rejected every one in trust mode.
+# offer in centralized mode but rejected every one in trust mode.  So did
+# negative community sizes: a max_size of -1 cut the last agent off the
+# invitation list, and with a min_size below 0 a founder formed a
+# community alone.
 @pytest.mark.parametrize("old, new, flags, message", [
     ("complexity = 3 ", "complexity = abc ", [], "complexity must be"),
     ("complexity = 3 ", "complexity = -2 ", [], "complexity must be"),
@@ -668,11 +671,14 @@ def edited_defaults(tmp_path, old, new):
      "[agents workers] accept_prob must be in [0, 1], got -0.1"),
     ("accept_prob = 1.0 ", "accept_prob = 1.5 ", [],
      "[agents workers] accept_prob must be in [0, 1], got 1.5"),
+    ("min_size = 5 ", "min_size = -3 ", [], "min_size must be >= 0, got -3"),
+    ("max_size = 20 ", "max_size = -1 ", [], "max_size must be >= 0, got -1"),
 ], ids=["complexity-abc", "complexity-negative", "complexity-empty-range",
         "base-credit-negative",
         "churn-0/0", "churn-negative", "random-replication-negative",
         "label-space", "label-comma", "timeout-zero", "timeout-negative",
-        "accept-prob-nan", "accept-prob-negative", "accept-prob-above-one"])
+        "accept-prob-nan", "accept-prob-negative", "accept-prob-above-one",
+        "min-size-negative", "max-size-negative"])
 def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
                                          message):
     scenario = edited_defaults(tmp_path, old, new)
