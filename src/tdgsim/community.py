@@ -124,7 +124,8 @@ def evaluate_formation(founder: str, reputations: Mapping[str, float],
     """Invitation list for a new community, or None below quorum.
 
     All agents at or above the join threshold, best reputation first,
-    capped at max_size; only worthwhile if at least min_size qualify.
+    capped at max_size; only worthwhile if at least `params.quorum`
+    qualify (min_size, and at least one).
     The cap counts agents only: with its founder, a community formed
     from a full list has max_size + 1 members.
     """
@@ -132,7 +133,7 @@ def evaluate_formation(founder: str, reputations: Mapping[str, float],
                 if a != founder and tau >= params.join_threshold]
     eligible.sort(key=lambda it: (-it[0], it[1]))
     invites = [a for _, a in eligible[:params.max_size]]
-    if len(invites) < params.min_size:
+    if len(invites) < params.quorum:
         return None
     return invites
 

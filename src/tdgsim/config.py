@@ -48,6 +48,12 @@ class Params:
     # per WU so the mean group size matches the target exactly.
     random_replication: float = 3.0
 
+    @property
+    def quorum(self) -> int:
+        """How many agents must join to form a community: `min_size`, but
+        at least one, so that no founder forms a community alone."""
+        return max(self.min_size, 1)
+
 
 @dataclass
 class ScenarioConfig:

@@ -671,7 +671,7 @@ class World:
             invitee_taus = [eligible[x] for x in invites]
             joiners = [a for a in invites
                        if self._accepts_invite(a, None, mean_online_tau(), invitee_taus)]
-            if len(joiners) < params.min_size:
+            if len(joiners) < params.quorum:
                 continue  # below quorum; retry when reputations improve
             self._tc_counter += 1
             for a in invites:

@@ -93,6 +93,7 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
     header = None
     events: List[SimEvent] = []
     append, raw_decode, loads = events.append, json.JSONDecoder().raw_decode, json.loads
+    new = tuple.__new__  # as World.emit: skips the __new__ NamedTuple adds
     gc_was_enabled = gc.isenabled()
     gc.disable()
     # Each good event line adds one event, so a bad one is line
@@ -121,7 +122,7 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
             else:
                 if line[end:].strip(_JSON_WS):
                     raw = loads(line)
-            append(SimEvent(raw["t"], raw["k"], raw["p"]))
+            append(new(SimEvent, (raw["t"], raw["k"], raw["p"])))
     except (EventLogError, UnicodeDecodeError):
         raise  # a bad header or line, or a read chunk to decode again
     except ValueError as exc:  # a JSONDecodeError, or an int past json's digit limit

@@ -5,11 +5,19 @@ The engine never keeps separate counters: `run` and `replay` both call
 from the persisted events alone.  Communities keep no history either:
 each writes its `tc_event`s straight into the log, and `compute_metrics`
 is the package's only fold of them (the `etc_size` series).
+
+The fold reads a log once, in order, and costs nothing per tick that
+holds no event: the active-agent count and the community size are
+running counts that only `agent_up`, `agent_down` and `tc_event` change,
+and a run of quiet ticks gets their slots in one C-level `extend` when
+the next event's tick arrives, the tail after the last event at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .engine import ReputationStore
 from .eventlog import EventLogError, SimEvent
@@ -49,7 +57,56 @@ class MetricsReport:
         return rows
 
 
+class _Unordered(Exception):
+    """A log whose ticks are not ints rising within [1, horizon]."""
+
+
 def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
+    """Fold `events` tick by tick, from tick 1 to the header's horizon,
+    each tick's events in log order.  An event whose tick equals no int
+    in [1, horizon] is not folded.
+
+    The engine writes int ticks in [1, horizon] that never go down, so
+    the first pass reads the list as it is.  Any other list (a tick out
+    of order or out of range, `True`, `1.0`, a string) is grouped by
+    tick in a dict first, then folded by the same loop, so it gives what
+    the fold gave when it grouped every log: the same report, or the
+    same error naming the same line."""
+    try:
+        return _fold(header, events, in_order=True)
+    except _Unordered:
+        pass  # out of the handler, so the first pass's lists are freed
+    return _fold(header, events, in_order=False)
+
+
+_TICK = itemgetter(0)
+
+
+def _rising_groups(events: Sequence[SimEvent],
+                   horizon: int) -> Iterator[Tuple[int, Iterator[SimEvent]]]:
+    """Each run of events with one tick, while the runs' ticks are ints
+    that rise within [1, horizon]; raises _Unordered at the first that
+    does not.  A run holds what equals its first tick, such as `True` or
+    `1.0` after a 1, as the dict grouping would."""
+    last = 0
+    for tick, group in groupby(events, _TICK):
+        if type(tick) is not int or not last < tick <= horizon:
+            raise _Unordered
+        last = tick
+        yield tick, group
+
+
+def _tick_of(key, horizon: int) -> int:
+    """The tick t in [1, horizon] for which `by_tick.get(t)` finds the
+    events grouped under `key`, or 0 if there is none."""
+    try:
+        tick = int(key)
+    except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+        return 0
+    return tick if tick == key and 1 <= tick <= horizon else 0
+
+
+def _fold(header: dict, events: Sequence[SimEvent], in_order: bool) -> MetricsReport:
     horizon = header["horizon"]
     profiles = {a: info["profile"] for a, info in header["agents"].items()}
     report = MetricsReport(horizon=horizon)
@@ -59,12 +116,21 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     etc_members: Dict[str, set] = {}
 
     try:  # a horizon past what a list can index fails here, allocating nothing
-        issued_per_tick, validated_per_tick, active_per_tick, etc_per_tick = (
-            [0] * (horizon + 1) for _ in range(4))
+        issued_per_tick, validated_per_tick = ([0] * (horizon + 1) for _ in range(2))
     except (OverflowError, MemoryError) as exc:
         raise EventLogError(1, f"header horizon {horizon} is too large "
                                f"to fold: {exc!r}") from None
+    # Slot t is the running count after tick t's events; slot 0 is unused.
+    # Both grow a run of ticks at a time, from `repeat`, which builds no
+    # temporary list.  `online` may come to hold agents the header lacks;
+    # `active` counts only the known ones.
+    active_per_tick: List[int] = [0]
+    etc_per_tick: List[int] = [0]
+    active = len(online)
+    etc_size = 0
 
+    issued = validated = 0
+    last_issue = gap = 0  # the last tick that issued work, the longest gap
     sum_group_sizes = 0
     wrong_validated = 0
     total_units = 0
@@ -73,56 +139,85 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
 
     # Each value is checked where the fold reads it; the header is line 1.
-    by_tick: Dict[int, List[SimEvent]] = {}
     try:
-        for ev in events:
-            by_tick.setdefault(ev.tick, []).append(ev)
-        for tick in range(1, horizon + 1):
-            for ev in by_tick.get(tick, ()):
-                k, p = ev.kind, ev.payload
-                if k == "wu_issued":
+        if in_order:
+            groups = _rising_groups(events, horizon)
+        else:
+            by_tick: Dict[object, List[SimEvent]] = {}
+            for ev in events:
+                by_tick.setdefault(ev.tick, []).append(ev)
+            ticked = ((_tick_of(key, horizon), group) for key, group in by_tick.items())
+            groups = sorted((tick, group) for tick, group in ticked if tick)
+        for tick, group in groups:
+            quiet = tick - len(active_per_tick)  # the ticks since the last event's
+            active_per_tick.extend(repeat(active, quiet))
+            etc_per_tick.extend(repeat(etc_size, quiet))
+            for ev in group:
+                _, k, p = ev
+                if k in ("wu_completed", "wu_dropped", "wu_timed_out"):
+                    total_units += p["units"]
+                elif k == "rating_issued":
+                    store.profile(p["subject"]).push(p["value"])
+                elif k == "wu_issued":
+                    issued += 1
                     issued_per_tick[tick] += 1
+                    if tick != last_issue:
+                        if last_issue and tick - last_issue - 1 > gap:
+                            gap = tick - last_issue - 1
+                        last_issue = tick
                 elif k == "wu_validated":
+                    validated += 1
                     validated_per_tick[tick] += 1
                     sum_group_sizes += p["group_size"]
                     if not p["correct"]:
                         wrong_validated += 1
                     consensus_units += len(p["consensus"]) * p["complexity"]
-                elif k in ("wu_completed", "wu_dropped", "wu_timed_out"):
-                    total_units += p["units"]
-                elif k == "agent_up":
-                    online.add(p["agent"])
-                elif k == "agent_down":
-                    online.discard(p["agent"])
-                elif k == "rating_issued":
-                    store.profile(p["subject"]).push(p["value"])
                 elif k == "credit_committed":
                     # dict.items: allocations that are not an object are a TypeError
                     for agent, mc in dict.items(p["allocations"]):
                         credit_by_profile[profiles[agent]] += mc
+                elif k == "agent_up" or k == "agent_down":
+                    agent, was = p["agent"], len(online)
+                    if k == "agent_up":
+                        online.add(agent)
+                    else:
+                        online.discard(agent)
+                    if len(online) != was and agent in known:
+                        active += len(online) - was
                 elif k == "tc_event":
                     members = etc_members.setdefault(p["community"], set())
+                    size = len(members)
                     if p["kind"] == "joined":
                         members.add(p["agent"])
                     elif p["kind"] in ("left", "evicted"):
                         members.discard(p["agent"])
                     elif p["kind"] == "dissolved":
                         members.clear()
-            active_per_tick[tick] = len(online & known)
-            etc_per_tick[tick] = sum(len(m) for m in etc_members.values())
-    except (KeyError, TypeError, ValueError) as exc:
+                    etc_size += len(members) - size
+    except Exception as exc:
+        # Whatever the error, a later tick out of order means the list must
+        # be folded again, grouped: draining `groups` raises _Unordered.
+        # (It does nothing when the error is that _Unordered.)
+        if in_order:
+            for _ in groups:
+                pass
+        if not isinstance(exc, (KeyError, TypeError, ValueError)):
+            raise
         line = next(i for i, e in enumerate(events) if e is ev) + 2
         raise EventLogError(line, f"{ev.kind} event: {exc!r}") from None
+    tail = horizon + 1 - len(active_per_tick)  # the ticks after the last event's
+    active_per_tick.extend(repeat(active, tail))
+    etc_per_tick.extend(repeat(etc_size, tail))
 
-    report.issued = sum(issued_per_tick)
-    report.validated = sum(validated_per_tick)
+    report.issued = issued
+    report.validated = validated
     report.throughput = report.validated / horizon if horizon else 0.0
     report.replication_overhead = (sum_group_sizes / report.validated
                                    if report.validated else 0.0)
     report.wasted_work = total_units - consensus_units
     report.wrong_result_acceptance_rate = (wrong_validated / report.validated
                                            if report.validated else 0.0)
-    report.issuance_gap_ticks = _longest_internal_gap(issued_per_tick)
+    report.issuance_gap_ticks = gap
 
     tau_by_profile: Dict[str, List[float]] = {}
     for agent in sorted(profiles):  # a log's header lists them sorted
@@ -138,15 +233,3 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
         "etc_size": etc_per_tick,
     }
     return report
-
-
-def _longest_internal_gap(issued_per_tick: List[int]) -> int:
-    """Longest run of zero-issuance ticks strictly between the first and
-    last tick that issued work."""
-    ticks = [t for t, n in enumerate(issued_per_tick) if n > 0]
-    if len(ticks) < 2:
-        return 0
-    best = 0
-    for a, b in zip(ticks, ticks[1:]):
-        best = max(best, b - a - 1)
-    return best

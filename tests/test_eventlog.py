@@ -1,5 +1,6 @@
-"""The event log: every payload against its schema row, and `replay` on a
-log whose lines parse but whose values the metrics fold cannot read."""
+"""The event log: every payload against its schema row, `replay` on a
+log whose lines parse but whose values the metrics fold cannot read, and
+the metrics fold against the reference fold it replaced."""
 import contextlib
 import copy
 import io
@@ -7,10 +8,11 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from event_schema import EVENT_KEYS, SCENARIOS, TRUST_ONLY_KINDS, payload_keys
 from golden_cases import CASES, scenario_file
+from reference_fold import compute_metrics as reference_fold
 from tdgsim.cli import main
 from tdgsim.eventlog import EventLogError, SimEvent
 from tdgsim.metrics import compute_metrics
@@ -242,3 +244,112 @@ def test_the_fold_names_the_line_of_an_event_it_cannot_read():
         compute_metrics(header, events)
     assert exc.value.line == 3
     assert str(exc.value).startswith("line 3: rating_issued event: ValidationError(")
+
+
+# ---------------------------------------------- the fold and its reference
+
+LISTABLE = ("a", "b", "c")  # a header lists some of these
+AGENT = st.sampled_from(LISTABLE + ("z",))
+# A payload the fold can read, of the keys it reads, for each kind; an
+# empty one for wu_issued and for two kinds the fold skips.
+PAYLOADS = {
+    "wu_issued": st.builds(dict),
+    "wu_validated": st.fixed_dictionaries({
+        "group_size": st.integers(1, 5), "correct": st.booleans(),
+        "consensus": st.lists(AGENT, max_size=3), "complexity": st.integers(0, 4)}),
+    **{kind: st.fixed_dictionaries({"units": st.integers(0, 9)})
+       for kind in ("wu_completed", "wu_dropped", "wu_timed_out")},
+    "rating_issued": st.fixed_dictionaries({
+        "subject": AGENT, "value": st.sampled_from([-1, -0.5, 0, 0.25, 1.0])}),
+    "credit_committed": st.fixed_dictionaries({"allocations": st.dictionaries(
+        st.sampled_from(LISTABLE), st.integers(0, 99), max_size=2)}),
+    "agent_up": st.fixed_dictionaries({"agent": AGENT}),
+    "agent_down": st.fixed_dictionaries({"agent": AGENT}),
+    "tc_event": st.fixed_dictionaries({
+        "community": st.sampled_from(["tc0", "tc1"]),
+        "kind": st.sampled_from(["joined", "joined", "left", "evicted", "dissolved",
+                                 "invited"]),
+        "agent": AGENT}),
+    "wu_redistributed": st.builds(dict),
+    "server_down": st.builds(dict),
+}
+KINDS_AND_PAYLOADS = st.one_of([st.tuples(st.just(kind), payload)
+                                for kind, payload in PAYLOADS.items()])
+# Ticks as the engine writes them, but for some that are an equal True or
+# float, and ticks of any other kind.
+EQUAL_TICK = {"same": lambda t: t, "float": float, "bool": lambda t: True if t == 1 else t}
+ANY_TICKS = st.lists(st.integers(0, 14) | st.sampled_from(
+    [True, False, 1.0, 2.0, 2.5, float("nan"), "1", None, [1]]), min_size=1, max_size=25)
+# Changes that break a payload: (event index, change, key index, value).
+BREAKS = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(["drop", "value", "whole"]),
+                            st.integers(0, 3), json_values), max_size=4)
+
+
+@st.composite
+def fold_inputs(draw):
+    """A header and an event list: every tick rises within [1, horizon]
+    as the engine writes them, or all but one pair do, or the ticks are
+    any mix of ints in and out of range, floats, strings, null and a list.  Some payloads may be
+    broken; a credit names only agents the header lists, unless broken."""
+    horizon = draw(st.integers(0, 12))
+    listed = draw(st.lists(st.sampled_from(LISTABLE), unique=True))
+    header = {"horizon": horizon, "agents": {
+        agent: {"profile": profile, "online": online} for agent, (profile, online)
+        in zip(listed, draw(st.lists(st.tuples(st.sampled_from(["reliable", "malicious"]),
+                                               st.booleans()), min_size=3, max_size=3)))}}
+    window = draw(st.none() | st.integers(0, 4))
+    if window is not None:
+        header["window"] = window
+    order = draw(st.sampled_from(["rising", "one pair swapped", "any"]))
+    if horizon and order != "any":
+        equal = EQUAL_TICK[draw(st.sampled_from(sorted(EQUAL_TICK)))]
+        ticks = [equal(t) if t % 2 else t for t in sorted(draw(st.lists(
+            st.integers(1, horizon), min_size=1, max_size=25)))]
+        if order == "one pair swapped":
+            i, j = (draw(st.integers(0, len(ticks) - 1)) for _ in range(2))
+            ticks[i], ticks[j] = ticks[j], ticks[i]
+    else:
+        ticks = draw(ANY_TICKS)
+    kinds_and_payloads = [
+        (kind, {"allocations": {agent: millis for agent, millis
+                                in payload["allocations"].items() if agent in listed}}
+         if kind == "credit_committed" else payload)
+        for kind, payload in draw(st.lists(KINDS_AND_PAYLOADS, min_size=len(ticks),
+                                           max_size=len(ticks)))]
+    for i, change, key, value in draw(BREAKS):
+        if i >= len(ticks):
+            continue
+        kind, payload = kinds_and_payloads[i]
+        if change == "whole" or not payload or not isinstance(payload, dict):
+            payload = value
+        elif change == "drop":
+            del payload[sorted(payload)[key % len(payload)]]
+        else:
+            payload[sorted(payload)[key % len(payload)]] = value
+        kinds_and_payloads[i] = kind, payload
+    return header, [SimEvent(tick, kind, payload)
+                    for tick, (kind, payload) in zip(ticks, kinds_and_payloads)]
+
+
+def fold_outcome(fold, header, events):
+    """What `fold` makes of a log: its rows (as text, so NaN equals NaN)
+    and series, or the error it raises."""
+    try:
+        report = fold(header, events)
+    except Exception as exc:  # an EventLogError, or an error the fold lets through
+        return type(exc), str(exc)
+    return repr(report.scalar_rows()), report.series
+
+
+# An error on a rising prefix, then an earlier tick whose event fails too,
+# or a tick that no dict can hold: the later line is the one named.
+@example(({"horizon": 2, "agents": {}},
+          [SimEvent(2, "wu_completed", {}), SimEvent(1, "wu_dropped", {})]))
+@example(({"horizon": 2, "agents": {}},
+          [SimEvent(1, "wu_completed", {}), SimEvent([1], "wu_issued", {})]))
+@settings(max_examples=400, deadline=None)
+@given(fold_inputs())
+def test_the_fold_gives_what_the_reference_fold_gives(log):
+    header, events = log
+    assert fold_outcome(compute_metrics, header, events) == (
+        fold_outcome(reference_fold, header, events))

@@ -688,6 +688,26 @@ def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
     assert "Traceback" not in err
 
 
+def test_min_size_zero_still_needs_an_agent_to_form(tmp_path):
+    # With min_size = 0 a founder once formed tc0 on tick 1 with no agent
+    # in it: an empty invitation list met a quorum of 0.
+    text = (SCENARIOS / "etc_throughput.ini").read_text(encoding="utf-8")
+    assert text.count("formation = on\n") == 1
+    cfg = parse_scenario(write(tmp_path, text.replace(
+        "formation = on\n", "formation = on\nmin_size = 0\n")))
+    cfg.horizon_ticks = 30
+    world, _, _ = run(cfg)
+    formed = {}  # community -> the members that joined on its formation tick
+    for ev in world.events:
+        if ev.kind == "tc_event" and ev.payload["kind"] == "joined":
+            tick, members = formed.setdefault(ev.payload["community"], (ev.tick, []))
+            if ev.tick == tick:
+                members.append(ev.payload["agent"])
+    assert formed
+    for community, (_, members) in formed.items():
+        assert set(members) & set(world.agents), (community, members)
+
+
 def test_label_with_colon_dot_and_underscore_verifies(tmp_path, capsys):
     # An agent id ends up in every ledger line that credits it.
     scenario = edited_defaults(tmp_path, "[agents workers]", "[agents w:1.x_y]")
