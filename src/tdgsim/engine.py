@@ -27,7 +27,9 @@ from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
 from .eventlog import SimEvent
-from .ledger import Ledger, split_credits
+# split_credits is not called here; it stays importable for tracers that
+# patch it (bench/layertrace.py).
+from .ledger import Ledger, split_credits  # noqa: F401
 from .trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause, ReplicationLimits,
                     ReputationProfile, classify, effective_f_min,
                     raw_replication_factor, roulette_round, sum_left)
@@ -513,11 +515,9 @@ class World:
 
     def _commit_credit(self, wu: WorkUnit, participants: List[str]) -> int:
         credit_total = self.config.base_credit_millis * wu.complexity
-        allocations = split_credits(credit_total, participants)
-        self.ledger.append_block(wu.id, allocations, self.tick,
-                                 expected_total=credit_total)
+        block = self.ledger.commit(wu.id, credit_total, participants, self.tick)
         self.emit("credit_committed", wu=wu.id,
-                  allocations=dict(allocations))
+                  allocations=dict(block.allocations))
         return credit_total
 
     def _validate_centralized(self) -> None:

@@ -3,11 +3,19 @@
 Integrity without consensus: every block commits to its predecessor via
 SHA-256, so any later tampering is detectable by a full re-verification.
 Amounts are integer millicredits for exact, platform-independent sums.
+
+`Ledger.commit` credits a work unit in one pass: a one-participant credit
+(every centralized one) is its own allocation and text, with no sort, no
+split and no re-sum; two or more participants are split once, by
+`split_credits`.  A block's hash covers the payload that `_digest` states.
+An exported ledger parses back only if its index, tick and amount fields
+are integers written as `str(int)` writes them, so no other spelling of a
+number verifies.
 """
 from __future__ import annotations
 
-import hashlib
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from hashlib import sha256
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 GENESIS_PREV = "0" * 64
 
@@ -22,11 +30,18 @@ class AuditError(RuntimeError):
     """A credit chain failed verification (queried or audited after a run)."""
 
 
+def _alloc_text(allocations: Iterable[Allocation]) -> str:
+    return ",".join([f"{agent}:{mc}" for agent, mc in allocations])
+
+
+def _digest(index: int, prev_hash: str, wu: str, alloc_text: str, tick: int) -> str:
+    """The hash of a block: what a commit writes and `verify_chain` checks."""
+    return sha256(f"{index}|{prev_hash}|{wu}|{alloc_text}|{tick}".encode()).hexdigest()
+
+
 def block_digest(index: int, prev_hash: str, wu: str,
                  allocations: Sequence[Allocation], tick: int) -> str:
-    alloc_part = ",".join([f"{agent}:{mc}" for agent, mc in allocations])
-    payload = f"{index}|{prev_hash}|{wu}|{alloc_part}|{tick}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(index, prev_hash, wu, _alloc_text(allocations), tick)
 
 
 class CreditBlock(NamedTuple):
@@ -45,9 +60,7 @@ class CreditBlock(NamedTuple):
         return sum(mc for _, mc in self.allocations)
 
 
-def split_credits(total: int, participants: Sequence[str]) -> List[Allocation]:
-    """Even split; the remainder goes one millicredit each to the
-    participants with the smallest agent ids."""
+def _split(total: int, participants: Sequence[str]) -> Tuple[Allocation, ...]:
     if not participants:
         raise LedgerError("cannot split credits among zero participants")
     if total < 0:
@@ -56,8 +69,14 @@ def split_credits(total: int, participants: Sequence[str]) -> List[Allocation]:
     if len(ordered) != len(participants):
         raise LedgerError("duplicate participants in credit split")
     base, remainder = divmod(total, len(ordered))
-    return [(agent, base + (1 if i < remainder else 0))
-            for i, agent in enumerate(ordered)]
+    return tuple([(agent, base + (1 if i < remainder else 0))
+                  for i, agent in enumerate(ordered)])
+
+
+def split_credits(total: int, participants: Sequence[str]) -> List[Allocation]:
+    """Even split; the remainder goes one millicredit each to the
+    participants with the smallest agent ids."""
+    return list(_split(total, participants))
 
 
 class Ledger:
@@ -67,6 +86,19 @@ class Ledger:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    def commit(self, wu: str, total: int, participants: Sequence[str],
+               tick: int) -> CreditBlock:
+        """Credit `total` to `participants` for `wu`, split evenly."""
+        if len(participants) == 1:
+            if total < 0:
+                raise LedgerError(f"negative credit total {total}")
+            agent = participants[0]
+            return self._append(wu, ((agent, total),), f"{agent}:{total}", tick)
+        allocations = _split(total, participants)
+        if sum([mc for _, mc in allocations]) != total:
+            raise LedgerError(f"allocations for {wu} do not sum to {total}")
+        return self._append(wu, allocations, _alloc_text(allocations), tick)
+
     def append_block(self, wu: str, allocations: Sequence[Allocation], tick: int,
                      expected_total: Optional[int] = None) -> CreditBlock:
         allocations = tuple(sorted(allocations))
@@ -74,21 +106,25 @@ class Ledger:
         if expected_total is not None and total != expected_total:
             raise LedgerError(
                 f"allocations for {wu} sum to {total}, expected {expected_total}")
-        index = len(self.blocks)
-        prev_hash = self.blocks[-1].hash if self.blocks else GENESIS_PREV
-        digest = block_digest(index, prev_hash, wu, allocations, tick)
+        return self._append(wu, allocations, _alloc_text(allocations), tick)
+
+    def _append(self, wu: str, allocations: Tuple[Allocation, ...], alloc_text: str,
+                tick: int) -> CreditBlock:
+        blocks = self.blocks
+        index = len(blocks)
+        prev_hash = blocks[-1].hash if blocks else GENESIS_PREV
         # Built without the Python-level __new__ that NamedTuple adds.
-        block = tuple.__new__(CreditBlock, (index, prev_hash, wu, allocations, tick, digest))
-        self.blocks.append(block)
+        block = tuple.__new__(CreditBlock, (index, prev_hash, wu, allocations, tick,
+                                            _digest(index, prev_hash, wu, alloc_text, tick)))
+        blocks.append(block)
         return block
 
     def verify_chain(self) -> Optional[int]:
         """None if intact, else the lowest index whose hash or linkage fails."""
         prev = GENESIS_PREV
-        for i, block in enumerate(self.blocks):
-            index, prev_hash, wu, allocations, tick, digest = block
+        for i, (index, prev_hash, wu, allocations, tick, digest) in enumerate(self.blocks):
             if (index != i or prev_hash != prev
-                    or digest != block_digest(i, prev_hash, wu, allocations, tick)):
+                    or digest != _digest(i, prev, wu, _alloc_text(allocations), tick)):
                 return i
             prev = digest
         return None
@@ -99,12 +135,22 @@ class Ledger:
     # Line format: index prev_hash wu agent:mc,agent:mc tick hash
     def export_lines(self) -> Iterable[str]:
         for index, prev_hash, wu, allocations, tick, digest in self.blocks:
-            alloc = ",".join(f"{a}:{mc}" for a, mc in allocations) or "-"
-            yield f"{index} {prev_hash} {wu} {alloc} {tick} {digest}"
+            yield f"{index} {prev_hash} {wu} {_alloc_text(allocations) or '-'} {tick} {digest}"
+
+
+def _plain_int(text: str) -> int:
+    """`int(text)`, if `text` is the one spelling str() gives that int."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not written as {value}")
+    return value
 
 
 def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
     blocks: List[CreditBlock] = []
+    # Each amount spelling met so far and its value.  A ledger repeats a
+    # few amounts, so this pays for the spelling check.
+    amounts: Dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         # Only ordinary line-ending whitespace is tolerated; anything else
         # must enter the digest check and fail verification.
@@ -115,16 +161,31 @@ def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
         if len(parts) != 6:
             raise LedgerError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         index, prev_hash, wu, alloc_part, tick, digest = parts
-        allocations: List[Allocation] = []
+        # A number is read back only in the one spelling str() gives it, so
+        # "+7", "0500", "5_00", "٥٠٠", "00" or a trailing tab, which int()
+        # accepts, cannot stand for the value the digest was taken over.
         try:
-            if alloc_part != "-":
+            if alloc_part == "-":
+                allocations: Tuple[Allocation, ...] = ()
+            elif "," not in alloc_part:  # one participant, as every centralized block
+                agent, _, mc = alloc_part.rpartition(":")
+                mc_n = amounts.get(mc)
+                if mc_n is None:
+                    mc_n = amounts[mc] = _plain_int(mc)
+                allocations = ((agent, mc_n),)
+            else:
+                pairs = []
                 for pair in alloc_part.split(","):
                     agent, _, mc = pair.rpartition(":")
-                    allocations.append((agent, int(mc)))
-            index_n, tick_n = int(index), int(tick)
+                    mc_n = amounts.get(mc)
+                    if mc_n is None:
+                        mc_n = amounts[mc] = _plain_int(mc)
+                    pairs.append((agent, mc_n))
+                allocations = tuple(pairs)
+            index_n, tick_n = _plain_int(index), _plain_int(tick)
         except ValueError as exc:
             raise LedgerError(f"line {lineno}: an index, tick or millicredit "
-                              f"field is not an integer: {exc}") from None
-        blocks.append(CreditBlock(index_n, prev_hash, wu, tuple(allocations),
-                                  tick_n, digest))
+                              f"field is not an integer in plain form: {exc}") from None
+        blocks.append(tuple.__new__(CreditBlock, (index_n, prev_hash, wu,
+                                                  allocations, tick_n, digest)))
     return Ledger(blocks)

@@ -1,13 +1,17 @@
 """Hash-chained credit ledger tests with independent digest oracles."""
 import hashlib
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tdgsim.cli import main
+from tdgsim.engine import World
 from tdgsim.ledger import (GENESIS_PREV, AuditError, CreditBlock, Ledger,
                            LedgerError, block_digest, parse_ledger_lines,
                            split_credits)
 
+import reference_ledger
 from ledger_balances import balance, balances
 
 
@@ -121,3 +125,98 @@ def test_parse_handles_agent_ids_with_dashes():
     parsed = parse_ledger_lines(ledger.export_lines())
     assert parsed.verify_chain() is None
     assert balances(parsed) == {"rel-003": 250, "rel-011": 250}
+
+
+def two_block_lines():
+    ledger = Ledger()
+    ledger.append_block("wu0", [("b", 500)], 7)
+    ledger.append_block("wu1", [("a", 250), ("b", 250)], 8)
+    return list(ledger.export_lines())
+
+
+# Each spelling reads as the number that was hashed (index 0, amount 500,
+# tick 7 on line 1; amount 250 on line 2), so only the parser can reject it.
+@pytest.mark.parametrize("lineno, field, spelling", [
+    (1, 4, "+7"), (1, 3, "b:0500"), (1, 3, "b:5_00"), (1, 3, "b:\u0665\u0660\u0660"),
+    (1, 3, "b:500\t"), (1, 0, "00"), (2, 3, "a:250,b:+250")])
+def test_parse_rejects_an_integer_in_any_other_spelling(lineno, field, spelling):
+    lines = two_block_lines()
+    parts = lines[lineno - 1].split(" ")
+    assert int(spelling.rpartition(":")[2]) == int(parts[field].rpartition(":")[2])
+    parts[field] = spelling
+    lines[lineno - 1] = " ".join(parts)
+    with pytest.raises(LedgerError,
+                       match=rf"^line {lineno}: .*not an integer in plain form"):
+        parse_ledger_lines(lines)
+
+
+def test_cli_verify_ledger_exits_3_on_a_respelled_tick(tmp_path, capsys):
+    lines = two_block_lines()
+    path = tmp_path / "ledger.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify-ledger", str(path)]) == 0
+    capsys.readouterr()
+    parts = lines[0].split(" ")
+    parts[4] = "+7"
+    path.write_text("\n".join([" ".join(parts)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["verify-ledger", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("ledger parse error: line 1: ")
+
+
+def engine_stand_in():
+    """What `World._commit_credit` reads: a base credit of 1 (so a work
+    unit's complexity is its credit), the ledger, the tick and `emit`."""
+    host = SimpleNamespace(config=SimpleNamespace(base_credit_millis=1),
+                           ledger=Ledger(), tick=0, events=[])
+    host.emit = lambda kind, **payload: World.emit(host, kind, **payload)
+    return host
+
+
+def outcome(commit):
+    try:
+        commit()
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+AGENT = st.text("abwxyz0123456789-", min_size=1, max_size=6)
+PARTICIPANTS = st.lists(AGENT, min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 10**9), PARTICIPANTS), min_size=1, max_size=30))
+def test_commit_gives_what_the_reference_commit_gives(commits):
+    host, reference = engine_stand_in(), reference_ledger.Ledger()
+    for n, (total, participants) in enumerate(commits):
+        host.tick = n // 3 + 1
+        wu = SimpleNamespace(id=f"wu{n:05d}", complexity=total)
+        assert World._commit_credit(host, wu, participants) == total
+        expected = reference_ledger.commit_credit(reference, wu.id, total,
+                                                  participants, host.tick)
+        event = host.events[-1]
+        assert (event.tick, event.kind, event.payload["wu"]) == (
+            host.tick, "credit_committed", wu.id)
+        assert list(event.payload["allocations"].items()) == list(expected.items())
+    assert host.ledger.blocks == reference.blocks
+    assert list(host.ledger.export_lines()) == list(reference.export_lines())
+    assert host.ledger.verify_chain() is None
+
+
+BAD_COMMITS = st.one_of(
+    st.tuples(st.integers(-10**9, 10**9), st.just([])),
+    st.tuples(st.integers(-10**9, -1), PARTICIPANTS),
+    st.tuples(st.integers(-10**9, 10**9),
+              PARTICIPANTS.flatmap(lambda ps: st.permutations(ps + ps[:1]))))
+
+
+@given(BAD_COMMITS)
+def test_a_bad_commit_fails_as_the_reference_commit_fails(bad):
+    total, participants = bad
+    host, reference = engine_stand_in(), reference_ledger.Ledger()
+    wu = SimpleNamespace(id="wu00000", complexity=total)
+    expected = outcome(lambda: reference_ledger.commit_credit(
+        reference, wu.id, total, participants, 1))
+    assert expected is not None and expected[0] is LedgerError
+    assert outcome(lambda: World._commit_credit(host, wu, participants)) == expected
+    assert host.ledger.blocks == [] and host.events == []
