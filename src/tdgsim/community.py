@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .config import Params
 from .eventlog import SimEvent
@@ -119,6 +119,15 @@ class TrustCommunity:
         self.log(tick, EventKind.DISSOLVED)
 
 
+def _best_invites(taus: Mapping[str, float], excluded: Container[str], n: int,
+                  params: Params) -> List[str]:
+    """The first `n` agents of `taus` at or above the join threshold and
+    not `excluded`, best reputation first, ties by id."""
+    ranked = sorted((-tau, a) for a, tau in taus.items()
+                    if tau >= params.join_threshold and a not in excluded)
+    return [a for _, a in ranked[:n]]
+
+
 def evaluate_formation(founder: str, reputations: Mapping[str, float],
                        params: Params) -> Optional[List[str]]:
     """Invitation list for a new community, or None below quorum.
@@ -129,10 +138,7 @@ def evaluate_formation(founder: str, reputations: Mapping[str, float],
     The cap counts agents only: with its founder, a community formed
     from a full list has max_size + 1 members.
     """
-    eligible = [(tau, a) for a, tau in reputations.items()
-                if a != founder and tau >= params.join_threshold]
-    eligible.sort(key=lambda it: (-it[0], it[1]))
-    invites = [a for _, a in eligible[:params.max_size]]
+    invites = _best_invites(reputations, (founder,), params.max_size, params)
     if len(invites) < params.quorum:
         return None
     return invites
@@ -192,11 +198,7 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
     room = params.max_size - len(tc.members)
     if room <= 0:
         return evict, []
-    eligible = [(tau, a) for a, tau in outsiders.items()
-                if tau >= params.join_threshold
-                and a not in tc.members and a not in tc.declined]
-    eligible.sort(key=lambda it: (-it[0], it[1]))
-    return evict, [a for _, a in eligible[:room]]
+    return evict, _best_invites(outsiders, tc.declined.union(tc.members), room, params)
 
 
 def dissolve_check(tc: TrustCommunity, params: Params,

@@ -31,7 +31,7 @@ from .eventlog import SimEvent
 # patch it (bench/layertrace.py).
 from .ledger import Ledger, split_credits  # noqa: F401
 from .trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause, ReplicationLimits,
-                    ReputationProfile, classify, effective_f_min,
+                    ReputationStore, classify, effective_f_min,
                     raw_replication_factor, roulette_round, sum_left)
 
 
@@ -138,29 +138,6 @@ def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[Tuple[str, fl
             return _WRONG
         return _LATE if outcome.late else _ON_TIME
     return _DROPPED if outcome.kind == "dropped" else _TIMED_OUT
-
-
-class ReputationStore:
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.profiles: Dict[str, ReputationProfile] = {}
-        # Each rated subject's tau, kept by `record`; a subject it lacks is
-        # neutral.  Lifecycle reads it as a map, without a call per member.
-        self.taus: Dict[str, float] = {}
-
-    def profile(self, subject: str) -> ReputationProfile:
-        if subject not in self.profiles:
-            self.profiles[subject] = ReputationProfile(self.window)
-        return self.profiles[subject]
-
-    def tau(self, subject: str) -> float:
-        prof = self.profiles.get(subject)
-        return prof.tau if prof is not None else NEUTRAL_TAU
-
-    def record(self, subject: str, value: float) -> None:
-        profile = self.profile(subject)
-        profile.push(value)
-        self.taus[subject] = profile.tau
 
 
 def stream(seed: int, name: str) -> random.Random:

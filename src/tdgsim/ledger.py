@@ -10,7 +10,8 @@ split and no re-sum; two or more participants are split once, by
 `split_credits`.  A block's hash covers the payload that `_digest` states.
 An exported ledger parses back only if its index, tick and amount fields
 are integers written as `str(int)` writes them, so no other spelling of a
-number verifies.
+number verifies.  A line loses only its line ending, and empty lines may
+only follow the last block.
 """
 from __future__ import annotations
 
@@ -151,12 +152,17 @@ def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
     # Each amount spelling met so far and its value.  A ledger repeats a
     # few amounts, so this pays for the spelling check.
     amounts: Dict[str, int] = {}
+    blank = 0  # the first empty line: only empty lines may follow it
     for lineno, line in enumerate(lines, start=1):
-        # Only ordinary line-ending whitespace is tolerated; anything else
-        # must enter the digest check and fail verification.
-        line = line.strip(" \r\n")
+        # Only the line ending is removed; any other whitespace must fail
+        # the field checks or the digest check.
+        line = line.rstrip("\r\n")
         if not line:
+            blank = blank or lineno
             continue
+        if blank:
+            raise LedgerError(f"line {blank}: an empty line before the block "
+                              f"on line {lineno}")
         parts = line.split(" ")
         if len(parts) != 6:
             raise LedgerError(f"line {lineno}: expected 6 fields, got {len(parts)}")

@@ -6,22 +6,23 @@ from the persisted events alone.  Communities keep no history either:
 each writes its `tc_event`s straight into the log, and `compute_metrics`
 is the package's only fold of them (the `etc_size` series).
 
-The fold reads a log once, in order, and costs nothing per tick that
-holds no event: the active-agent count and the community size are
-running counts that only `agent_up`, `agent_down` and `tc_event` change,
-and a run of quiet ticks gets their slots in one C-level `extend` when
-the next event's tick arrives, the tail after the last event at the end.
+The fold reads a log once, in the order the engine writes it, and costs
+nothing per tick that holds no event: the active-agent count and the
+community size are running counts that only `agent_up`, `agent_down` and
+`tc_event` change, and a run of quiet ticks gets their slots in one
+C-level `extend` when the next event's tick arrives, the tail after the
+last event at the end.  A log whose ticks do not rise within [1, horizon]
+is not the engine's: the first line that breaks the order is an error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .engine import ReputationStore
 from .eventlog import EventLogError, SimEvent
-from .trust import sum_left
+from .trust import ReputationStore, sum_left
 
 
 @dataclass
@@ -57,56 +58,16 @@ class MetricsReport:
         return rows
 
 
-class _Unordered(Exception):
-    """A log whose ticks are not ints rising within [1, horizon]."""
-
-
-def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
-    """Fold `events` tick by tick, from tick 1 to the header's horizon,
-    each tick's events in log order.  An event whose tick equals no int
-    in [1, horizon] is not folded.
-
-    The engine writes int ticks in [1, horizon] that never go down, so
-    the first pass reads the list as it is.  Any other list (a tick out
-    of order or out of range, `True`, `1.0`, a string) is grouped by
-    tick in a dict first, then folded by the same loop, so it gives what
-    the fold gave when it grouped every log: the same report, or the
-    same error naming the same line."""
-    try:
-        return _fold(header, events, in_order=True)
-    except _Unordered:
-        pass  # out of the handler, so the first pass's lists are freed
-    return _fold(header, events, in_order=False)
-
-
 _TICK = itemgetter(0)
 
 
-def _rising_groups(events: Sequence[SimEvent],
-                   horizon: int) -> Iterator[Tuple[int, Iterator[SimEvent]]]:
-    """Each run of events with one tick, while the runs' ticks are ints
-    that rise within [1, horizon]; raises _Unordered at the first that
-    does not.  A run holds what equals its first tick, such as `True` or
-    `1.0` after a 1, as the dict grouping would."""
-    last = 0
-    for tick, group in groupby(events, _TICK):
-        if type(tick) is not int or not last < tick <= horizon:
-            raise _Unordered
-        last = tick
-        yield tick, group
+def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
+    """Fold `events` in log order, one run of equal ticks at a time.
 
-
-def _tick_of(key, horizon: int) -> int:
-    """The tick t in [1, horizon] for which `by_tick.get(t)` finds the
-    events grouped under `key`, or 0 if there is none."""
-    try:
-        tick = int(key)
-    except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
-        return 0
-    return tick if tick == key and 1 <= tick <= horizon else 0
-
-
-def _fold(header: dict, events: Sequence[SimEvent], in_order: bool) -> MetricsReport:
+    Each run's tick must be an int above the last run's and at most the
+    horizon, or the run's first line is an error.  A run holds what
+    equals its first tick, so a `true` or `1.0` right after a 1 is
+    tick 1."""
     horizon = header["horizon"]
     profiles = {a: info["profile"] for a, info in header["agents"].items()}
     report = MetricsReport(horizon=horizon)
@@ -139,16 +100,14 @@ def _fold(header: dict, events: Sequence[SimEvent], in_order: bool) -> MetricsRe
     credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
 
     # Each value is checked where the fold reads it; the header is line 1.
+    last = 0  # the tick of the last run
     try:
-        if in_order:
-            groups = _rising_groups(events, horizon)
-        else:
-            by_tick: Dict[object, List[SimEvent]] = {}
-            for ev in events:
-                by_tick.setdefault(ev.tick, []).append(ev)
-            ticked = ((_tick_of(key, horizon), group) for key, group in by_tick.items())
-            groups = sorted((tick, group) for tick, group in ticked if tick)
-        for tick, group in groups:
+        for tick, group in groupby(events, _TICK):
+            if type(tick) is not int or not last < tick <= horizon:
+                ev = next(group)  # the run's first event, whose line is named
+                raise ValueError(f"tick {tick!r} is not an int after tick {last} "
+                                 f"and at most the horizon {horizon}")
+            last = tick
             quiet = tick - len(active_per_tick)  # the ticks since the last event's
             active_per_tick.extend(repeat(active, quiet))
             etc_per_tick.extend(repeat(etc_size, quiet))
@@ -194,15 +153,7 @@ def _fold(header: dict, events: Sequence[SimEvent], in_order: bool) -> MetricsRe
                     elif p["kind"] == "dissolved":
                         members.clear()
                     etc_size += len(members) - size
-    except Exception as exc:
-        # Whatever the error, a later tick out of order means the list must
-        # be folded again, grouped: draining `groups` raises _Unordered.
-        # (It does nothing when the error is that _Unordered.)
-        if in_order:
-            for _ in groups:
-                pass
-        if not isinstance(exc, (KeyError, TypeError, ValueError)):
-            raise
+    except (KeyError, TypeError, ValueError) as exc:
         line = next(i for i, e in enumerate(events) if e is ev) + 2
         raise EventLogError(line, f"{ev.kind} event: {exc!r}") from None
     tail = horizon + 1 - len(active_per_tick)  # the ticks after the last event's

@@ -5,7 +5,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Iterable
+from typing import Deque, Dict, Iterable
 
 
 class ValidationError(ValueError):
@@ -110,6 +110,31 @@ class ReputationProfile:
         window.append(value)
         self.total += value
         self.tau = (1.0 + self.total / len(window)) / 2.0
+
+
+class ReputationStore:
+    """A profile per rated subject: the engine's, and the metrics fold's."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.profiles: Dict[str, ReputationProfile] = {}
+        # Each rated subject's tau, kept by `record`; a subject it lacks is
+        # neutral.  Lifecycle reads it as a map, without a call per member.
+        self.taus: Dict[str, float] = {}
+
+    def profile(self, subject: str) -> ReputationProfile:
+        if subject not in self.profiles:
+            self.profiles[subject] = ReputationProfile(self.window)
+        return self.profiles[subject]
+
+    def tau(self, subject: str) -> float:
+        prof = self.profiles.get(subject)
+        return prof.tau if prof is not None else NEUTRAL_TAU
+
+    def record(self, subject: str, value: float) -> None:
+        profile = self.profile(subject)
+        profile.push(value)
+        self.taus[subject] = profile.tau
 
 
 def classify(tau: float) -> TrustClass:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from event_schema import EVENT_KEYS, SCENARIOS, TRUST_ONLY_KINDS, payload_keys
-from golden_cases import CASES, scenario_file
+from golden_cases import CASES, pinned, run_case, scenario_file
 from reference_fold import compute_metrics as reference_fold
 from tdgsim.cli import main
 from tdgsim.eventlog import EventLogError, SimEvent
@@ -112,6 +112,18 @@ def paths(value, at=()):
         yield from paths(item, at + (key,))
 
 
+def first_break_line(lines):
+    """The line of the first event whose tick the fold rejects (see
+    `first_break`), or None if there is none or the reader rejects the
+    header or an event's keys first."""
+    try:
+        events = [SimEvent(line["t"], line["k"], line["p"]) for line in lines[1:]]
+        breaking = first_break(lines[0]["horizon"], events)
+    except (KeyError, TypeError):
+        return None
+    return None if breaking is None else breaking + 2
+
+
 def first_orphan_credit(lines, agents):
     """The line of the first credit to an agent that `agents` lacks."""
     return next((number for number, line in enumerate(lines[1:], start=2)
@@ -157,6 +169,10 @@ def test_replay_of_one_changed_value_exits_zero_or_names_its_line(short_log, dat
         # A header the reader accepts may no longer list an agent that an
         # event credits; the fold names that event's line.
         named.add(first_orphan_credit(changed, line["agents"]))
+    # A changed tick, or horizon, may make a later line the first whose tick
+    # does not rise within [1, horizon]: the line after a tick raised above
+    # it, or the first event past a lowered horizon.
+    named.add(first_break_line(changed))
     if code != 0:
         assert code == 2, err
         assert any(err.startswith(f"runtime error: {log}: line {n}: ") for n in named), err
@@ -235,15 +251,30 @@ def test_a_credit_to_an_agent_the_header_lacks_names_its_line(short_log, tmp_pat
 
 
 def test_the_fold_names_the_line_of_an_event_it_cannot_read():
-    # The fold reads by tick, so the tick-1 event on line 3 is read before
-    # the tick-2 event on line 2; the error still names the list position.
+    # The fold reads in log order, so the tick-1 event on line 3, after a
+    # tick-2 event, is an error for its tick before its payload is read.
     header = {"horizon": 2, "agents": {"a": {"profile": "reliable", "online": True}}}
     events = [SimEvent(2, "wu_completed", {"units": 1}),
               SimEvent(1, "rating_issued", {"subject": "a", "value": 7})]
     with pytest.raises(EventLogError) as exc:
         compute_metrics(header, events)
     assert exc.value.line == 3
-    assert str(exc.value).startswith("line 3: rating_issued event: ValidationError(")
+    assert str(exc.value).startswith("line 3: rating_issued event: ValueError('tick 1 ")
+
+
+def test_replay_names_the_later_of_two_swapped_lines(tmp_path):
+    # Two adjacent event lines of a golden log, of different ticks, swapped:
+    # the later line's tick is below the one before it.
+    _, digests = run_case("defaults", tmp_path)
+    assert digests["events.jsonl"] == pinned("defaults")["events.jsonl"]
+    log = tmp_path / "events.jsonl"
+    texts = log.read_text(encoding="utf-8").splitlines()
+    ticks = [json.loads(text)["t"] for text in texts[1:]]
+    i = next(i for i in range(len(ticks) - 1) if ticks[i] != ticks[i + 1]) + 1
+    texts[i], texts[i + 1] = texts[i + 1], texts[i]
+    code, err = replay_text(log, texts)
+    assert code == 2
+    assert err.startswith(f"runtime error: {log}: line {i + 2}: "), err
 
 
 # ---------------------------------------------- the fold and its reference
@@ -341,8 +372,22 @@ def fold_outcome(fold, header, events):
     return repr(report.scalar_rows()), report.series
 
 
+def first_break(horizon, events):
+    """The index of the first event that starts a run of equal ticks whose
+    tick is not an int above the last run's and at most `horizon`, or
+    None.  A run holds the events whose ticks equal its first one's."""
+    last = 0
+    for i, (tick, _, _) in enumerate(events):
+        if i and tick == last:
+            continue
+        if type(tick) is not int or not last < tick <= horizon:
+            return i
+        last = tick
+    return None
+
+
 # An error on a rising prefix, then an earlier tick whose event fails too,
-# or a tick that no dict can hold: the later line is the one named.
+# or a tick that no dict can hold: the prefix's error is the one named.
 @example(({"horizon": 2, "agents": {}},
           [SimEvent(2, "wu_completed", {}), SimEvent(1, "wu_dropped", {})]))
 @example(({"horizon": 2, "agents": {}},
@@ -350,6 +395,21 @@ def fold_outcome(fold, header, events):
 @settings(max_examples=400, deadline=None)
 @given(fold_inputs())
 def test_the_fold_gives_what_the_reference_fold_gives(log):
+    # A log whose ticks rise as runs folds as the reference folds it.  Any
+    # other log fails as the reference fails on the events before its
+    # first breaking line, or, if that folds, names that line.
     header, events = log
-    assert fold_outcome(compute_metrics, header, events) == (
-        fold_outcome(reference_fold, header, events))
+    outcome = fold_outcome(compute_metrics, header, events)
+    breaking = first_break(header["horizon"], events)
+    if breaking is None:
+        assert outcome == fold_outcome(reference_fold, header, events)
+        return
+    try:
+        reference_fold(header, events[:breaking])
+    except Exception as exc:  # an EventLogError, or an error the fold lets through
+        assert outcome == (type(exc), str(exc))
+    else:
+        assert outcome[0] is EventLogError
+        assert outcome[1].startswith(
+            f"line {breaking + 2}: {events[breaking].kind} event: ValueError("), outcome
+        assert " is not an int after tick " in outcome[1], outcome

@@ -163,6 +163,37 @@ def test_cli_verify_ledger_exits_3_on_a_respelled_tick(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ledger parse error: line 1: ")
 
 
+# A line loses only its line ending, and empty lines may only follow the
+# last block.
+@pytest.mark.parametrize("make, lineno", [
+    (lambda l0, l1: ["   ", l0, "", "\r", l1], 1),
+    (lambda l0, l1: [l0, "", "\r", l1], 2),
+    (lambda l0, l1: [l0, "\r", l1, ""], 2),
+    (lambda l0, l1: [l0 + " ", l1], 1),
+    (lambda l0, l1: [l0, " " + l1], 2),
+], ids=["spaces before line 1", "empty lines between blocks", "CR between blocks",
+        "trailing space", "leading space"])
+def test_parse_names_a_line_that_is_neither_a_block_nor_after_the_last(make, lineno):
+    with pytest.raises(LedgerError, match=rf"^line {lineno}: "):
+        parse_ledger_lines(make(*two_block_lines()))
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("{0}\n{1}\n", None), ("{0}\n{1}", None), ("{0}\r\n{1}\r\n\n\n", None),
+    ("   \n{0}\n\n\r\n{1}\n", 1), ("{0}\n\n\r\n{1}\n", 2)],
+    ids=["final newline", "no final newline", "CRLF and empty lines at the end",
+         "spaces before line 1", "empty lines between blocks"])
+def test_cli_verify_ledger_accepts_empty_lines_only_at_the_end(tmp_path, capsys, text, lineno):
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(text.format(*two_block_lines()).encode())
+    code = main(["verify-ledger", str(path)])
+    if lineno is None:
+        assert code == 0
+    else:
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"ledger parse error: line {lineno}: ")
+
+
 def engine_stand_in():
     """What `World._commit_credit` reads: a base credit of 1 (so a work
     unit's complexity is its credit), the ledger, the tick and `emit`."""
