@@ -9,6 +9,7 @@ from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .config import Params
 from .eventlog import SimEvent
+from .trust import NEUTRAL_TAU
 
 
 class StateError(RuntimeError):
@@ -109,7 +110,7 @@ class TrustCommunity:
         self._transition(Phase.FORMATION, tick)
         self.add_member(self.founder, tick, founder_tau)
         for a in sorted(joiners):
-            self.add_member(a, tick, taus.get(a, 0.5))
+            self.add_member(a, tick, taus.get(a, NEUTRAL_TAU))
 
     def dissolve(self, tick: int) -> None:
         self._transition(Phase.DISSOLVED, tick)
@@ -192,7 +193,7 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
     for a in sorted(tc.members):
         if a == tc.tcm:
             continue
-        tau = reputations.get(a, 0.5)
+        tau = reputations.get(a, NEUTRAL_TAU)
         if tau < params.evict_threshold or tc.join_tau.get(a, tau) - tau > params.drop_delta:
             evict.append(a)
     room = params.max_size - len(tc.members)

@@ -57,28 +57,24 @@ def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
     return ReplicaGroup(tuple(members), initiator.agent, take < initiator.f_min)
 
 
-def dods_assign(pool: Sequence[Candidate], allow_short: bool = False) -> ReplicaGroup:
+def dods_assign(pool: Sequence[Candidate]) -> ReplicaGroup:
     """Ordered strategy: sort by f_min, fill the group until the highest
     f_min inside it is satisfied (a fixed point, since joining agents can
     raise the maximum).
 
-    A group the pool cannot complete is returned short only when
-    allow_short is set and it has at least 2 members.
+    A group the pool cannot complete is flagged short, as by the other
+    strategies; fewer than 2 members is no group.
     """
-    ordered = sorted(pool, key=lambda c: (c.f_min, c.agent))
-    if not ordered:
-        raise SelectionFailed("empty pool")
-    group = [ordered[0]]
-    max_f = group[0].f_min
-    for c in ordered[1:]:
+    group: List[Candidate] = []
+    max_f = 0
+    for c in sorted(pool, key=lambda c: (c.f_min, c.agent)):
         if len(group) >= 1 + max_f:
             break
         group.append(c)
         max_f = max(max_f, c.f_min)
-    short = len(group) < 1 + max_f
-    if short and not (allow_short and len(group) >= 2):
+    if len(group) < 2:
         raise SelectionFailed(f"dods group of {len(group)} cannot reach {1 + max_f}")
-    return ReplicaGroup(tuple(c.agent for c in group), group[0].agent, short)
+    return ReplicaGroup(tuple(c.agent for c in group), group[0].agent, len(group) < 1 + max_f)
 
 
 def dgds_select(pool: Sequence[Candidate], rng,

@@ -370,7 +370,7 @@ class World:
                 group = self._select_group(list(pool.values()))
             except SelectionFailed:
                 break
-            if group.short and not params.allow_short_groups:
+            if group.short and not params.allow_short_groups:  # the one rule, for every strategy
                 break
             queue.popleft()
             accepted = []
@@ -406,7 +406,7 @@ class World:
             size = roulette_round(params.random_replication, self.rng_issue)
             return random_baseline_select(candidates, max(size, 1), self.rng_issue)
         if strategy == "dods":
-            return dods_assign(candidates, allow_short=params.allow_short_groups)
+            return dods_assign(candidates)
         if strategy == "dgds":
             try:
                 return dgds_select(candidates, self.rng_issue,

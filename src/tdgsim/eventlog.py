@@ -101,7 +101,7 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
     try:
         header = loads(next(lines, ""))
         # The header has all that the metrics fold reads from it.  A window
-        # is a deque's maxlen, and a horizon sizes the fold's per-tick lists.
+        # is a deque's maxlen, and a horizon is held to the same bound.
         window = header.get("window", 0) if isinstance(header, dict) else -1
         horizon = header.get("horizon") if isinstance(header, dict) else -1
         # type(), not isinstance(): JSON true and false load as bools, which are ints.

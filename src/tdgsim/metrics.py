@@ -6,23 +6,25 @@ from the persisted events alone.  Communities keep no history either:
 each writes its `tc_event`s straight into the log, and `compute_metrics`
 is the package's only fold of them (the `etc_size` series).
 
-The fold reads a log once, in the order the engine writes it, and costs
-nothing per tick that holds no event: the active-agent count and the
-community size are running counts that only `agent_up`, `agent_down` and
-`tc_event` change, and a run of quiet ticks gets their slots in one
-C-level `extend` when the next event's tick arrives, the tail after the
-last event at the end.  A log whose ticks do not rise within [1, horizon]
-is not the engine's: the first line that breaks the order is an error.
+The fold reads a log once, in the order the engine writes it, and holds
+nothing sized by the horizon: the active-agent count and the community
+size are running counts that only `agent_up`, `agent_down` and `tc_event`
+change, and the series is one row per tick that has events, which
+`tick_rows` expands to every tick.  A log whose ticks do not rise within
+[1, horizon] is not the engine's: the first line that breaks the order
+is an error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .eventlog import EventLogError, SimEvent
-from .trust import ReputationStore, sum_left
+from .trust import DEFAULT_WINDOW, ReputationStore, sum_left
+
+Row = Tuple[int, int, int, int, int]  # tick, issued, validated, active_agents, etc_size
 
 
 @dataclass
@@ -37,8 +39,9 @@ class MetricsReport:
     issuance_gap_ticks: int = 0
     mean_tau_by_profile: Dict[str, float] = field(default_factory=dict)
     credit_millis_by_profile: Dict[str, int] = field(default_factory=dict)
-    # Per-tick columns, indexed by tick: slot 0, before tick 1, is unused.
-    series: Dict[str, List[int]] = field(default_factory=dict)
+    # The state before tick 1 as tick 0's row, then one row per tick that
+    # has events, in tick order; `tick_rows` expands them to every tick.
+    series: List[Row] = field(default_factory=list)
 
     def scalar_rows(self) -> List[tuple]:
         rows = [
@@ -61,6 +64,20 @@ class MetricsReport:
 _TICK = itemgetter(0)
 
 
+def tick_rows(report: MetricsReport) -> Iterator[Row]:
+    """A row for every tick from 1 to the horizon: a tick without events
+    issues and validates nothing and carries the active-agent count and
+    the community size of the row before it."""
+    tick, _, _, active, etc = report.series[0]
+    for row in report.series[1:]:
+        for quiet in range(tick + 1, row[0]):
+            yield quiet, 0, 0, active, etc
+        yield row
+        tick, _, _, active, etc = row
+    for quiet in range(tick + 1, report.horizon + 1):
+        yield quiet, 0, 0, active, etc
+
+
 def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     """Fold `events` in log order, one run of equal ticks at a time.
 
@@ -76,27 +93,16 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     online = {a for a, info in header["agents"].items() if info["online"]}
     etc_members: Dict[str, set] = {}
 
-    try:  # a horizon past what a list can index fails here, allocating nothing
-        issued_per_tick, validated_per_tick = ([0] * (horizon + 1) for _ in range(2))
-    except (OverflowError, MemoryError) as exc:
-        raise EventLogError(1, f"header horizon {horizon} is too large "
-                               f"to fold: {exc!r}") from None
-    # Slot t is the running count after tick t's events; slot 0 is unused.
-    # Both grow a run of ticks at a time, from `repeat`, which builds no
-    # temporary list.  `online` may come to hold agents the header lacks;
-    # `active` counts only the known ones.
-    active_per_tick: List[int] = [0]
-    etc_per_tick: List[int] = [0]
-    active = len(online)
+    active = len(online)  # `online` may come to hold agents the header lacks
     etc_size = 0
+    series: List[Row] = [(0, 0, 0, active, etc_size)]
 
-    issued = validated = 0
     last_issue = gap = 0  # the last tick that issued work, the longest gap
     sum_group_sizes = 0
     wrong_validated = 0
     total_units = 0
     consensus_units = 0
-    store = ReputationStore(header.get("window", 50))
+    store = ReputationStore(header.get("window", DEFAULT_WINDOW))
     credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
 
     # Each value is checked where the fold reads it; the header is line 1.
@@ -108,9 +114,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                 raise ValueError(f"tick {tick!r} is not an int after tick {last} "
                                  f"and at most the horizon {horizon}")
             last = tick
-            quiet = tick - len(active_per_tick)  # the ticks since the last event's
-            active_per_tick.extend(repeat(active, quiet))
-            etc_per_tick.extend(repeat(etc_size, quiet))
+            issued_now = validated_now = 0
             for ev in group:
                 _, k, p = ev
                 if k in ("wu_completed", "wu_dropped", "wu_timed_out"):
@@ -118,15 +122,9 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                 elif k == "rating_issued":
                     store.profile(p["subject"]).push(p["value"])
                 elif k == "wu_issued":
-                    issued += 1
-                    issued_per_tick[tick] += 1
-                    if tick != last_issue:
-                        if last_issue and tick - last_issue - 1 > gap:
-                            gap = tick - last_issue - 1
-                        last_issue = tick
+                    issued_now += 1
                 elif k == "wu_validated":
-                    validated += 1
-                    validated_per_tick[tick] += 1
+                    validated_now += 1
                     sum_group_sizes += p["group_size"]
                     if not p["correct"]:
                         wrong_validated += 1
@@ -153,15 +151,17 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                     elif p["kind"] == "dissolved":
                         members.clear()
                     etc_size += len(members) - size
+            if issued_now:
+                if last_issue and tick - last_issue - 1 > gap:
+                    gap = tick - last_issue - 1
+                last_issue = tick
+            series.append((tick, issued_now, validated_now, active, etc_size))
     except (KeyError, TypeError, ValueError) as exc:
         line = next(i for i, e in enumerate(events) if e is ev) + 2
         raise EventLogError(line, f"{ev.kind} event: {exc!r}") from None
-    tail = horizon + 1 - len(active_per_tick)  # the ticks after the last event's
-    active_per_tick.extend(repeat(active, tail))
-    etc_per_tick.extend(repeat(etc_size, tail))
 
-    report.issued = issued
-    report.validated = validated
+    report.issued = sum(row[1] for row in series)
+    report.validated = sum(row[2] for row in series)
     report.throughput = report.validated / horizon if horizon else 0.0
     report.replication_overhead = (sum_group_sizes / report.validated
                                    if report.validated else 0.0)
@@ -176,11 +176,5 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     report.mean_tau_by_profile = {
         prof: sum_left(taus) / len(taus) for prof, taus in tau_by_profile.items()}
     report.credit_millis_by_profile = credit_by_profile
-
-    report.series = {
-        "issued": issued_per_tick,
-        "validated": validated_per_tick,
-        "active_agents": active_per_tick,
-        "etc_size": etc_per_tick,
-    }
+    report.series = series
     return report

@@ -12,15 +12,17 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig)
-from .engine import World
 # bench/ imports read_event_log from here and patches write_event_log here
 from .eventlog import read_event_log, write_event_log  # noqa: F401
 from .ledger import AuditError, Ledger
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport, compute_metrics, tick_rows
+
+if TYPE_CHECKING:  # `run` imports it: replay and verify-ledger load no simulator
+    from .engine import World
 
 
 class ConfigError(ValueError):
@@ -209,6 +211,10 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
     if not 0 <= cfg.params.random_replication < math.inf:
         errors.append(f"random_replication must be a finite number >= 0, "
                       f"got {cfg.params.random_replication}")
+    for key in ("join_threshold", "evict_threshold", "drop_delta", "dissolve_fraction"):
+        value = getattr(cfg.params, key)
+        if not math.isfinite(value):  # a tau test against it always or never holds
+            errors.append(f"{key} must be a finite number, got {value}")
     if cfg.params.dgds_same_amount not in ("total", "additional"):
         errors.append(f"dgds_same_amount must be total|additional, "
                       f"got {cfg.params.dgds_same_amount!r}")
@@ -255,6 +261,7 @@ def run(cfg: ScenarioConfig,
         out_dir=None) -> Tuple[World, MetricsReport, Ledger]:
     """Drive the engine for the full horizon, audit the ledger, compute
     metrics from the event log, and optionally write all artifacts."""
+    from .engine import World
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
@@ -284,10 +291,7 @@ def emit_report(world: World, report: MetricsReport, out_dir) -> None:
             fh.write(f"{metric},{_fmt(value)}\n")
     with open(out / "series.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,issued,validated,active_agents,etc_size\n")
-        s = report.series
-        rows = zip(s["issued"], s["validated"], s["active_agents"], s["etc_size"])
-        next(rows)  # slot 0 comes before tick 1
-        for tick, (issued, validated, active, etc) in enumerate(rows, 1):
+        for tick, issued, validated, active, etc in tick_rows(report):
             fh.write(f"{tick},{issued},{validated},{active},{etc}\n")
     with open(out / "ledger.txt", "w", encoding="utf-8", newline="\n") as fh:
         for line in world.ledger.export_lines():

@@ -85,15 +85,17 @@ def test_dods_ordered_fill_with_deferral():
 
 
 def test_dods_allow_short_closes_remainder():
+    # A pool that cannot complete its group gives it flagged short; whether
+    # a short group is issued is the engine's rule (allow_short_groups), as
+    # for every strategy.  A single agent is no group at all.
     pool = [cand("A", 2), cand("B", 2), cand("C", 3), cand("D", 3), cand("E", 4)]
-    assert dods_assign(pool, allow_short=True).members == ("A", "B", "C", "D")
-    with pytest.raises(SelectionFailed):  # a single agent still cannot form a group
-        dods_assign([cand("E", 4)], allow_short=True)
+    assert dods_assign(pool) == ReplicaGroup(("A", "B", "C", "D"), "A", False)
+    with pytest.raises(SelectionFailed):
+        dods_assign([cand("E", 4)])
     pool.append(cand("F", 1))
-    assert dods_assign(pool, allow_short=True).members == ("F", "A", "B")
-    group = dods_assign([cand("C", 3), cand("D", 3), cand("E", 4)], allow_short=True)
-    assert group.members == ("C", "D", "E")
-    assert group.short
+    assert dods_assign(pool) == ReplicaGroup(("F", "A", "B"), "F", False)
+    group = dods_assign([cand("C", 3), cand("D", 3), cand("E", 4)])
+    assert group == ReplicaGroup(("C", "D", "E"), "C", True)
 
 
 def test_dods_sorts_ties_by_agent_id():

@@ -197,6 +197,24 @@ def test_max_requeues_terminates_hopeless_work():
     assert world.wus["wu00000"].state is WuState.FAILED
 
 
+def test_dods_issues_a_short_group_only_when_short_groups_are_allowed():
+    # Every f_min is 5, and 3 agents make a group of 3 at most: every dods
+    # group is short.  No golden case covers this: each rejections case
+    # allows short groups.
+    issued = {}
+    for allow in (False, True):
+        cfg = make_cfg(mode="trust", strategy="dods", limits=ReplicationLimits(5, 5),
+                       wu_count=4, horizon_ticks=20,
+                       agents=[AgentGroup("rel", 3, "reliable")])
+        cfg.params.allow_short_groups = allow
+        world = World(cfg)
+        world.run()
+        issued[allow] = events_of(world, "wu_issued")
+    assert issued[False] == []
+    assert issued[True] and all(e.payload["short"] for e in issued[True])
+    assert {e.payload["group_size"] for e in issued[True]} == {3}
+
+
 # --------------------------------------------------------- centralized
 
 def test_round_robin_balances_two_servers():

@@ -5,17 +5,20 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from background import SRC
 from event_schema import EVENT_KEYS, SCENARIOS, TRUST_ONLY_KINDS, payload_keys
 from golden_cases import CASES, pinned, run_case, scenario_file
 from reference_fold import compute_metrics as reference_fold
 from tdgsim.cli import main
 from tdgsim.eventlog import EventLogError, SimEvent
-from tdgsim.metrics import compute_metrics
+from tdgsim.metrics import compute_metrics, tick_rows
 from tdgsim.scenario import parse_scenario, run
 
 
@@ -131,11 +134,10 @@ def first_orphan_credit(lines, agents):
                  and not line["p"]["allocations"].keys() <= agents.keys()), None)
 
 
-# Integers stay within +-1000.  A header's horizon sizes the lists the fold
-# allocates, and the reader bounds it only by sys.maxsize, so a large random
-# one could exhaust the host's memory: a known gap this test leaves out.
+# Integers are small, or any horizon the reader accepts.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.integers(0, sys.maxsize) | st.floats()
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -222,19 +224,63 @@ def test_an_int_past_jsons_digit_limit_names_its_line(short_log, tmp_path, numbe
     assert err.startswith(f"runtime error: {log}: line {number}: not JSON: ")
 
 
-@pytest.mark.parametrize("horizon, error", [(sys.maxsize, "OverflowError"),
-                                             (sys.maxsize - 1, "MemoryError")],
+def run_child(code, *args):
+    """The stdout of `code` run with `args` in a fresh interpreter that
+    imports tdgsim from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("horizon", [sys.maxsize, sys.maxsize - 1],
                          ids=["maxsize", "maxsize-1"])
-def test_a_horizon_no_list_can_hold_is_line_one(tmp_path, horizon, error):
-    # The reader accepts both; the fold's per-tick lists have horizon + 1
-    # slots, which fail the list's size check before any is allocated.
-    # A horizon that could be allocated, such as 10**9, is not tried: it
-    # is 8 GB per list.
+def test_a_one_line_log_of_any_horizon_replays(tmp_path, horizon):
+    # The fold holds nothing per tick, so every horizon the reader accepts
+    # folds.  Its per-tick lists once made these a line-1 error.
+    assert replay(tmp_path / "events.jsonl", [{"agents": {}, "horizon": horizon}]) == (0, "")
+
+
+def test_a_ten_million_tick_replay_stays_below_40_mb(tmp_path):
+    # Four per-tick lists took this replay to 325 MB of peak RSS.  A child's
+    # ru_maxrss counts the RSS of the process that started it, so the
+    # replay is started by a bare interpreter, not by this one.
     log = tmp_path / "events.jsonl"
-    code, err = replay(log, [{"agents": {}, "horizon": horizon}])
-    assert code == 2
-    assert err.startswith(f"runtime error: {log}: line 1: header horizon {horizon} "
-                          f"is too large to fold: {error}("), err
+    log.write_text(json.dumps({"agents": {}, "horizon": 10 ** 7}) + "\n", encoding="utf-8")
+    code, peak_mb = run_child(
+        "import subprocess, sys\n"
+        "sys.exit(subprocess.call(sys.argv[1:]))",
+        sys.executable, "-c",
+        "import contextlib, io, resource, sys\n"
+        "from tdgsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['replay', '--log', sys.argv[1]])\n"
+        "scale = 2 ** 20 if sys.platform == 'darwin' else 2 ** 10  # ru_maxrss unit\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale)",
+        log).split()
+    assert code == "0"
+    assert float(peak_mb) < 40
+
+
+def test_replay_and_verify_ledger_load_no_simulator(short_log, tmp_path):
+    log, lines = short_log  # other tests write changed lines to `log`
+    ledger = log.with_name("ledger.txt")
+    log = tmp_path / "events.jsonl"
+    log.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = run_child(
+        "import contextlib, io, json, sys\n"
+        "import tdgsim.cli, tdgsim.metrics, tdgsim.eventlog, tdgsim.ledger\n"
+        "simulator = ('tdgsim.engine', 'tdgsim.distribution', 'tdgsim.community')\n"
+        "loaded = [[name for name in simulator if name in sys.modules]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [tdgsim.cli.main(['replay', '--log', sys.argv[1]]),\n"
+        "             tdgsim.cli.main(['verify-ledger', sys.argv[2]])]\n"
+        "loaded.append([name for name in simulator if name in sys.modules])\n"
+        "print(json.dumps([codes, loaded]))",
+        log, ledger)
+    assert json.loads(out) == [[0, 0], [[], []]]
 
 
 def test_a_credit_to_an_agent_the_header_lacks_names_its_line(short_log, tmp_path):
@@ -363,13 +409,20 @@ def fold_inputs(draw):
 
 
 def fold_outcome(fold, header, events):
-    """What `fold` makes of a log: its rows (as text, so NaN equals NaN)
-    and series, or the error it raises."""
+    """What `fold` makes of a log: its scalar rows (as text, so NaN equals
+    NaN) and a series row for every tick from 1 to the horizon, or the
+    error it raises."""
     try:
         report = fold(header, events)
     except Exception as exc:  # an EventLogError, or an error the fold lets through
         return type(exc), str(exc)
-    return repr(report.scalar_rows()), report.series
+    if fold is reference_fold:  # a list per column, indexed by tick
+        s = report.series
+        rows = zip(range(1, report.horizon + 1), *(
+            s[column][1:] for column in ("issued", "validated", "active_agents", "etc_size")))
+    else:
+        rows = tick_rows(report)
+    return repr(report.scalar_rows()), list(rows)
 
 
 def first_break(horizon, events):
@@ -403,6 +456,9 @@ def test_the_fold_gives_what_the_reference_fold_gives(log):
     breaking = first_break(header["horizon"], events)
     if breaking is None:
         assert outcome == fold_outcome(reference_fold, header, events)
+        if isinstance(outcome[0], str):  # it folds: tick 0's row, then one per event tick
+            series = compute_metrics(header, events).series
+            assert len(series) == 1 + len({tick for tick, _, _ in events})
         return
     try:
         reference_fold(header, events[:breaking])

@@ -688,6 +688,22 @@ def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
     assert "Traceback" not in err
 
 
+# A NaN or infinite community threshold ran with exit 0: every tau test
+# against it always or never held, so with join_threshold = nan, say, no
+# community ever formed.
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["join_threshold", "evict_threshold", "drop_delta",
+                                 "dissolve_fraction"])
+def test_cli_non_finite_community_threshold_is_a_config_error(tmp_path, capsys, key,
+                                                              value):
+    default = getattr(Params(), key)
+    scenario = edited_defaults(tmp_path, f"{key} = {default} ", f"{key} = {value} ")
+    assert main(["run", "--scenario", str(scenario), "--ticks", "50",
+                 "--mode", "trust"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a finite number, got {float(value)}\n"
+
+
 def test_min_size_zero_still_needs_an_agent_to_form(tmp_path):
     # With min_size = 0 a founder once formed tc0 on tick 1 with no agent
     # in it: an empty invitation list met a quorum of 0.
