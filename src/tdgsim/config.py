@@ -85,9 +85,12 @@ class ScenarioConfig:
             ids.extend(g.agent_ids())
         return ids
 
-    def complexity_draw(self, rng) -> int:
-        raw = self.complexity
-        if raw.startswith("uniform:"):
-            _, lo, hi = raw.split(":")
-            return rng.randint(int(lo), int(hi))
-        return int(raw)
+
+def complexity_range(raw: str) -> Tuple[int, int]:
+    """The bounds `(lo, hi)` of a complexity spec: a fixed int `c` is
+    `(c, c)`, `uniform:lo:hi` is `(lo, hi)`.  Raises ValueError if `raw`
+    is neither."""
+    if raw.startswith("uniform:"):
+        _, lo, hi = raw.split(":")
+        return int(lo), int(hi)
+    return (int(raw),) * 2

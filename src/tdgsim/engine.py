@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import community as tc
-from .config import ScenarioConfig
+from .config import ScenarioConfig, complexity_range
 from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
@@ -63,7 +63,8 @@ VALIDATED = WuState.VALIDATED
 FAILED = WuState.FAILED
 
 
-@dataclass
+# Slotted, as a run holds thousands.  Its waiting judgments: World.pending_judgments.
+@dataclass(slots=True)
 class WorkUnit:
     id: str
     project: str  # owning work server / work agent
@@ -72,9 +73,6 @@ class WorkUnit:
     state: WuState = WuState.QUEUED
     deadline: int = 0
     requeues: int = 0
-    # (agent, outcome) for completions from rounds that failed majority;
-    # judged retroactively once some later round reaches consensus.
-    pending_judgments: List[Tuple[str, Outcome]] = field(default_factory=list)
 
 
 @dataclass
@@ -172,16 +170,21 @@ class World:
         self.server_order = list(self.servers)
         self._rr = 0  # assignment-server round-robin pointer
 
+        # Only complexity reads rng_work, so a spec of one value draws none.
+        lo, hi = complexity_range(config.complexity)
+        owners = [(sid, self.servers[sid].queue) for sid in self.server_order]
         self.wus: Dict[str, WorkUnit] = {}
         for i in range(config.wu_count):
             wid = f"wu{i:05d}"
-            owner = self.server_order[i % len(self.server_order)]
-            wu = WorkUnit(id=wid, project=owner,
-                          complexity=config.complexity_draw(rng_work),
-                          ground_truth=f"ok-{wid}")
+            owner, queue = owners[i % len(owners)]
+            wu = WorkUnit(wid, owner, lo if lo == hi else rng_work.randint(lo, hi),
+                          f"ok-{wid}")
             self.wus[wid] = wu
-            self.servers[owner].queue.append(wu)
+            queue.append(wu)
         self.open_wus = config.wu_count  # neither VALIDATED nor FAILED
+        # Work unit id -> (agent, outcome) for its completions from rounds
+        # that failed majority, judged once a later round reaches consensus.
+        self.pending_judgments: Dict[str, List[Tuple[str, Outcome]]] = {}
 
         self.store = ReputationStore(config.params.window)
         self.ledger = Ledger()
@@ -554,7 +557,7 @@ class World:
         for member in members:
             rating = _cause(outcomes[member], token)
             if rating is None:
-                wu.pending_judgments.append((member, outcomes[member]))
+                self.pending_judgments.setdefault(wu.id, []).append((member, outcomes[member]))
             else:
                 self._rate(member, rating, rater)
         if token is None:
@@ -563,14 +566,14 @@ class World:
             if terminal:
                 wu.state = FAILED
                 self.open_wus -= 1
+                self.pending_judgments.pop(wu.id, None)  # never judged
             else:
                 wu.state = QUEUED
                 self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id, terminal=terminal)
             return
-        for agent, outcome in wu.pending_judgments:
+        for agent, outcome in self.pending_judgments.pop(wu.id, ()):
             self._rate(agent, _cause(outcome, token), rater)
-        wu.pending_judgments.clear()
         wu.state = VALIDATED
         self.open_wus -= 1
         # Only a completed outcome has a result.

@@ -40,11 +40,6 @@ def _digest(index: int, prev_hash: str, wu: str, alloc_text: str, tick: int) -> 
     return sha256(f"{index}|{prev_hash}|{wu}|{alloc_text}|{tick}".encode()).hexdigest()
 
 
-def block_digest(index: int, prev_hash: str, wu: str,
-                 allocations: Sequence[Allocation], tick: int) -> str:
-    return _digest(index, prev_hash, wu, _alloc_text(allocations), tick)
-
-
 class CreditBlock(NamedTuple):
     # A tuple, not a frozen dataclass: one is built per committed work unit
     # and per ledger line parsed, and a frozen dataclass pays a setattr call

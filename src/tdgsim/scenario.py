@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Tuple
 
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
-                     ScenarioConfig)
+                     ScenarioConfig, complexity_range)
 # bench/ imports read_event_log from here and patches write_event_log here
 from .eventlog import read_event_log, write_event_log  # noqa: F401
 from .ledger import AuditError, Ledger
@@ -222,15 +222,13 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
 
 
 def _complexity_ok(raw: str) -> bool:
-    """Whether `ScenarioConfig.complexity_draw` can draw from `raw` and
-    never draws a negative complexity."""
+    """Whether `complexity_range`, which `World` reads the spec with, can
+    read `raw` as bounds it never draws a negative complexity from."""
     try:
-        if raw.startswith("uniform:"):
-            _, lo, hi = raw.split(":")
-            return 0 <= int(lo) <= int(hi)
-        return int(raw) >= 0
+        lo, hi = complexity_range(raw)
     except ValueError:
         return False
+    return 0 <= lo <= hi
 
 
 def render_config(cfg: ScenarioConfig) -> str:

@@ -174,7 +174,10 @@ def test_failed_rounds_are_judged_after_late_consensus():
                    faults=[Fault(1, "late-000", True), Fault(1, "late-001", True),
                            Fault(6, "late-000", False), Fault(6, "late-001", False)])
     world = World(cfg)
-    world.run()
+    waiting = []  # per tick, the agents whose completions of wu00000 wait
+    for tick in range(1, cfg.horizon_ticks + 1):
+        world.step(tick)
+        waiting.append([a for a, _ in world.pending_judgments.get("wu00000", ())])
     validated = events_of(world, "wu_validated")
     assert validated and validated[0].payload["correct"]
     rel_ratings = [r for r in events_of(world, "rating_issued")
@@ -182,6 +185,10 @@ def test_failed_rounds_are_judged_after_late_consensus():
     assert rel_ratings
     assert rel_ratings[0].tick == validated[0].tick
     assert rel_ratings[0].payload["value"] in (0.5, 1.0)
+    # The world held rel-000's completion until the consensus, then let it go.
+    assert "rel-000" in waiting[validated[0].tick - 2]
+    assert not any(waiting[validated[0].tick - 1:])
+    assert world.pending_judgments == {}
 
 
 def test_max_requeues_terminates_hopeless_work():
@@ -195,6 +202,7 @@ def test_max_requeues_terminates_hopeless_work():
                 if e.payload["terminal"]]
     assert len(terminal) == 1
     assert world.wus["wu00000"].state is WuState.FAILED
+    assert world.pending_judgments == {}  # a failed unit's completions leave
 
 
 def test_dods_issues_a_short_group_only_when_short_groups_are_allowed():

@@ -148,6 +148,7 @@ json_values = st.recursive(
 @given(data=st.data())
 def test_replay_of_one_changed_value_exits_zero_or_names_its_line(short_log, data):
     log, lines = short_log
+    log = log.with_name("changed.jsonl")  # the fixture's log stays the engine's
     index = data.draw(st.integers(0, len(lines) - 1), label="line index")
     line = copy.deepcopy(lines[index])
     path = data.draw(st.sampled_from(list(paths(line))), label="path")
@@ -264,11 +265,9 @@ def test_a_ten_million_tick_replay_stays_below_40_mb(tmp_path):
     assert float(peak_mb) < 40
 
 
-def test_replay_and_verify_ledger_load_no_simulator(short_log, tmp_path):
-    log, lines = short_log  # other tests write changed lines to `log`
+def test_replay_and_verify_ledger_load_no_simulator(short_log):
+    log, _ = short_log
     ledger = log.with_name("ledger.txt")
-    log = tmp_path / "events.jsonl"
-    log.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     out = run_child(
         "import contextlib, io, json, sys\n"
         "import tdgsim.cli, tdgsim.metrics, tdgsim.eventlog, tdgsim.ledger\n"

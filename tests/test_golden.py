@@ -46,6 +46,8 @@ def test_failed_tail_outputs_match_golden_digests(tmp_path):
 
 def test_centralized_timeout_outputs_match_golden_digests(tmp_path):
     world, digests = run_case("centralized-timeouts", tmp_path)
+    assert world.config.complexity == "uniform:1:6"  # drawn per unit
+    assert {wu.complexity for wu in world.wus.values()} == set(range(1, 7))
     assert sum(ev.kind == "wu_timed_out" for ev in world.events) == 856
     assert digests == pinned("centralized-timeouts")
 

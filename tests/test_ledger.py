@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tdgsim.cli import main
 from tdgsim.engine import World
 from tdgsim.ledger import (GENESIS_PREV, AuditError, CreditBlock, Ledger,
-                           LedgerError, block_digest, parse_ledger_lines,
+                           LedgerError, parse_ledger_lines,
                            split_credits)
 
 import reference_ledger
@@ -18,8 +18,7 @@ from ledger_balances import balance, balances
 def test_block_digest_matches_hand_computed_sha256():
     payload = "0|" + "0" * 64 + "|wu00001|a:500,b:500|7"
     expected = hashlib.sha256(payload.encode()).hexdigest()
-    assert block_digest(0, GENESIS_PREV, "wu00001",
-                        [("a", 500), ("b", 500)], 7) == expected
+    assert Ledger().commit("wu00001", 1000, ["b", "a"], 7).hash == expected
 
 
 def test_split_even():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdgsim.cli import main
-from tdgsim.config import AgentGroup, Params, ScenarioConfig
+from tdgsim.config import AgentGroup, Params, ScenarioConfig, complexity_range
 from tdgsim.engine import World
 from tdgsim.eventlog import EventLogError, SimEvent, read_event_log, write_event_log
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
-from tdgsim.scenario import ConfigError, parse_scenario, render_config, run
+from tdgsim.scenario import (ConfigError, parse_scenario, render_config, run,
+                             validate_config)
 from tdgsim.trust import ReplicationLimits
 
 from ledger_balances import balances
@@ -326,6 +327,45 @@ def test_run_rejects_a_bad_agent_group(change, message):
     with pytest.raises(ConfigError) as exc:
         run(cfg)
     assert exc.value.errors == [message]
+
+
+# One parser, `complexity_range`, reads the spec for validate_config and
+# for World, so every spec it cannot read, and every negative bound, gets
+# the one message.
+@pytest.mark.parametrize("spec", [
+    "abc", "-2", "uniform:3:1", "uniform:-1:2", "uniform:-3:-1", "uniform:1",
+    "uniform:1:2:3", "uniform:a:2", "uniform:", "", "1.5", "3:3", "Uniform:1:2"])
+def test_run_rejects_a_malformed_or_negative_complexity(spec):
+    cfg = ScenarioConfig(horizon_ticks=20, wu_count=1, complexity=spec,
+                         agents=[AgentGroup("rel", 2, "reliable")])
+    with pytest.raises(ConfigError) as exc:
+        run(cfg)
+    assert exc.value.errors == [f"complexity must be an int >= 0 or uniform:LO:HI "
+                                f"with 0 <= LO <= HI, got {spec!r}"]
+
+
+@pytest.mark.parametrize("spec, bounds", [
+    ("0", (0, 0)), ("3", (3, 3)), ("uniform:0:0", (0, 0)), ("uniform:3:3", (3, 3)),
+    ("uniform:1:6", (1, 6))])
+def test_a_valid_complexity_reads_as_its_bounds(spec, bounds):
+    assert complexity_range(spec) == bounds
+    assert validate_config(ScenarioConfig(complexity=spec)) == []
+
+
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_a_one_value_uniform_complexity_runs_as_the_fixed_value(mode, tmp_path):
+    # A spec of one value draws nothing from the work stream, however it
+    # is written; the outputs are the same bytes.
+    for out, spec in (("fixed", "3"), ("uniform", "uniform:3:3")):
+        cfg = ScenarioConfig(name="one-value", mode=mode, seed=3, horizon_ticks=80,
+                             wu_count=40, complexity=spec, timeout_ticks=20,
+                             agents=[AgentGroup("rel", 6, "reliable"),
+                                     AgentGroup("mal", 1, "malicious")])
+        world, _, _ = run(cfg, tmp_path / out)
+        assert {wu.complexity for wu in world.wus.values()} == {3}
+    for name in ("summary.csv", "series.csv", "ledger.txt", "events.jsonl"):
+        assert ((tmp_path / "fixed" / name).read_bytes()
+                == (tmp_path / "uniform" / name).read_bytes()), name
 
 
 def test_unlabelled_group_errors_name_the_agents_label(tmp_path):
