@@ -1,11 +1,12 @@
 """Explicit trust community state machine: formation, manager election,
-operation (invitation, eviction) and dissolution.  A community keeps no
-history: it writes each event, as it happens, into the run's event log."""
+operation (invitation, eviction), dissolution, and the invite policy that
+`rank_invitees` states.  A community keeps no history: it writes each
+event, as it happens, into the run's event log."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .config import Params
 from .eventlog import SimEvent
@@ -103,13 +104,13 @@ class TrustCommunity:
         self.join_tau.pop(agent, None)
         self.log(tick, kind, agent)
 
-    def form(self, tick: int, joiners: Sequence[str], taus: Mapping[str, float],
-             founder_tau: float = 1.0) -> None:
+    def form(self, tick: int, joiners: Sequence[str], taus: Mapping[str, float]) -> None:
+        """Admit the founder, then the joiners by id, each at its tau in
+        `taus` (neutral if absent, as a never-rated server is)."""
         if self.phase is not Phase.PRE_ORGANISATION:
             raise StateError("can only form from pre-organisation")
         self._transition(Phase.FORMATION, tick)
-        self.add_member(self.founder, tick, founder_tau)
-        for a in sorted(joiners):
+        for a in [self.founder, *sorted(joiners)]:
             self.add_member(a, tick, taus.get(a, NEUTRAL_TAU))
 
     def dissolve(self, tick: int) -> None:
@@ -120,29 +121,29 @@ class TrustCommunity:
         self.log(tick, EventKind.DISSOLVED)
 
 
-def _best_invites(taus: Mapping[str, float], excluded: Container[str], n: int,
-                  params: Params) -> List[str]:
-    """The first `n` agents of `taus` at or above the join threshold and
-    not `excluded`, best reputation first, ties by id."""
-    ranked = sorted((-tau, a) for a, tau in taus.items()
-                    if tau >= params.join_threshold and a not in excluded)
-    return [a for _, a in ranked[:n]]
+def rank_invitees(taus: Iterable[Tuple[str, float]], params: Params) -> List[str]:
+    """The invite policy's order: the agents of the `(agent, tau)` pairs at
+    or above the join threshold, best reputation first, ties by id.  Every
+    invitation list is cut from it."""
+    return [a for _, a in sorted((-tau, a) for a, tau in taus
+                                 if tau >= params.join_threshold)]
 
 
-def evaluate_formation(founder: str, reputations: Mapping[str, float],
-                       params: Params) -> Optional[List[str]]:
-    """Invitation list for a new community, or None below quorum.
+def _best_invites(ranked: Sequence[str], n: int, members: Container[str],
+                  declined: Container[str] = ()) -> List[str]:
+    """The first `n` agents of `ranked` in no community (`members`) and
+    not in `declined`."""
+    return [a for a in ranked if a not in members and a not in declined][:n]
 
-    All agents at or above the join threshold, best reputation first,
-    capped at max_size; only worthwhile if at least `params.quorum`
-    qualify (min_size, and at least one).
-    The cap counts agents only: with its founder, a community formed
-    from a full list has max_size + 1 members.
+
+def evaluate_formation(ranked: Sequence[str], members: Container[str],
+                       params: Params) -> List[str]:
+    """Invitation list for a new community: the best `max_size` agents of
+    `ranked` that no community holds.  It forms only if at least
+    `params.quorum` of them join.  The cap counts agents only: with its
+    founder, a community formed from a full list has max_size + 1 members.
     """
-    invites = _best_invites(reputations, (founder,), params.max_size, params)
-    if len(invites) < params.quorum:
-        return None
-    return invites
+    return _best_invites(ranked, params.max_size, members)
 
 
 def join_decision(egoistic: bool, inside_share: float, outside_share: float) -> bool:
@@ -182,11 +183,12 @@ def handle_tcm_failure(tc: TrustCommunity, availability: Mapping[str, bool],
 
 
 def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
-                 outsiders: Mapping[str, float],
+                 ranked: Sequence[str],
                  params: Params) -> Tuple[List[str], List[str]]:
-    """One operation-phase step: the decayed members to evict, then the
-    strong outsiders to invite while below max size (room counted before
-    the evictions)."""
+    """One operation-phase step: the decayed members to evict, then, while
+    below max size (room counted before the evictions), the best agents of
+    `ranked` that no community holds and that have not declined this one.
+    A full community may be given no ranking."""
     if tc.phase is not OPERATION:
         raise StateError(f"operate_tick in phase {tc.phase.value}")
     evict: List[str] = []
@@ -199,7 +201,7 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
     room = params.max_size - len(tc.members)
     if room <= 0:
         return evict, []
-    return evict, _best_invites(outsiders, tc.declined.union(tc.members), room, params)
+    return evict, _best_invites(ranked, room, tc.live_members, tc.declined)
 
 
 def dissolve_check(tc: TrustCommunity, params: Params,

@@ -69,7 +69,6 @@ class WorkUnit:
     id: str
     project: str  # owning work server / work agent
     complexity: int
-    ground_truth: str
     state: WuState = WuState.QUEUED
     deadline: int = 0
     requeues: int = 0
@@ -125,6 +124,12 @@ _DROPPED = RATINGS[RatingCause.DROPPED_WU]
 _TIMED_OUT = RATINGS[RatingCause.TIMED_OUT]
 
 
+# A result is only compared with the other results of its own work unit:
+# one string is every unit's correct result, and colluders share another.
+CORRECT = "ok"
+COLLUDED = "bad"
+
+
 def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[Tuple[str, float]]:
     """The rating `outcome` earns against the `consensus` result, as its
     RATINGS pair, or None for a completion that waits for a round with a
@@ -177,8 +182,7 @@ class World:
         for i in range(config.wu_count):
             wid = f"wu{i:05d}"
             owner, queue = owners[i % len(owners)]
-            wu = WorkUnit(wid, owner, lo if lo == hi else rng_work.randint(lo, hi),
-                          f"ok-{wid}")
+            wu = WorkUnit(wid, owner, lo if lo == hi else rng_work.randint(lo, hi))
             self.wus[wid] = wu
             queue.append(wu)
         self.open_wus = config.wu_count  # neither VALIDATED nor FAILED
@@ -433,8 +437,7 @@ class World:
                 continue
             agent.progress += agent.speed
             if agent.progress >= wu.complexity:
-                result = (f"bad-{wu.id}" if agent.profile is MALICIOUS
-                          else wu.ground_truth)
+                result = COLLUDED if agent.profile is MALICIOUS else CORRECT
                 late = (self.tick - agent.assigned_tick) > agent.quote
                 self._terminal(agent, wu, "completed", result, late)
                 buffered = False
@@ -507,7 +510,7 @@ class World:
             credit = self._commit_credit(wu, [agent_id])
             self.emit("wu_validated", wu=wu.id, members=[agent_id],
                       consensus=[agent_id], group_size=1,
-                      correct=result == wu.ground_truth,
+                      correct=result == CORRECT,
                       complexity=wu.complexity, credit=credit)
         self._routed = []
         # Timeout redistribution; the lapsed client is not penalized.  In
@@ -581,7 +584,7 @@ class World:
         credit = self._commit_credit(wu, consensus)
         self.emit("wu_validated", wu=wu.id, members=list(members),
                   consensus=consensus, group_size=len(members),
-                  correct=token == wu.ground_truth,
+                  correct=token == CORRECT,
                   complexity=wu.complexity, credit=credit)
 
     # -- phase 6: community lifecycle -------------------------------------
@@ -589,45 +592,29 @@ class World:
         if not self.trust_mode or not self.config.params.formation:
             return
         params = self.config.params
+        taus = self.store.taus  # a subject it lacks, a server among them, is neutral
         members = self.live_members  # a founder is a member
-
         # No rating is issued and no agent goes on- or offline in this
-        # phase, so the online agents' taus are read once, on the first
-        # outsider view, and their mean once, on the first invite.
-        online_tau: Optional[Dict[str, float]] = None
-        pool_tau: Optional[float] = None
-
-        def online() -> Dict[str, float]:
-            nonlocal online_tau
-            if online_tau is None:
-                online_tau = {a.id: self.store.tau(a.id) for a in self.agent_order
-                              if a.online}
-            return online_tau
-
-        def outsiders() -> Dict[str, float]:
-            return {a: t for a, t in online().items() if a not in members}
-
-        def mean_online_tau() -> float:
-            nonlocal pool_tau
-            if pool_tau is None:
-                taus = online()
-                pool_tau = sum_left(taus.values()) / len(taus) if taus else NEUTRAL_TAU
-            return pool_tau
+        # phase, so every tau is fixed: the online agents are ranked at most
+        # once, on first need, and their mean tau is taken with the ranking.
+        ranked: Optional[List[str]] = None
+        pool_tau = NEUTRAL_TAU
 
         for comm_id in sorted(self.communities):
             comm = self.communities[comm_id]
-            # Members read their tau from the live map, where the founder, a
-            # server that is never rated, is absent and so neutral.  A full
-            # community invites no one, so it is shown no outsider.
-            has_room = len(comm.members) < params.max_size
-            evict, invite = tc.operate_tick(comm, self.store.taus,
-                                            outsiders() if has_room else {}, params)
+            # A full community invites no one, so it is shown no ranking.
+            full = len(comm.members) >= params.max_size
+            if ranked is None and not full:
+                ranked, pool_tau = self._invite_pool()
+            evict, invite = tc.operate_tick(comm, taus, () if full else ranked, params)
             for agent in evict:
                 comm.remove_member(agent, self.tick, tc.EVICTED)
             for agent in invite:
                 comm.log(self.tick, tc.INVITED, agent)
-                if self._accepts_invite(agent, comm, mean_online_tau()):
-                    comm.add_member(agent, self.tick, self.store.tau(agent))
+                # Read per invite: an agent accepted here joins at once.
+                inside = [taus.get(m, NEUTRAL_TAU) for m in comm.members if m in self.agents]
+                if self._accepts_invite(agent, inside, pool_tau):
+                    comm.add_member(agent, self.tick, taus.get(agent, NEUTRAL_TAU))
                 else:
                     comm.declined.add(agent)
             queue_empty = (not self.servers[comm.founder].queue
@@ -641,42 +628,38 @@ class World:
             server = self.servers[sid]
             if not server.online or not server.queue or sid in members:
                 continue
-            eligible = outsiders()
-            invites = tc.evaluate_formation(sid, eligible, params)
-            if invites is None:
-                continue
-            comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
-                                     events=self.events,
-                                     live_members=self.live_members)
-            invitee_taus = [eligible[x] for x in invites]
+            if ranked is None:
+                ranked, pool_tau = self._invite_pool()
+            invites = tc.evaluate_formation(ranked, members, params)
+            invitee_taus = [taus.get(a, NEUTRAL_TAU) for a in invites]
             joiners = [a for a in invites
-                       if self._accepts_invite(a, None, mean_online_tau(), invitee_taus)]
+                       if self._accepts_invite(a, invitee_taus, pool_tau)]
             if len(joiners) < params.quorum:
                 continue  # below quorum; retry when reputations improve
+            comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
+                                     events=self.events, live_members=members)
             self._tc_counter += 1
             for a in invites:
                 comm.log(self.tick, tc.INVITED, a)
-            comm.form(self.tick, joiners,
-                      {a: eligible[a] for a in joiners},
-                      founder_tau=self.store.tau(sid))
-            availability = {m: self._available(m) for m in comm.members}
-            tc.elect_tcm(comm, availability, self.tick)
+            comm.form(self.tick, joiners, taus)
+            tc.elect_tcm(comm, {m: self._available(m) for m in comm.members}, self.tick)
             self.communities[comm.id] = comm
 
-    def _accepts_invite(self, agent_id: str, comm: Optional[tc.TrustCommunity],
-                        pool_tau: float,
-                        invitee_taus: Optional[List[float]] = None) -> bool:
-        """`pool_tau` is the mean tau of all online agents."""
-        agent = self.agents[agent_id]
-        if comm is not None:
-            member_taus = [self.store.tau(m) for m in comm.members
-                           if m in self.agents]
-            inside_taus = member_taus or [self.store.tau(agent_id)]
-        else:
-            inside_taus = invitee_taus or [self.store.tau(agent_id)]
+    def _invite_pool(self) -> Tuple[List[str], float]:
+        """The online agents in invitation order, and their mean tau."""
+        taus = self.store.taus
+        online = [(a.id, taus.get(a.id, NEUTRAL_TAU)) for a in self.agent_order if a.online]
+        mean = sum_left(tau for _, tau in online) / len(online) if online else NEUTRAL_TAU
+        return tc.rank_invitees(online, self.config.params), mean
+
+    def _accepts_invite(self, agent_id: str, inside_taus: List[float],
+                        pool_tau: float) -> bool:
+        """Whether `agent_id` joins a community whose agents' taus are
+        `inside_taus` (if none, its own) over a pool of mean tau `pool_tau`."""
+        inside_taus = inside_taus or [self.store.taus.get(agent_id, NEUTRAL_TAU)]
         inside_size = 1 + raw_replication_factor(
             sum_left(inside_taus) / len(inside_taus), self.limits)
         outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
-        return tc.join_decision(agent.profile is EGOISTIC,
+        return tc.join_decision(self.agents[agent_id].profile is EGOISTIC,
                                 value / inside_size, value / outside_size)

@@ -200,10 +200,12 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"fault at tick {f.tick} references unknown entity {f.entity!r}")
         if f.tick < 1:
             errors.append(f"fault tick {f.tick} must be >= 1")
-    for key in ("min_size", "max_size"):  # a negative max_size slices from the end
-        size = getattr(cfg.params, key)
-        if size < 0:
-            errors.append(f"{key} must be >= 0, got {size}")
+    # A negative max_size slices from the end; a negative max_requeues fails
+    # every unit at its first round without a majority.
+    for key in ("min_size", "max_size", "max_requeues"):
+        value = getattr(cfg.params, key)
+        if value < 0:
+            errors.append(f"{key} must be >= 0, got {value}")
     if cfg.params.window < 0:
         errors.append(f"window must be >= 0, got {cfg.params.window}")
     elif cfg.params.window > sys.maxsize:  # a deque's maxlen

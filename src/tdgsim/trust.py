@@ -153,7 +153,7 @@ class ReplicationLimits:
     hi: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.lo <= self.hi:
+        if not 1.0 <= self.lo <= self.hi < math.inf:  # an infinite bound makes the factor NaN
             raise ValidationError(f"invalid replication limits ({self.lo}, {self.hi})")
 
 

@@ -10,8 +10,10 @@ No bundled scenario has agents that reject work, so four inline trust
 scenarios, one per strategy, pin the issuance path where a rejection
 lowers a candidate's tau in the middle of a tick, a fifth pins a run
 whose work units end partly FAILED long before its horizon, a sixth
-pins the centralized timeout path, which no bundled scenario reaches, and
-a seventh pins agent faults and a community that dissolves on failover.
+pins the centralized timeout path, which no bundled scenario reaches, a
+seventh pins agent faults and a community that dissolves on failover, and
+an eighth pins eight servers whose communities form, invite, evict and
+dissolve side by side (no other case has more than two servers).
 
 This module imports no test framework, so any Python that can import
 tdgsim runs it:
@@ -245,6 +247,56 @@ FAILOVER_DISSOLUTION_GOLDEN = (
 )
 
 
+# Eight servers compete for 64 agents: most formation attempts fall short
+# of the quorum, of invitees or of joiners, and the communities that do form
+# take in churning members who leave and come back.
+MANY_SERVERS = """\
+[scenario]
+name = many-servers
+mode = trust
+strategy = drds
+seed = 5
+horizon_ticks = 400
+
+[work]
+wu_count = 3000
+complexity = uniform:1:4
+
+[servers]
+count = 8
+timeout_ticks = 20
+
+[agents rel]
+count = 40
+profile = reliable
+
+[agents ego]
+count = 6
+profile = egoistic
+
+[agents mal]
+count = 10
+profile = malicious
+
+[agents flaky]
+count = 8
+profile = reliable
+accept_prob = 0.7
+churn = 30/10
+
+[params]
+min_size = 4
+max_size = 6
+"""
+
+MANY_SERVERS_GOLDEN = (
+    "3b29290007578bdf2c8d64522eade990405854fe2210eb155e27cffcea892e3b",
+    "37dffb720dd76c32cc816c7e1b3808c6fcbb3cf1a13eb368baa1737db43247ea",
+    "34f1fe529e34fab8fc809ea551c379e2fac9bcfa816c2a6dcc8ae4e63739f2fa",
+    "d129ec7f5c5621e683c8e902453d9b17a3015247eefaa67ae6aaa2c1b74c8b0e",
+)
+
+
 # case name -> (scenario text, or None for the bundled file of that name;
 # the pinned digests of OUTPUTS)
 CASES = {name: (None, pins) for name, pins in GOLDEN.items()}
@@ -253,6 +305,7 @@ CASES.update({f"rejections-{strategy}": (rejection_scenario(strategy), pins)
 CASES["failed-tail"] = (FAILED_TAIL, FAILED_TAIL_GOLDEN)
 CASES["centralized-timeouts"] = (CENTRALIZED_TIMEOUTS, CENTRALIZED_TIMEOUTS_GOLDEN)
 CASES["failover-dissolution"] = (FAILOVER_DISSOLUTION, FAILOVER_DISSOLUTION_GOLDEN)
+CASES["many-servers"] = (MANY_SERVERS, MANY_SERVERS_GOLDEN)
 
 
 def pinned(case):

@@ -1,10 +1,12 @@
 """Trust-community lifecycle state-machine tests."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdgsim.community import (ALLOWED_TRANSITIONS, DissolutionTriggered,
-                              EventKind, Phase, StateError,
+                              EventKind, Phase, StateError, _best_invites,
                               dissolve_check, elect_tcm, evaluate_formation,
-                              handle_tcm_failure, join_decision, operate_tick)
+                              handle_tcm_failure, join_decision, operate_tick,
+                              rank_invitees)
 from tdgsim.config import Params
 
 from community_log import fold, new_community, state
@@ -15,7 +17,7 @@ PARAMS = Params()
 def formed_community(n=6, tick=10, events=None):
     comm = new_community([] if events is None else events)
     joiners = [f"a{i}" for i in range(n)]
-    comm.form(tick, joiners, {a: 0.8 for a in joiners}, founder_tau=0.9)
+    comm.form(tick, joiners, {"w0": 0.9, **{a: 0.8 for a in joiners}})
     elect_tcm(comm, {m: True for m in comm.members}, tick)
     return comm
 
@@ -60,23 +62,51 @@ def test_dissolved_is_terminal():
 
 # ------------------------------------------------------------ formation
 
-def test_evaluate_formation_below_quorum_is_none():
-    reps = {f"a{i}": 0.9 for i in range(PARAMS.min_size - 1)}
-    assert evaluate_formation("w0", reps, PARAMS) is None
+def test_evaluate_formation_below_quorum_returns_the_short_list():
+    # The quorum is tested once, by the engine, against the agents that join.
+    ranked = rank_invitees([(f"a{i}", 0.9) for i in range(PARAMS.min_size - 1)], PARAMS)
+    assert len(ranked) < PARAMS.quorum
+    assert evaluate_formation(ranked, set(), PARAMS) == ranked
+    assert evaluate_formation([], set(), PARAMS) == []
 
 
 def test_evaluate_formation_filters_and_sorts():
-    reps = {"low": 0.3, "mid": 0.75, "hi": 0.95, "b": 0.8, "a": 0.8,
-            "c": 0.9, "w0": 1.0}
-    invites = evaluate_formation("w0", reps, PARAMS)
-    assert invites == ["hi", "c", "a", "b", "mid"]  # tau desc, ties by id
-    assert "w0" not in invites and "low" not in invites
+    reps = {"low": 0.3, "mid": 0.75, "hi": 0.95, "b": 0.8, "a": 0.8, "c": 0.9}
+    ranked = rank_invitees(reps.items(), PARAMS)
+    assert ranked == ["hi", "c", "a", "b", "mid"]  # tau desc, ties by id
+    # A member of any community is not invited.
+    assert evaluate_formation(ranked, {"c", "w1"}, PARAMS) == ["hi", "a", "b", "mid"]
 
 
 def test_evaluate_formation_caps_at_max_size():
-    reps = {f"a{i:02d}": 0.9 for i in range(30)}
-    invites = evaluate_formation("w0", reps, PARAMS)
-    assert len(invites) == PARAMS.max_size
+    ranked = rank_invitees([(f"a{i:02d}", 0.9) for i in range(30)], PARAMS)
+    invites = evaluate_formation(ranked, set(), PARAMS)
+    assert invites == ranked[:PARAMS.max_size]
+
+
+def parent_best_invites(taus, members, declined, n, threshold):
+    """The rule invitation lists followed before they were cut from one
+    ranking: the agents of `taus` in no community, then filtered by the
+    threshold and `declined` and sorted, on every call."""
+    outsiders = {a: tau for a, tau in taus.items() if a not in members}
+    ranked = sorted((-tau, a) for a, tau in outsiders.items()
+                    if tau >= threshold and a not in declined)
+    return [a for _, a in ranked[:n]]
+
+
+AGENTS = [f"a{i}" for i in range(12)]
+TAUS = st.one_of(st.sampled_from([0.0, 0.5, 0.7, 0.8, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from(AGENTS), TAUS), st.sets(st.sampled_from(AGENTS)),
+       st.sets(st.sampled_from(AGENTS)), st.integers(0, 14), TAUS)
+def test_best_invites_from_one_ranking_match_a_sort_per_call(taus, members, declined,
+                                                             n, threshold):
+    params = Params(join_threshold=threshold)
+    ranked = rank_invitees(taus.items(), params)
+    assert _best_invites(ranked, n, members, declined) == parent_best_invites(
+        taus, members, declined, n, threshold)
 
 
 def test_join_decision():
@@ -121,8 +151,8 @@ def test_operate_tick_evicts_and_invites():
     reps["a1"] = 0.45           # below evict threshold
     comm.join_tau["a2"] = 0.95  # dropped by more than drop_delta
     reps["a2"] = 0.7
-    outsiders = {"new1": 0.9, "weak": 0.4}
-    evict, invite = operate_tick(comm, reps, outsiders, PARAMS)
+    ranked = rank_invitees([("new1", 0.9), ("weak", 0.4)], PARAMS)
+    evict, invite = operate_tick(comm, reps, ranked, PARAMS)
     assert "a1" in evict
     assert "a2" in evict
     assert "new1" in invite
@@ -132,7 +162,7 @@ def test_operate_tick_evicts_and_invites():
 def test_operate_tick_never_evicts_the_manager():
     comm = formed_community()
     reps = {m: 0.1 for m in comm.members}
-    evict, _ = operate_tick(comm, reps, {}, PARAMS)
+    evict, _ = operate_tick(comm, reps, (), PARAMS)
     evicted = set(evict)
     assert comm.tcm not in evicted
     assert evicted == set(comm.members) - {comm.tcm}
@@ -141,12 +171,12 @@ def test_operate_tick_never_evicts_the_manager():
 def test_operate_tick_respects_max_size_and_declines():
     comm = formed_community()
     comm.declined.add("shy")
-    outsiders = {f"o{i:02d}": 0.9 for i in range(40)}
-    outsiders["shy"] = 0.99
-    _, invites = operate_tick(comm, {m: 0.8 for m in comm.members},
-                              outsiders, PARAMS)
+    comm.live_members.add("o00")  # a member of another community
+    ranked = rank_invitees([("shy", 0.99)] + [(f"o{i:02d}", 0.9) for i in range(40)],
+                           PARAMS)
+    _, invites = operate_tick(comm, {m: 0.8 for m in comm.members}, ranked, PARAMS)
     assert len(invites) == PARAMS.max_size - len(comm.members)
-    assert all(a != "shy" for a in invites)
+    assert invites[0] == "o01" and "shy" not in invites
 
 
 # ----------------------------------------------------------- dissolution

@@ -469,15 +469,15 @@ def test_run_leaves_the_collector_as_it_found_it(before, fail_at, monkeypatch):
 
 def spy_on_operate_tick(monkeypatch, world):
     """Record, for each operate_tick call, whether the community was full,
-    the outsider view it was given, and whether its members' taus were
-    the store's live map."""
+    the ranking of invitees it was given, and whether its members' taus
+    were the store's live map."""
     calls = []
     operate_tick = community.operate_tick
 
-    def spy(comm, reputations, outsiders, params):
-        calls.append((len(comm.members) >= params.max_size, dict(outsiders),
+    def spy(comm, reputations, ranked, params):
+        calls.append((len(comm.members) >= params.max_size, ranked,
                       reputations is world.store.taus))
-        return operate_tick(comm, reputations, outsiders, params)
+        return operate_tick(comm, reputations, ranked, params)
 
     monkeypatch.setattr(community, "operate_tick", spy)
     return calls
@@ -485,20 +485,20 @@ def spy_on_operate_tick(monkeypatch, world):
 
 def test_a_full_community_is_shown_no_outsider(monkeypatch):
     # malice_dgds's communities are full from the tick they form, so
-    # lifecycle builds no outsider view for any of them.
+    # lifecycle ranks no invitee for any of them.
     world = World(parse_scenario(SCENARIOS / "malice_dgds.ini"))
     calls = spy_on_operate_tick(monkeypatch, world)
     for t in range(1, 201):
         world.step(t)
     assert calls
-    assert all(full and outsiders == {} and live for full, outsiders, live in calls)
+    assert all(full and ranked == () and live for full, ranked, live in calls)
 
 
 def test_a_community_with_room_still_invites_outsiders(monkeypatch):
     world = World(parse_scenario(SCENARIOS / "tcm_failover.ini"))
     calls = spy_on_operate_tick(monkeypatch, world)
     world.run()
-    with_room = [outsiders for full, outsiders, _ in calls if not full]
+    with_room = [ranked for full, ranked, _ in calls if not full]
     assert with_room and all(with_room)
     operating, invites = set(), 0
     for ev in events_of(world, "tc_event"):
@@ -508,6 +508,36 @@ def test_a_community_with_room_still_invites_outsiders(monkeypatch):
         elif p["kind"] == "invited" and p["community"] in operating:
             invites += 1
     assert invites == 10
+
+
+def test_each_invite_is_judged_against_the_members_of_that_moment():
+    # tc0 (w0 and hi-000, tau 1) invites x-000 (tau 0.72), then y-000
+    # (0.71), on one tick; tc1 is full and holds hi-001..hi-005 (tau 1), so
+    # the online agents' mean tau is 7.43 / 8 = 0.93.  x-000 joins, as tc0's
+    # mean of 1.0 beats it; that drops tc0's mean to 0.86, so y-000 declines.
+    cfg = make_cfg(mode="trust", wu_count=10, server_count=2,
+                   agents=[AgentGroup("hi", 6, "reliable"),
+                           AgentGroup("x", 1, "reliable"), AgentGroup("y", 1, "reliable")])
+    cfg.params.min_size, cfg.params.max_size = 1, 4
+    world = World(cfg)
+    for agent in cfg.agents[0].agent_ids():
+        world.store.record(agent, 1.0)
+    world.store.record("x-000", 0.44)
+    world.store.record("y-000", 0.42)
+    for cid, founder, agents in [("tc0", "w0", ["hi-000"]),
+                                 ("tc1", "w1", [f"hi-00{i}" for i in range(1, 6)])]:
+        comm = community.TrustCommunity(id=cid, founder=founder, events=world.events,
+                                        live_members=world.live_members)
+        comm.form(0, agents, world.store.taus)
+        community.elect_tcm(comm, {m: True for m in comm.members}, 0)
+        world.communities[cid] = comm
+    world.tick = 1
+    world._phase_lifecycle()
+    assert [(ev.payload["community"], ev.payload["kind"], ev.payload["agent"])
+            for ev in world.events if ev.tick == 1] == [
+        ("tc0", "invited", "x-000"), ("tc0", "joined", "x-000"),
+        ("tc0", "invited", "y-000")]
+    assert world.communities["tc0"].declined == {"y-000"}
 
 
 # ------------------------------------------------------------ work count

@@ -12,10 +12,11 @@ from tdgsim.config import AgentGroup, ScenarioConfig
 from tdgsim.engine import World
 
 UNITS = 20_000
-# Measured at 233 B per unit on CPython 3.11.7 (slotted WorkUnit, no
-# per-unit pending-judgment list); with a dataclass __dict__ and that list
-# it was 345 B.  The bound leaves 15 % over the measurement.
-MAX_BYTES_PER_UNIT = 268
+# Measured at 166 B per unit on CPython 3.11.7 (slotted WorkUnit, no
+# per-unit pending-judgment list or ground-truth string); with a per-unit
+# ground truth it was 233 B, and with a dataclass __dict__ and that list
+# too, 345 B.  The bound leaves 15 % over the measurement.
+MAX_BYTES_PER_UNIT = 191
 
 
 def test_world_init_holds_each_work_unit_in_few_bytes():

@@ -7,12 +7,14 @@ across reruns of one.  Each bundled scenario is also rerun from its
 `effective_config.txt` echo, here and under every other interpreter.
 """
 import json
+from collections import Counter
 
 import pytest
 
 from background import OTHER_PYTHONS
 from golden_cases import (CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, echo_rerun,
                           pinned, run_case)
+from tdgsim import community
 from tdgsim.engine import WuState
 
 
@@ -63,6 +65,28 @@ def test_failover_dissolution_outputs_match_golden_digests(tmp_path):
     assert [ev.tick for ev in world.events
             if ev.kind == "agent_down" and ev.payload["agent"] == "rel-005"] == [100]
     assert digests == pinned("failover-dissolution")
+
+
+def test_many_servers_outputs_match_golden_digests(tmp_path, monkeypatch):
+    # Every formation attempt ranks the agents that no community holds;
+    # most fall short of the quorum, in invitees or in joiners.
+    shortlists = []
+    evaluate_formation = community.evaluate_formation
+
+    def spy(ranked, members, params):
+        invites = evaluate_formation(ranked, members, params)
+        shortlists.append(len(invites) < params.quorum)
+        return invites
+
+    monkeypatch.setattr(community, "evaluate_formation", spy)
+    world, digests = run_case("many-servers", tmp_path)
+    kinds = Counter(ev.payload["kind"] for ev in world.events if ev.kind == "tc_event")
+    formed = sum(ev.payload["detail"] == "pre_organisation->formation"
+                 for ev in world.events if ev.kind == "tc_event")
+    assert (len(shortlists), sum(shortlists), formed) == (256, 8, 8)
+    assert (kinds["invited"], kinds["joined"], kinds["evicted"],
+            kinds["dissolved"]) == (105, 50, 2, 3)
+    assert digests == pinned("many-servers")
 
 
 # ------------------------------------------------- other interpreters

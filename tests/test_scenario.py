@@ -683,7 +683,8 @@ def edited_defaults(tmp_path, old, new):
 # offer in centralized mode but rejected every one in trust mode.  So did
 # negative community sizes: a max_size of -1 cut the last agent off the
 # invitation list, and with a min_size below 0 a founder formed a
-# community alone.
+# community alone.  A max_requeues of -1 ran with exit 0 and failed every
+# work unit at its first round without a majority.
 @pytest.mark.parametrize("old, new, flags, message", [
     ("complexity = 3 ", "complexity = abc ", [], "complexity must be"),
     ("complexity = 3 ", "complexity = -2 ", [], "complexity must be"),
@@ -713,12 +714,14 @@ def edited_defaults(tmp_path, old, new):
      "[agents workers] accept_prob must be in [0, 1], got 1.5"),
     ("min_size = 5 ", "min_size = -3 ", [], "min_size must be >= 0, got -3"),
     ("max_size = 20 ", "max_size = -1 ", [], "max_size must be >= 0, got -1"),
+    ("max_requeues = 0 ", "max_requeues = -1 ", ["--mode", "trust"],
+     "max_requeues must be >= 0, got -1"),
 ], ids=["complexity-abc", "complexity-negative", "complexity-empty-range",
         "base-credit-negative",
         "churn-0/0", "churn-negative", "random-replication-negative",
         "label-space", "label-comma", "timeout-zero", "timeout-negative",
         "accept-prob-nan", "accept-prob-negative", "accept-prob-above-one",
-        "min-size-negative", "max-size-negative"])
+        "min-size-negative", "max-size-negative", "max-requeues-negative"])
 def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
                                          message):
     scenario = edited_defaults(tmp_path, old, new)
@@ -742,6 +745,23 @@ def test_cli_non_finite_community_threshold_is_a_config_error(tmp_path, capsys, 
                  "--mode", "trust"]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: {key} must be a finite number, got {float(value)}\n"
+
+
+# An infinite replication limit passed ReplicationLimits' `1 <= lo <= hi`
+# check, and the run died in roulette_round on a NaN replication factor.
+@pytest.mark.parametrize("edits", [{"hi = 5.0 ": "hi = inf "},
+                                   {"lo = 1.5 ": "lo = inf ", "hi = 5.0 ": "hi = inf "}],
+                         ids=["hi", "lo-and-hi"])
+def test_cli_non_finite_replication_limit_is_a_config_error(tmp_path, capsys, edits):
+    text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert main(["run", "--scenario", str(write(tmp_path, text)), "--ticks", "50",
+                 "--mode", "trust"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [limits] invalid replication limits (")
+    assert "Traceback" not in err
 
 
 def test_min_size_zero_still_needs_an_agent_to_form(tmp_path):
