@@ -1,7 +1,8 @@
-"""Explicit trust community state machine: formation, manager election,
-operation (invitation, eviction), dissolution, and the invite policy that
-`rank_invitees` states.  A community keeps no history: it writes each
-event, as it happens, into the run's event log."""
+"""A trust community is born operating, led by its founder, a work server;
+each tick it evicts decayed members and invites by the policy that
+`rank_invitees` states, its only later elections are failovers, and it ends
+by dissolving.  It keeps no history: it writes each event, as it happens,
+into the run's event log, the one record of its lifecycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,30 +12,6 @@ from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence,
 from .config import Params
 from .eventlog import SimEvent
 from .trust import NEUTRAL_TAU
-
-
-class StateError(RuntimeError):
-    """Operation invoked in the wrong lifecycle phase."""
-
-
-class DissolutionTriggered(Exception):
-    """No member can take over; the community must dissolve."""
-
-
-class Phase(Enum):
-    PRE_ORGANISATION = "pre_organisation"
-    FORMATION = "formation"
-    OPERATION = "operation"
-    DISSOLVED = "dissolved"
-
-
-# Legal phase transitions (Formation may abort straight to Dissolved).
-ALLOWED_TRANSITIONS = {
-    (Phase.PRE_ORGANISATION, Phase.FORMATION),
-    (Phase.FORMATION, Phase.OPERATION),
-    (Phase.FORMATION, Phase.DISSOLVED),
-    (Phase.OPERATION, Phase.DISSOLVED),
-}
 
 
 class EventKind(Enum):
@@ -49,7 +26,6 @@ class EventKind(Enum):
 
 
 # Hot paths read Enum members through module names (why: trust.TRUSTED).
-OPERATION = Phase.OPERATION
 INVITED = EventKind.INVITED
 JOINED = EventKind.JOINED
 LEFT = EventKind.LEFT
@@ -58,10 +34,11 @@ EVICTED = EventKind.EVICTED
 
 @dataclass
 class TrustCommunity:
-    """`members` includes the founder, a server.  Formation invites up to
-    `max_size` agents besides it, so a formed community can hold
-    `max_size + 1` members; `operate_tick` invites only while it holds
-    fewer than `max_size`, founder included.
+    """A community that operates: `form` makes it one, and after
+    `dissolve` the run drops it.  `members` includes the founder, a
+    server.  Formation invites up to `max_size` agents besides it, so a
+    formed community can hold `max_size + 1` members; `operate_tick`
+    invites only while it holds fewer than `max_size`, founder included.
 
     `add_member` and `remove_member` also keep `live_members`, the run's
     one set of every live community's members, founders included."""
@@ -73,7 +50,6 @@ class TrustCommunity:
     events: List[SimEvent] = field(repr=False)
     # Shared by the run's communities, which hold no member in common.
     live_members: Set[str] = field(default_factory=set, repr=False)
-    phase: Phase = Phase.PRE_ORGANISATION
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
     tcm: Optional[str] = None
@@ -84,12 +60,6 @@ class TrustCommunity:
         # `_value_` is the member's plain attribute; `.value` is a property.
         self.events.append(SimEvent(tick, "tc_event", {
             "community": self.id, "kind": kind._value_, "agent": agent, "detail": detail}))
-
-    def _transition(self, to: Phase, tick: int) -> None:
-        if (self.phase, to) not in ALLOWED_TRANSITIONS:
-            raise StateError(f"illegal phase transition {self.phase.value} -> {to.value}")
-        self.log(tick, EventKind.PHASE, detail=f"{self.phase.value}->{to.value}")
-        self.phase = to
 
     def add_member(self, agent: str, tick: int, tau: float) -> None:
         self.members[agent] = tick
@@ -106,15 +76,17 @@ class TrustCommunity:
 
     def form(self, tick: int, joiners: Sequence[str], taus: Mapping[str, float]) -> None:
         """Admit the founder, then the joiners by id, each at its tau in
-        `taus` (neutral if absent, as a never-rated server is)."""
-        if self.phase is not Phase.PRE_ORGANISATION:
-            raise StateError("can only form from pre-organisation")
-        self._transition(Phase.FORMATION, tick)
+        `taus` (neutral if absent, as a never-rated server is), and make
+        the founder, an online server, the manager."""
+        self.log(tick, EventKind.PHASE, detail="pre_organisation->formation")
         for a in [self.founder, *sorted(joiners)]:
             self.add_member(a, tick, taus.get(a, NEUTRAL_TAU))
+        self.tcm = self.founder
+        self.log(tick, EventKind.PHASE, detail="formation->operation")
+        self.log(tick, EventKind.TCM_ELECTED, self.founder)
 
     def dissolve(self, tick: int) -> None:
-        self._transition(Phase.DISSOLVED, tick)
+        self.log(tick, EventKind.PHASE, detail="operation->dissolved")
         self.tcm = None
         for a in sorted(self.members):
             self.remove_member(a, tick, LEFT)
@@ -153,33 +125,21 @@ def join_decision(egoistic: bool, inside_share: float, outside_share: float) -> 
     return inside_share > outside_share
 
 
-def elect_tcm(tc: TrustCommunity, availability: Mapping[str, bool], tick: int) -> str:
-    """First election goes to the founder when available; afterwards the
-    longest-serving available member wins, ties by agent id."""
-    if tc.phase not in (Phase.FORMATION, Phase.OPERATION):
-        raise StateError(f"cannot elect a manager in phase {tc.phase.value}")
+def elect_tcm(tc: TrustCommunity, availability: Mapping[str, bool],
+              tick: int) -> Optional[str]:
+    """Fail over from an unavailable manager so WU distribution continues:
+    the longest-serving available member wins, ties by agent id, and the
+    old founder gets buffered results back but leadership does not revert.
+    None, and no one elected, when no member is available: the community
+    must dissolve."""
+    tc.log(tick, EventKind.TCM_FAILED, tc.tcm)
     available = [a for a in tc.members if availability.get(a, False)]
     if not available:
-        raise DissolutionTriggered(tc.id)
-    if tc.phase is Phase.FORMATION and availability.get(tc.founder, False):
-        winner = tc.founder
-    else:
-        winner = min(available, key=lambda a: (tc.members[a], a))
+        return None
+    winner = min(available, key=lambda a: (tc.members[a], a))
     tc.tcm = winner
-    if tc.phase is Phase.FORMATION:
-        tc._transition(Phase.OPERATION, tick)
     tc.log(tick, EventKind.TCM_ELECTED, winner)
     return winner
-
-
-def handle_tcm_failure(tc: TrustCommunity, availability: Mapping[str, bool],
-                       tick: int) -> str:
-    """Replace an unavailable manager so WU distribution continues; the
-    old founder gets buffered results back but leadership does not revert."""
-    if tc.phase is not Phase.OPERATION:
-        raise StateError("failover only applies to an operating community")
-    tc.log(tick, EventKind.TCM_FAILED, tc.tcm or "")
-    return elect_tcm(tc, availability, tick)
 
 
 def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
@@ -189,8 +149,6 @@ def operate_tick(tc: TrustCommunity, reputations: Mapping[str, float],
     below max size (room counted before the evictions), the best agents of
     `ranked` that no community holds and that have not declined this one.
     A full community may be given no ranking."""
-    if tc.phase is not OPERATION:
-        raise StateError(f"operate_tick in phase {tc.phase.value}")
     evict: List[str] = []
     for a in sorted(tc.members):
         if a == tc.tcm:
@@ -208,10 +166,7 @@ def dissolve_check(tc: TrustCommunity, params: Params,
                    queue_exhausted: bool) -> bool:
     """True when the community no longer carries its weight: shrunk below
     quorum, below the dissolution fraction of its peak, or out of work."""
-    if tc.phase is not OPERATION:
-        raise StateError("dissolve_check outside operation")
     size = len(tc.members)
     return (queue_exhausted
             or size < params.min_size
             or size < params.dissolve_fraction * tc.peak_size)
-

@@ -201,9 +201,10 @@ class World:
         # deadline is its issue tick plus the run's fixed timeout_ticks.  An
         # entry whose unit is no longer ASSIGNED is stale; it leaves at the head.
         self.central_assigned: Deque[Tuple[WorkUnit, str]] = deque()
-        # Live communities, by id.  Every one is operating, shares no member
-        # with another, and, once _issue_trust's failover has run, has an
-        # available manager; the engine relies on this and checks none of it.
+        # Live communities, by id.  Each is here from its formation, which
+        # makes its founder the manager, until it dissolves: being here is
+        # operating.  They share no member, and after _issue_trust's failover
+        # each has an available manager; the engine relies on this unchecked.
         self.communities: Dict[str, tc.TrustCommunity] = {}
         # Every live community's members, founders included, kept by the
         # communities themselves as members join and leave.
@@ -323,9 +324,7 @@ class World:
         for comm in list(self.communities.values()):
             if not self._available(comm.tcm):
                 availability = {m: self._available(m) for m in comm.members}
-                try:
-                    tc.handle_tcm_failure(comm, availability, self.tick)
-                except tc.DissolutionTriggered:
+                if tc.elect_tcm(comm, availability, self.tick) is None:
                     comm.dissolve(self.tick)
                     del self.communities[comm.id]
         if not self.open_wus:
@@ -611,10 +610,13 @@ class World:
                 comm.remove_member(agent, self.tick, tc.EVICTED)
             for agent in invite:
                 comm.log(self.tick, tc.INVITED, agent)
-                # Read per invite: an agent accepted here joins at once.
+                # Read per invite: an agent accepted here joins at once.  With
+                # no agent in the community, the invitee judges by its own tau.
                 inside = [taus.get(m, NEUTRAL_TAU) for m in comm.members if m in self.agents]
-                if self._accepts_invite(agent, inside, pool_tau):
-                    comm.add_member(agent, self.tick, taus.get(agent, NEUTRAL_TAU))
+                own = taus.get(agent, NEUTRAL_TAU)
+                inside_tau = sum_left(inside) / len(inside) if inside else own
+                if self._accepts_invite(agent, inside_tau, pool_tau):
+                    comm.add_member(agent, self.tick, own)
                 else:
                     comm.declined.add(agent)
             queue_empty = (not self.servers[comm.founder].queue
@@ -631,9 +633,11 @@ class World:
             if ranked is None:
                 ranked, pool_tau = self._invite_pool()
             invites = tc.evaluate_formation(ranked, members, params)
+            # The invitees of one attempt share one inside mean: their own.
             invitee_taus = [taus.get(a, NEUTRAL_TAU) for a in invites]
+            inside_tau = sum_left(invitee_taus) / len(invites) if invites else NEUTRAL_TAU
             joiners = [a for a in invites
-                       if self._accepts_invite(a, invitee_taus, pool_tau)]
+                       if self._accepts_invite(a, inside_tau, pool_tau)]
             if len(joiners) < params.quorum:
                 continue  # below quorum; retry when reputations improve
             comm = tc.TrustCommunity(id=f"tc{self._tc_counter}", founder=sid,
@@ -642,7 +646,6 @@ class World:
             for a in invites:
                 comm.log(self.tick, tc.INVITED, a)
             comm.form(self.tick, joiners, taus)
-            tc.elect_tcm(comm, {m: self._available(m) for m in comm.members}, self.tick)
             self.communities[comm.id] = comm
 
     def _invite_pool(self) -> Tuple[List[str], float]:
@@ -652,13 +655,10 @@ class World:
         mean = sum_left(tau for _, tau in online) / len(online) if online else NEUTRAL_TAU
         return tc.rank_invitees(online, self.config.params), mean
 
-    def _accepts_invite(self, agent_id: str, inside_taus: List[float],
-                        pool_tau: float) -> bool:
-        """Whether `agent_id` joins a community whose agents' taus are
-        `inside_taus` (if none, its own) over a pool of mean tau `pool_tau`."""
-        inside_taus = inside_taus or [self.store.taus.get(agent_id, NEUTRAL_TAU)]
-        inside_size = 1 + raw_replication_factor(
-            sum_left(inside_taus) / len(inside_taus), self.limits)
+    def _accepts_invite(self, agent_id: str, inside_tau: float, pool_tau: float) -> bool:
+        """Whether `agent_id` joins a community whose agents' mean tau is
+        `inside_tau` over a pool of mean tau `pool_tau`."""
+        inside_size = 1 + raw_replication_factor(inside_tau, self.limits)
         outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
         return tc.join_decision(self.agents[agent_id].profile is EGOISTIC,

@@ -206,6 +206,10 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         value = getattr(cfg.params, key)
         if value < 0:
             errors.append(f"{key} must be >= 0, got {value}")
+    # evaluate_formation invites at most max_size agents, so no run forms one.
+    if cfg.params.formation and cfg.params.quorum > cfg.params.max_size:
+        errors.append(f"max_size must be >= the formation quorum {cfg.params.quorum} "
+                      f"(min_size, and at least 1), got {cfg.params.max_size}")
     if cfg.params.window < 0:
         errors.append(f"window must be >= 0, got {cfg.params.window}")
     elif cfg.params.window > sys.maxsize:  # a deque's maxlen

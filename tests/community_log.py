@@ -6,7 +6,7 @@ membership fold in the package.
 """
 from typing import Dict, List
 
-from tdgsim.community import EventKind, Phase, TrustCommunity
+from tdgsim.community import EventKind, TrustCommunity
 from tdgsim.eventlog import SimEvent
 
 
@@ -26,16 +26,17 @@ def community_logs(events) -> Dict[str, List[SimEvent]]:
 
 
 def fold(events) -> dict:
-    """The phase, members (agent -> joined tick), manager and peak size
-    that one community's `tc_event`s leave it in."""
-    phase = Phase.PRE_ORGANISATION
+    """The phase (the end of its last `phase` event's `detail`), members
+    (agent -> joined tick), manager and peak size that one community's
+    `tc_event`s leave it in."""
+    phase = "pre_organisation"
     members: Dict[str, int] = {}
     tcm = None
     peak = 0
     for ev in events:
         kind, agent = EventKind(ev.payload["kind"]), ev.payload["agent"]
         if kind is EventKind.PHASE:
-            phase = Phase(ev.payload["detail"].split("->")[1])
+            phase = ev.payload["detail"].split("->")[1]
         elif kind is EventKind.JOINED:
             members[agent] = ev.tick
             peak = max(peak, len(members))
@@ -49,6 +50,6 @@ def fold(events) -> dict:
 
 
 def state(comm: TrustCommunity) -> dict:
-    """The live counterpart of `fold`."""
-    return {"phase": comm.phase, "members": comm.members, "tcm": comm.tcm,
+    """The live counterpart of `fold`: a live community is operating."""
+    return {"phase": "operation", "members": comm.members, "tcm": comm.tcm,
             "peak_size": comm.peak_size}

@@ -1,11 +1,9 @@
-"""Trust-community lifecycle state-machine tests."""
-import pytest
+"""Trust-community lifecycle tests: formation, failover, operation,
+dissolution and the replay of each from the event log."""
 from hypothesis import given, settings, strategies as st
 
-from tdgsim.community import (ALLOWED_TRANSITIONS, DissolutionTriggered,
-                              EventKind, Phase, StateError, _best_invites,
-                              dissolve_check, elect_tcm, evaluate_formation,
-                              handle_tcm_failure, join_decision, operate_tick,
+from tdgsim.community import (EventKind, _best_invites, dissolve_check, elect_tcm,
+                              evaluate_formation, join_decision, operate_tick,
                               rank_invitees)
 from tdgsim.config import Params
 
@@ -18,46 +16,25 @@ def formed_community(n=6, tick=10, events=None):
     comm = new_community([] if events is None else events)
     joiners = [f"a{i}" for i in range(n)]
     comm.form(tick, joiners, {"w0": 0.9, **{a: 0.8 for a in joiners}})
-    elect_tcm(comm, {m: True for m in comm.members}, tick)
     return comm
 
 
 # ------------------------------------------------------------ lifecycle
 
 def test_formation_path_reaches_operation():
-    comm = formed_community()
-    assert comm.phase is Phase.OPERATION
+    events = []
+    comm = formed_community(n=2, events=events)
     assert comm.tcm == "w0"  # first election goes to the founder
-    assert "w0" in comm.members
-    assert comm.peak_size == 7
-
-
-def test_form_requires_pre_organisation():
-    comm = formed_community()
-    with pytest.raises(StateError):
-        comm.form(20, ["x"], {"x": 0.8})
-
-
-def test_cannot_dissolve_from_pre_organisation():
-    comm = new_community([])
-    with pytest.raises(StateError):
-        comm.dissolve(1)
-
-
-def test_formation_may_abort_to_dissolved():
-    assert (Phase.FORMATION, Phase.DISSOLVED) in ALLOWED_TRANSITIONS
-    comm = new_community([])
-    comm.form(1, ["a", "b"], {"a": 0.8, "b": 0.8})
-    comm.dissolve(2)
-    assert comm.phase is Phase.DISSOLVED
-    assert not comm.members
-
-
-def test_dissolved_is_terminal():
-    comm = formed_community()
-    comm.dissolve(11)
-    with pytest.raises(StateError):
-        comm._transition(Phase.OPERATION, 12)
+    assert comm.members == {"w0": 10, "a0": 10, "a1": 10}
+    assert comm.peak_size == 3
+    # One step: formation, the founder and joiners by id, operation, the
+    # founder elected, all on the formation tick.
+    assert [(e.tick, e.payload["kind"], e.payload["agent"], e.payload["detail"])
+            for e in events] == [
+        (10, "phase", "", "pre_organisation->formation"),
+        (10, "joined", "w0", ""), (10, "joined", "a0", ""), (10, "joined", "a1", ""),
+        (10, "phase", "", "formation->operation"),
+        (10, "tcm_elected", "w0", "")]
 
 
 # ------------------------------------------------------------ formation
@@ -122,7 +99,7 @@ def test_failover_prefers_longest_serving_then_id():
     comm = formed_community(tick=10, events=events)
     comm.add_member("z_late", 20, 0.9)
     availability = {m: m != "w0" for m in comm.members}
-    winner = handle_tcm_failure(comm, availability, 30)
+    winner = elect_tcm(comm, availability, 30)
     assert winner == "a0"  # joined tick 10, smallest id among those
     assert comm.tcm == "a0"
     kinds = [e.payload["kind"] for e in events[-2:]]
@@ -132,15 +109,12 @@ def test_failover_prefers_longest_serving_then_id():
 
 
 def test_no_available_member_triggers_dissolution():
-    comm = formed_community()
-    with pytest.raises(DissolutionTriggered):
-        elect_tcm(comm, {}, 11)
-
-
-def test_failover_outside_operation_is_an_error():
-    comm = new_community([])
-    with pytest.raises(StateError):
-        handle_tcm_failure(comm, {}, 1)
+    events = []
+    comm = formed_community(events=events)
+    assert elect_tcm(comm, {}, 11) is None
+    # The failure is logged, and no one is elected: the engine dissolves.
+    assert [(e.tick, e.payload["kind"], e.payload["agent"]) for e in events[-1:]] == [
+        (11, EventKind.TCM_FAILED.value, "w0")]
 
 
 # ------------------------------------------------------------ operation
@@ -191,12 +165,6 @@ def test_dissolve_check_triggers():
     assert dissolve_check(comm, PARAMS, queue_exhausted=False)
 
 
-def test_dissolve_check_requires_operation():
-    comm = new_community([])
-    with pytest.raises(StateError):
-        dissolve_check(comm, PARAMS, queue_exhausted=False)
-
-
 # --------------------------------------------------------------- replay
 
 def test_replay_rebuilds_live_state():
@@ -204,7 +172,7 @@ def test_replay_rebuilds_live_state():
     comm = formed_community(events=events)
     comm.remove_member("a3", 12, EventKind.EVICTED)
     comm.add_member("late", 13, 0.85)
-    handle_tcm_failure(comm, {m: m != "w0" for m in comm.members}, 14)
+    elect_tcm(comm, {m: m != "w0" for m in comm.members}, 14)
     assert comm.tcm == "a0" and comm.members["late"] == 13
     assert fold(events) == state(comm)
 
@@ -214,7 +182,7 @@ def test_replay_after_dissolution():
     comm = formed_community(events=events)
     comm.dissolve(20)
     replayed = fold(events)
-    assert replayed["phase"] is Phase.DISSOLVED
+    assert replayed["phase"] == "dissolved"
     assert replayed["members"] == {}
     assert replayed["tcm"] is None
     assert replayed["peak_size"] == 7

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from tdgsim import community, engine
-from tdgsim.community import Phase
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
 from tdgsim.engine import (RATINGS, Outcome, Profile, ReputationStore, World,
                            WuState, _cause, stream)
@@ -370,11 +369,22 @@ def test_event_log_alone_rebuilds_every_community(scenario, kind):
     assert any(ev.payload["kind"] == kind for log in logs.values() for ev in log)
     assert set(world.communities) <= set(logs)
     for comm_id, log in logs.items():
-        if comm_id in world.communities:
+        live = comm_id in world.communities
+        # Born operating in one step, under its founder, the first member
+        # to join; a live community has not dissolved, and any other has.
+        assert [ev.payload["detail"] for ev in log if ev.payload["kind"] == "phase"] == (
+            ["pre_organisation->formation", "formation->operation"]
+            + ([] if live else ["operation->dissolved"]))
+        formed = next(ev.tick for ev in log if ev.payload["kind"] == "phase")
+        founder = next(ev.payload["agent"] for ev in log if ev.payload["kind"] == "joined")
+        first_election = next(ev for ev in log if ev.payload["kind"] == "tcm_elected")
+        assert founder in world.servers
+        assert (first_election.tick, first_election.payload["agent"]) == (formed, founder)
+        if live:
             assert fold(log) == state(world.communities[comm_id])
         else:
             replayed = fold(log)
-            assert replayed["phase"] is Phase.DISSOLVED
+            assert replayed["phase"] == "dissolved"
             assert replayed["members"] == {} and replayed["tcm"] is None
 
 
@@ -394,7 +404,6 @@ def test_live_communities_are_operating_led_and_disjoint(scenario, kind, tmp_pat
         world.step(t)
         seen = set()
         for comm in world.communities.values():
-            assert comm.phase is Phase.OPERATION
             assert world._available(comm.tcm)
             assert seen.isdisjoint(comm.members)
             seen.update(comm.members)
@@ -529,7 +538,6 @@ def test_each_invite_is_judged_against_the_members_of_that_moment():
         comm = community.TrustCommunity(id=cid, founder=founder, events=world.events,
                                         live_members=world.live_members)
         comm.form(0, agents, world.store.taus)
-        community.elect_tcm(comm, {m: True for m in comm.members}, 0)
         world.communities[cid] = comm
     world.tick = 1
     world._phase_lifecycle()
@@ -538,6 +546,29 @@ def test_each_invite_is_judged_against_the_members_of_that_moment():
         ("tc0", "invited", "x-000"), ("tc0", "joined", "x-000"),
         ("tc0", "invited", "y-000")]
     assert world.communities["tc0"].declined == {"y-000"}
+
+
+def test_an_invite_to_a_community_of_no_agent_is_judged_by_the_invitees_tau():
+    # tc0 is its founder alone.  The online agents' mean tau is
+    # (1 + 0.72 + 0.1) / 3 = 0.61.  x-000 (tau 1) judges tc0 by its own tau
+    # and joins; y-000 (0.72) then judges it by x-000's and joins too.
+    # Judged by a neutral 0.5 instead, both would decline.
+    cfg = make_cfg(mode="trust", wu_count=10,
+                   agents=[AgentGroup("x", 1, "reliable"), AgentGroup("y", 1, "reliable"),
+                           AgentGroup("z", 1, "reliable")])
+    cfg.params.min_size, cfg.params.max_size = 1, 4
+    world = World(cfg)
+    for agent, value in [("x-000", 1.0), ("y-000", 0.44), ("z-000", -0.8)]:
+        world.store.record(agent, value)
+    comm = community.TrustCommunity(id="tc0", founder="w0", events=world.events,
+                                    live_members=world.live_members)
+    comm.form(0, [], world.store.taus)
+    world.communities["tc0"] = comm
+    world.tick = 1
+    world._phase_lifecycle()
+    assert [(ev.payload["kind"], ev.payload["agent"])
+            for ev in world.events if ev.tick == 1] == [
+        ("invited", "x-000"), ("joined", "x-000"), ("invited", "y-000"), ("joined", "y-000")]
 
 
 # ------------------------------------------------------------ work count
@@ -598,7 +629,7 @@ def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):
         if self.open_wus:
             idle[self.tick] = sum(a.online and a.current_wu is None
                                   for a in self.agents.values())
-            if any(c.phase is Phase.OPERATION for c in self.communities.values()):
+            if self.communities:
                 operating.add(self.tick)
         issuing = True
         try:

@@ -784,6 +784,26 @@ def test_min_size_zero_still_needs_an_agent_to_form(tmp_path):
         assert set(members) & set(world.agents), (community, members)
 
 
+# evaluate_formation invites at most max_size agents, so with a quorum above
+# it a run exited 0 and formed no community.
+@pytest.mark.parametrize("sizes, quorum, max_size", [
+    ("min_size = 21\nmax_size = 20\n", 21, 20), ("min_size = 0\nmax_size = 0\n", 1, 0)],
+    ids=["min-size-above-max-size", "both-zero"])
+def test_cli_quorum_above_max_size_is_a_config_error(tmp_path, capsys, sizes, quorum,
+                                                     max_size):
+    text = (SCENARIOS / "etc_throughput.ini").read_text(encoding="utf-8")
+    assert text.count("formation = on\n") == 1
+    on = write(tmp_path, text.replace("formation = on\n", "formation = on\n" + sizes))
+    assert main(["run", "--scenario", str(on), "--ticks", "50"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: max_size must be >= the formation quorum {quorum} "
+        f"(min_size, and at least 1), got {max_size}\n")
+    # Without formation the sizes act on nothing.
+    off = write(tmp_path, text.replace("formation = on\n", "formation = off\n" + sizes),
+                "off.ini")
+    assert main(["run", "--scenario", str(off), "--ticks", "50"]) == 0
+
+
 def test_label_with_colon_dot_and_underscore_verifies(tmp_path, capsys):
     # An agent id ends up in every ledger line that credits it.
     scenario = edited_defaults(tmp_path, "[agents workers]", "[agents w:1.x_y]")
