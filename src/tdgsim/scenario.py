@@ -264,11 +264,17 @@ def render_config(cfg: ScenarioConfig) -> str:
 def run(cfg: ScenarioConfig,
         out_dir=None) -> Tuple[World, MetricsReport, Ledger]:
     """Drive the engine for the full horizon, audit the ledger, compute
-    metrics from the event log, and optionally write all artifacts."""
+    metrics from the event log, and optionally write all artifacts to
+    `out_dir`, which is made before the run: a ConfigError if it cannot be."""
     from .engine import World
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
+    if out_dir is not None:  # before the run, not after the whole horizon
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"cannot write reports to {out_dir}: {exc}"]) from None
     world = World(cfg)
     world.run()
     bad = world.ledger.verify_chain()

@@ -1,6 +1,8 @@
 import pytest
 
 from background import CHECKS, Background
+from tdgsim.config import AgentGroup, ScenarioConfig
+from tdgsim.scenario import run
 
 
 def pytest_collection_modifyitems(items):
@@ -19,3 +21,16 @@ def background(request):
             runs.start(item.name)
     yield runs
     runs.close()
+
+
+@pytest.fixture(scope="session")
+def small_run(tmp_path_factory):
+    """A short trust-mode run with colluders, its reports in `out`; the
+    scenario and event-log tests only read it."""
+    out = tmp_path_factory.mktemp("out")
+    cfg = ScenarioConfig(name="small", mode="trust", strategy="dgds", seed=5,
+                         horizon_ticks=80, wu_count=60, timeout_ticks=20,
+                         agents=[AgentGroup("rel", 8, "reliable"),
+                                 AgentGroup("mal", 2, "malicious")])
+    world, report, ledger = run(cfg, out)
+    return out, world, report, ledger

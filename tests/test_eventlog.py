@@ -1,13 +1,17 @@
-"""The event log: every payload against its schema row, `replay` on a
-log whose lines parse but whose values the metrics fold cannot read, and
-the metrics fold against the reference fold it replaced."""
+"""The event log: the writer's bytes against `json.dumps`, every payload
+against its schema row, `replay` on a log whose lines parse but whose
+values the metrics fold cannot read, and the metrics fold against the
+reference fold it replaced."""
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import types
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,25 +21,261 @@ from event_schema import EVENT_KEYS, SCENARIOS, TRUST_ONLY_KINDS, payload_keys
 from golden_cases import CASES, pinned, run_case, scenario_file
 from reference_fold import compute_metrics as reference_fold
 from tdgsim.cli import main
-from tdgsim.eventlog import EventLogError, SimEvent
+from tdgsim.eventlog import (LINE_TEMPLATES, EventLogError, SimEvent, read_event_log,
+                             write_event_log)
 from tdgsim.metrics import compute_metrics, tick_rows
 from tdgsim.scenario import parse_scenario, run
 
 
-def test_every_payload_has_the_keys_of_its_schema_row(tmp_path):
-    seen = set()
+@pytest.fixture(scope="module")
+def engine_runs(tmp_path_factory):
+    """(name, trust mode, events) of every golden case, the bundled
+    scenarios among them, and of the scenarios in event_schema.py."""
+    tmp = tmp_path_factory.mktemp("engine-runs")
+    runs = []
     for name in list(CASES) + list(SCENARIOS):
         if name in CASES:
-            scenario = scenario_file(name, tmp_path)
+            scenario = scenario_file(name, tmp)
         else:
-            scenario = tmp_path / "scenario.ini"
+            scenario = tmp / "scenario.ini"
             scenario.write_text(SCENARIOS[name], encoding="utf-8")
         world, _, _ = run(parse_scenario(scenario))
-        for ev in world.events:
-            assert set(ev.payload) == payload_keys(ev.kind, world.trust_mode), (name, ev)
-            seen.add((ev.kind, world.trust_mode))
+        runs.append((name, world.trust_mode, world.events))
+    return runs
+
+
+def test_every_payload_has_the_keys_of_its_schema_row(engine_runs):
+    seen = set()
+    for name, trust_mode, events in engine_runs:
+        for ev in events:
+            assert set(ev.payload) == payload_keys(ev.kind, trust_mode), (name, ev)
+            seen.add((ev.kind, trust_mode))
     assert seen == ({(kind, True) for kind in EVENT_KEYS}
                     | {(kind, False) for kind in EVENT_KEYS if kind not in TRUST_ONLY_KINDS})
+
+
+# ---------------------------------------------------------------- writer
+
+HEADER = {"horizon": 3, "agents": {"a-000": {"profile": "reliable", "online": True}}}
+
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False)
+               | st.sampled_from([-0.0, 1e300, -1e-300, 0.1])
+               | st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f\x7f",
+                                              "caf\xe9", "\u6f22\u5b57", "\u2028"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=12)
+
+
+def dumps_line(tick, kind, payload):
+    """What the writer must write for an event."""
+    return json.dumps({"t": tick, "k": kind, "p": payload}, sort_keys=True) + "\n"
+
+
+def dumps_lines(header, events):
+    return json.dumps(header, sort_keys=True) + "\n" + "".join(
+        dumps_line(*event) for event in events)
+
+
+def written(path, header, events):
+    """The writer's text for `events`, with the C encoder and without it,
+    which must be the same."""
+    write_event_log(path, header, events)
+    text = path.read_bytes().decode("ascii")
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        write_event_log(path, header, events)
+    assert path.read_bytes().decode("ascii") == text
+    return text
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(json_leaves, st.text(max_size=12),
+                          st.dictionaries(st.text(max_size=6), json_values, max_size=5)
+                          | json_values),
+                max_size=6))
+@example([(True, "wu_issued", {})])  # str(True) is not JSON
+@example([("3", "wu_issued", {})])  # nor is str("3")
+def test_writer_lines_equal_json_dumps(codec_dir, triples):
+    log = codec_dir / "events.jsonl"
+    assert written(log, HEADER, [SimEvent(t, k, p) for t, k, p in triples]) == \
+        dumps_lines(HEADER, triples)
+    # tuples come back as lists, as from any JSON round trip
+    assert read_event_log(log) == (HEADER, [SimEvent(t, k, json.loads(json.dumps(p)))
+                                            for t, k, p in triples])
+
+
+def test_writer_without_the_c_encoder_writes_the_same_bytes(small_run, tmp_path):
+    _, world, _, _ = small_run
+    events = world.events + [SimEvent(7, "caf\xe9  ", {
+        "b": [1.5, -0.0, 1e300, -1e-300], "a": ("x", None, True),
+        "漢": {"z": "\x00\x1f\"\\", "y": 2}})]
+    assert written(tmp_path / "events.jsonl", world.header(), events) == \
+        dumps_lines(world.header(), events)
+
+
+def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
+    _, world, _, _ = small_run
+    write_event_log(tmp_path / "events.jsonl", world.header(), world.events)
+    header, events = read_event_log(tmp_path / "events.jsonl")
+    assert header == world.header()
+    assert events == world.events
+    assert all(type(ev) is SimEvent for ev in events)
+
+
+def templated(kind, payload, tick=1):
+    """The line the writer takes from the template of `kind`, or None where
+    it leaves the event to the encoder."""
+    if type(tick) is not int:
+        return None
+    try:
+        return LINE_TEMPLATES[kind](payload, str(tick))
+    except (KeyError, TypeError):
+        return None
+
+
+class Name(str):
+    """A str subclass: the encoder writes the str it holds."""
+
+
+# Each value type the engine writes under a templated kind: what a
+# template takes, and what it must leave to the encoder.
+TEXT = (st.text(max_size=8) | st.text(max_size=8).map(Name)
+        | st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "caf\xe9", "\u6f22", "\u2028",
+                           "\ud800"]))
+TAKEN = {
+    str: TEXT,
+    int: st.integers(),
+    bool: st.booleans(),
+    float: (st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, 1e300, 0.1])),
+    list: st.lists(TEXT, max_size=4),
+    dict: st.dictionaries(TEXT, st.integers(), max_size=4),
+}
+LEFT = {
+    str: st.none() | st.integers() | st.booleans() | st.lists(TEXT, max_size=2),
+    int: st.booleans() | st.floats() | st.integers().map(str),
+    bool: st.integers(0, 1) | st.floats() | st.none(),
+    float: (st.sampled_from([math.inf, -math.inf, math.nan])
+            | st.integers() | st.booleans()),
+    list: (st.lists(TEXT, max_size=3).map(tuple)
+           | st.lists(st.integers() | st.none() | TEXT, min_size=1, max_size=3).filter(
+               lambda items: not all(isinstance(x, str) for x in items))
+           | TEXT),
+    dict: (st.dictionaries(st.integers(), st.integers(), min_size=1, max_size=3)
+           | st.dictionaries(TEXT, st.booleans() | st.floats(), min_size=1, max_size=3)
+           | st.lists(st.tuples(TEXT, st.integers()), max_size=2)),
+}
+VALUE_TYPES = {
+    "wu": str, "agent": str, "initiator": str, "distributor": str, "subject": str,
+    "rater": str, "cause": str, "members": list, "consensus": list,
+    "group_size": int, "complexity": int, "units": int, "credit": int,
+    "late": bool, "buffered": bool, "short": bool, "correct": bool,
+    "value": float, "allocations": dict,
+}
+# Each payload shape a template takes: its kind and key set, by id.
+SHAPES = {f"{kind}-{len(keys)}": (kind, sorted(keys)) for kind in LINE_TEMPLATES
+          for keys in {frozenset(payload_keys(kind, mode)) for mode in (False, True)}}
+
+
+@st.composite
+def templated_events(draw, kind, keys):
+    """An event of `kind` with the engine's key set and value types, and
+    whether the template must take it; or the same with one thing changed:
+    a value of another type, a key missing, a key more, a tick that is not
+    an int, or a mapping that is not a dict."""
+    payload = {key: draw(TAKEN[VALUE_TYPES[key]]) for key in keys}
+    tick = draw(st.integers(min_value=0))
+    change = draw(st.sampled_from([None, "value", "missing", "extra", "tick", "mapping"]))
+    key = draw(st.sampled_from(keys))
+    if change == "value":
+        payload[key] = draw(LEFT[VALUE_TYPES[key]])
+    elif change == "missing":
+        del payload[key]
+    elif change == "extra":
+        payload[draw(TEXT.filter(lambda extra: extra not in payload))] = draw(json_leaves)
+    elif change == "tick":
+        tick = draw(json_leaves.filter(lambda t: type(t) is not int))
+    elif change == "mapping":
+        payload = types.MappingProxyType(payload)
+    return SimEvent(tick, kind, payload), change is None
+
+
+@pytest.mark.parametrize("kind, keys", SHAPES.values(), ids=SHAPES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_templates_write_what_json_dumps_writes(codec_dir, kind, keys, data):
+    drawn = data.draw(st.lists(templated_events(kind, keys), min_size=1, max_size=3))
+    events = [event for event, _ in drawn]
+    log = codec_dir / "templated.jsonl"
+    try:
+        expected = dumps_lines(HEADER, events)
+    except TypeError:  # json.dumps encodes no mapping but a dict
+        with pytest.raises(TypeError):
+            write_event_log(log, HEADER, events)
+        return
+    assert written(log, HEADER, events) == expected
+    for event, taken in drawn:
+        line = templated(event.kind, event.payload, event.tick)
+        if taken:  # the engine's key set and value types
+            assert line is not None, event
+        if line is not None:
+            assert line == dumps_line(*event), event
+
+
+# The engine's value of each type, and values of other types that a
+# template must leave to the encoder, as it leaves them all.
+ENGINE_VALUES = {str: "a", int: 2, bool: True, float: 0.5, list: ["b", "a"],
+                 dict: {"b": 1, "a": 2}}
+OTHER_VALUES = {
+    str: [None, 7, True, ["a"]],
+    int: [True, 3.0, "3", None],
+    bool: [1, 0, 1.0, None, "true"],
+    float: [math.inf, -math.inf, math.nan, 1, True],
+    list: [("a",), ["a", 1], ["a", None], "ab", {"a": 1}],
+    dict: [{1: 2}, {"a": True}, {"a": 1.5}, [("a", 1)], "a"],
+}
+
+
+def test_every_value_of_another_type_goes_to_the_encoder(codec_dir):
+    events = []
+    for kind, keys in SHAPES.values():
+        payload = {key: ENGINE_VALUES[VALUE_TYPES[key]] for key in keys}
+        assert templated(kind, payload) is not None, kind
+        for key in keys:
+            for value in OTHER_VALUES[VALUE_TYPES[key]]:
+                events.append(SimEvent(1, kind, {**payload, key: value}))
+                assert templated(kind, events[-1].payload) is None, events[-1]
+    assert written(codec_dir / "other-values.jsonl", HEADER, events) == \
+        dumps_lines(HEADER, events)
+
+
+def test_engine_events_take_their_template(engine_runs):
+    shapes = {}  # kind -> the key sets its template was seen to take
+    for name, trust_mode, events in engine_runs:
+        for ev in events:
+            if ev.kind in LINE_TEMPLATES:
+                assert templated(ev.kind, ev.payload, ev.tick) is not None, (name, ev)
+                shapes.setdefault(ev.kind, {})[frozenset(ev.payload)] = ev.payload
+    assert set(shapes) == set(LINE_TEMPLATES)
+    # A template takes the key set of payload_keys in either mode, and one
+    # key fewer or one more only where that is the other mode's key set.
+    for kind, payloads in shapes.items():
+        modes = {frozenset(payload_keys(kind, mode)) for mode in (False, True)}
+        assert set(payloads) == modes, kind
+        for payload in payloads.values():
+            variants = [{k: v for k, v in payload.items() if k != key} for key in payload]
+            variants.append({**payload, "zz": 0})
+            for variant in variants:
+                taken = templated(kind, variant) is not None
+                assert taken == (frozenset(variant) in modes), (kind, sorted(variant))
 
 
 # Churn, a free rider, short deadlines, colluders and a community: every

@@ -7,12 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tdgsim.cli import main
 from tdgsim.config import AgentGroup, Params, ScenarioConfig, complexity_range
 from tdgsim.engine import World
-from tdgsim.eventlog import EventLogError, SimEvent, read_event_log, write_event_log
+from tdgsim.eventlog import EventLogError, SimEvent, read_event_log
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
 from tdgsim.scenario import (ConfigError, parse_scenario, render_config, run,
@@ -226,17 +225,6 @@ def test_bundled_scenarios_parse(name):
 
 # ------------------------------------------------------------- reports
 
-@pytest.fixture(scope="module")
-def small_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("out")
-    cfg = ScenarioConfig(name="small", mode="trust", strategy="dgds", seed=5,
-                         horizon_ticks=80, wu_count=60, timeout_ticks=20,
-                         agents=[AgentGroup("rel", 8, "reliable"),
-                                 AgentGroup("mal", 2, "malicious")])
-    world, report, ledger = run(cfg, out)
-    return out, world, report, ledger
-
-
 def test_report_files_written(small_run):
     out, _, report, _ = small_run
     for name in ("summary.csv", "series.csv", "ledger.txt",
@@ -422,7 +410,7 @@ def test_cli_replay_matches_run_when_groups_share_a_profile(tmp_path, capsys):
     assert capsys.readouterr().out == run_stdout
 
 
-# ------------------------------------------------------- event log codec
+# ------------------------------------------------------ event log reader
 
 HEADER = {"horizon": 3, "agents": {"a-000": {"profile": "reliable", "online": True}}}
 EVENT = '{"k": "wu_issued", "p": {"wu": "wu-0"}, "t": 1}'
@@ -497,63 +485,6 @@ def test_reader_restores_the_collector_state(tmp_path, enabled, raises):
         gc.enable() if before else gc.disable()
 
 
-json_leaves = (st.none() | st.booleans() | st.integers()
-               | st.floats(allow_nan=False)
-               | st.sampled_from([-0.0, 1e300, -1e-300, 0.1])
-               | st.text() | st.sampled_from(['"', "\\", "\x00", "\x1f\x7f",
-                                              "caf\xe9", "\u6f22\u5b57", "\u2028"]))
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
-    max_leaves=12)
-
-
-@pytest.fixture(scope="module")
-def codec_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("codec")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0), st.text(max_size=12),
-                          st.dictionaries(st.text(max_size=6), json_values, max_size=5)
-                          | json_values),
-                max_size=6))
-def test_writer_lines_equal_json_dumps(codec_dir, triples):
-    log = codec_dir / "events.jsonl"
-    events = [SimEvent(t, k, p) for t, k, p in triples]
-    write_event_log(log, HEADER, events)
-    lines = log.read_bytes().decode("ascii").split("\n")
-    assert lines[0] == json.dumps(HEADER, sort_keys=True)
-    assert lines[1:-1] == [json.dumps({"t": t, "k": k, "p": p}, sort_keys=True)
-                           for t, k, p in triples]
-    assert lines[-1] == ""
-    # tuples come back as lists, as from any JSON round trip
-    assert read_event_log(log) == (HEADER, [SimEvent(t, k, json.loads(json.dumps(p)))
-                                            for t, k, p in triples])
-
-
-def test_writer_without_the_c_encoder_writes_the_same_bytes(small_run, tmp_path,
-                                                            monkeypatch):
-    _, world, _, _ = small_run
-    events = world.events + [SimEvent(7, "caf\xe9  ", {
-        "b": [1.5, -0.0, 1e300, -1e-300], "a": ("x", None, True),
-        "漢": {"z": "\x00\x1f\"\\", "y": 2}})]
-    write_event_log(tmp_path / "c.jsonl", world.header(), events)
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    write_event_log(tmp_path / "py.jsonl", world.header(), events)
-    assert (tmp_path / "py.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
-
-
-def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
-    _, world, _, _ = small_run
-    write_event_log(tmp_path / "events.jsonl", world.header(), world.events)
-    header, events = read_event_log(tmp_path / "events.jsonl")
-    assert header == world.header()
-    assert events == world.events
-    assert all(type(ev) is SimEvent for ev in events)
-
-
 @pytest.mark.parametrize("bad", [b"{", UNDECODABLE], ids=["not JSON", "not UTF-8"])
 def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
     # Universal newlines end line 2 at the bare "\r", so the bad line is 3
@@ -621,6 +552,20 @@ def test_cli_unreadable_scenario_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path), "--ticks", "5"]) == 1
     captured = capsys.readouterr()
     assert f"config error: cannot read scenario file {tmp_path}:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_unwritable_out_is_a_config_error_before_the_run(tmp_path, capsys,
+                                                             monkeypatch, out):
+    (tmp_path / "file").write_text("taken", encoding="utf-8")
+    monkeypatch.setattr(World, "run", lambda self: pytest.fail("the run started"))
+    scenario = write(tmp_path, MINIMAL)
+    out = tmp_path / out
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write reports to {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
 
 
