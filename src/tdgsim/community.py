@@ -6,7 +6,6 @@ into the run's event log, the one record of its lifecycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .config import Params
@@ -14,22 +13,15 @@ from .eventlog import SimEvent
 from .trust import NEUTRAL_TAU
 
 
-class EventKind(Enum):
-    INVITED = "invited"
-    JOINED = "joined"
-    LEFT = "left"
-    EVICTED = "evicted"
-    TCM_ELECTED = "tcm_elected"
-    TCM_FAILED = "tcm_failed"
-    DISSOLVED = "dissolved"
-    PHASE = "phase"
-
-
-# Hot paths read Enum members through module names (why: trust.TRUSTED).
-INVITED = EventKind.INVITED
-JOINED = EventKind.JOINED
-LEFT = EventKind.LEFT
-EVICTED = EventKind.EVICTED
+# The kinds of a `tc_event`, as its payload spells them.
+INVITED = "invited"
+JOINED = "joined"
+LEFT = "left"
+EVICTED = "evicted"
+TCM_ELECTED = "tcm_elected"
+TCM_FAILED = "tcm_failed"
+DISSOLVED = "dissolved"
+PHASE = "phase"
 
 
 @dataclass
@@ -56,10 +48,9 @@ class TrustCommunity:
     peak_size: int = 0
     declined: Set[str] = field(default_factory=set)
 
-    def log(self, tick: int, kind: EventKind, agent: str = "", detail: str = "") -> None:
-        # `_value_` is the member's plain attribute; `.value` is a property.
+    def log(self, tick: int, kind: str, agent: str = "", detail: str = "") -> None:
         self.events.append(SimEvent(tick, "tc_event", {
-            "community": self.id, "kind": kind._value_, "agent": agent, "detail": detail}))
+            "community": self.id, "kind": kind, "agent": agent, "detail": detail}))
 
     def add_member(self, agent: str, tick: int, tau: float) -> None:
         self.members[agent] = tick
@@ -68,7 +59,7 @@ class TrustCommunity:
         self.peak_size = max(self.peak_size, len(self.members))
         self.log(tick, JOINED, agent)
 
-    def remove_member(self, agent: str, tick: int, kind: EventKind) -> None:
+    def remove_member(self, agent: str, tick: int, kind: str) -> None:
         if self.members.pop(agent, None) is not None:
             self.live_members.discard(agent)
         self.join_tau.pop(agent, None)
@@ -78,19 +69,19 @@ class TrustCommunity:
         """Admit the founder, then the joiners by id, each at its tau in
         `taus` (neutral if absent, as a never-rated server is), and make
         the founder, an online server, the manager."""
-        self.log(tick, EventKind.PHASE, detail="pre_organisation->formation")
+        self.log(tick, PHASE, detail="pre_organisation->formation")
         for a in [self.founder, *sorted(joiners)]:
             self.add_member(a, tick, taus.get(a, NEUTRAL_TAU))
         self.tcm = self.founder
-        self.log(tick, EventKind.PHASE, detail="formation->operation")
-        self.log(tick, EventKind.TCM_ELECTED, self.founder)
+        self.log(tick, PHASE, detail="formation->operation")
+        self.log(tick, TCM_ELECTED, self.founder)
 
     def dissolve(self, tick: int) -> None:
-        self.log(tick, EventKind.PHASE, detail="operation->dissolved")
+        self.log(tick, PHASE, detail="operation->dissolved")
         self.tcm = None
         for a in sorted(self.members):
             self.remove_member(a, tick, LEFT)
-        self.log(tick, EventKind.DISSOLVED)
+        self.log(tick, DISSOLVED)
 
 
 def rank_invitees(taus: Iterable[Tuple[str, float]], params: Params) -> List[str]:
@@ -132,13 +123,13 @@ def elect_tcm(tc: TrustCommunity, availability: Mapping[str, bool],
     old founder gets buffered results back but leadership does not revert.
     None, and no one elected, when no member is available: the community
     must dissolve."""
-    tc.log(tick, EventKind.TCM_FAILED, tc.tcm)
+    tc.log(tick, TCM_FAILED, tc.tcm)
     available = [a for a in tc.members if availability.get(a, False)]
     if not available:
         return None
     winner = min(available, key=lambda a: (tc.members[a], a))
     tc.tcm = winner
-    tc.log(tick, EventKind.TCM_ELECTED, winner)
+    tc.log(tick, TCM_ELECTED, winner)
     return winner
 
 

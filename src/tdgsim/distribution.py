@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .trust import TRUSTED, UNDECIDED, UNTRUSTED, TrustClass
+from .trust import TRUSTED, UNDECIDED, UNTRUSTED
 
 
 class SelectionFailed(Exception):
@@ -25,7 +25,7 @@ class Candidate(NamedTuple):
     agent: str
     tau: float
     f_min: int  # pre-drawn via effective_f_min
-    trust_class: TrustClass
+    trust_class: str  # as trust.classify returns it
 
 
 class ReplicaGroup(NamedTuple):
@@ -91,11 +91,11 @@ def dgds_select(pool: Sequence[Candidate], rng,
     undecided: List[Candidate] = []
     for c in pool:  # one pass; each class keeps pool order
         cls = c.trust_class
-        if cls is UNTRUSTED:
+        if cls == UNTRUSTED:
             untrusted.append(c)
-        elif cls is TRUSTED:
+        elif cls == TRUSTED:
             trusted.append(c)
-        elif cls is UNDECIDED:
+        elif cls == UNDECIDED:
             undecided.append(c)
     if not untrusted or not trusted:
         raise FallbackToDRDS("pool lacks a trusted/untrusted partition")

@@ -18,7 +18,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import community as tc
@@ -30,37 +29,25 @@ from .eventlog import SimEvent
 # split_credits is not called here; it stays importable for tracers that
 # patch it (bench/layertrace.py).
 from .ledger import Ledger, split_credits  # noqa: F401
-from .trust import (CAUSE_VALUES, NEUTRAL_TAU, RatingCause, ReplicationLimits,
-                    ReputationStore, classify, effective_f_min,
-                    raw_replication_factor, roulette_round, sum_left)
+from .trust import (CAUSE_VALUES, CORRECT_LATE, CORRECT_ON_TIME, DROPPED_WU,
+                    NEUTRAL_TAU, REJECTED_WU, TIMED_OUT, WRONG_RESULT,
+                    ReplicationLimits, ReputationStore, classify,
+                    effective_f_min, raw_replication_factor, roulette_round,
+                    sum_left)
 
 
-class Profile(Enum):
-    RELIABLE = "reliable"
-    CHURNER = "churner"
-    SLOW = "slow"
-    MALICIOUS = "malicious"
-    FREE_RIDER = "free_rider"
-    EGOISTIC = "egoistic"
+# The profiles the engine branches on, as the scenario file spells them
+# (config.PROFILES lists them all).
+MALICIOUS = "malicious"
+FREE_RIDER = "free_rider"
+EGOISTIC = "egoistic"
 
-
-class WuState(Enum):
-    QUEUED = "queued"
-    ASSIGNED = "assigned"
-    COLLECTED = "collected"
-    VALIDATED = "validated"
-    FAILED = "failed"
-
-
-# Hot paths read Enum members through module names (why: trust.TRUSTED).
-MALICIOUS = Profile.MALICIOUS
-FREE_RIDER = Profile.FREE_RIDER
-EGOISTIC = Profile.EGOISTIC
-QUEUED = WuState.QUEUED
-ASSIGNED = WuState.ASSIGNED
-COLLECTED = WuState.COLLECTED
-VALIDATED = WuState.VALIDATED
-FAILED = WuState.FAILED
+# A work unit's states.
+QUEUED = "queued"
+ASSIGNED = "assigned"
+COLLECTED = "collected"
+VALIDATED = "validated"
+FAILED = "failed"
 
 
 # Slotted, as a run holds thousands.  Its waiting judgments: World.pending_judgments.
@@ -69,7 +56,7 @@ class WorkUnit:
     id: str
     project: str  # owning work server / work agent
     complexity: int
-    state: WuState = WuState.QUEUED
+    state: str = QUEUED
     deadline: int = 0
     requeues: int = 0
 
@@ -77,7 +64,7 @@ class WorkUnit:
 @dataclass
 class AgentModel:
     id: str
-    profile: Profile
+    profile: str  # one of config.PROFILES
     speed: int = 1
     online: bool = True
     churn: Optional[Tuple[int, int]] = None
@@ -111,17 +98,10 @@ class Assignment:
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
 
 
-# Each cause as the (cause, value) pair a `rating_issued` event carries,
-# built once: reading `cause.value` or hashing an Enum member to look up
-# CAUSE_VALUES runs Python code on every rating.
-RATINGS: Dict[RatingCause, Tuple[str, float]] = {
-    cause: (cause.value, value) for cause, value in CAUSE_VALUES.items()}
-_ON_TIME = RATINGS[RatingCause.CORRECT_ON_TIME]
-_LATE = RATINGS[RatingCause.CORRECT_LATE]
-_WRONG = RATINGS[RatingCause.WRONG_RESULT]
-_REJECTED = RATINGS[RatingCause.REJECTED_WU]
-_DROPPED = RATINGS[RatingCause.DROPPED_WU]
-_TIMED_OUT = RATINGS[RatingCause.TIMED_OUT]
+# Each cause as the (cause, value) pair a `rating_issued` event carries.
+_ON_TIME, _LATE, _WRONG, _REJECTED, _DROPPED, _TIMED_OUT = (
+    (cause, CAUSE_VALUES[cause]) for cause in (
+        CORRECT_ON_TIME, CORRECT_LATE, WRONG_RESULT, REJECTED_WU, DROPPED_WU, TIMED_OUT))
 
 
 # A result is only compared with the other results of its own work unit:
@@ -132,8 +112,8 @@ COLLUDED = "bad"
 
 def _cause(outcome: Outcome, consensus: Optional[str]) -> Optional[Tuple[str, float]]:
     """The rating `outcome` earns against the `consensus` result, as its
-    RATINGS pair, or None for a completion that waits for a round with a
-    consensus."""
+    (cause, value) pair, or None for a completion that waits for a round
+    with a consensus."""
     if outcome.kind == "completed":
         if consensus is None:
             return None
@@ -163,7 +143,7 @@ class World:
         for group in config.agents:
             for agent_id in group.agent_ids():
                 self.agents[agent_id] = AgentModel(
-                    id=agent_id, profile=Profile(group.profile),
+                    id=agent_id, profile=group.profile,
                     speed=group.speed, churn=group.churn,
                     accept_prob=group.accept_prob)
         self.agent_order = [self.agents[a] for a in sorted(self.agents)]
@@ -228,7 +208,7 @@ class World:
             "seed": cfg.seed, "horizon": cfg.horizon_ticks,
             "window": cfg.params.window,
             "base_credit_millis": cfg.base_credit_millis,
-            "agents": {a.id: {"profile": a.profile.value, "online": True}
+            "agents": {a.id: {"profile": a.profile, "online": True}
                        for a in self.agents.values()},
             "servers": list(self.servers),
         }
@@ -430,13 +410,13 @@ class World:
                     or agent.assigned_tick == self.tick):
                 continue
             wu = self.wus[agent.current_wu]
-            if agent.profile is FREE_RIDER:
+            if agent.profile == FREE_RIDER:
                 units = self._terminal(agent, wu, "dropped", None, False)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id, units=units)
                 continue
             agent.progress += agent.speed
             if agent.progress >= wu.complexity:
-                result = COLLUDED if agent.profile is MALICIOUS else CORRECT
+                result = COLLUDED if agent.profile == MALICIOUS else CORRECT
                 late = (self.tick - agent.assigned_tick) > agent.quote
                 self._terminal(agent, wu, "completed", result, late)
                 buffered = False
@@ -490,7 +470,7 @@ class World:
             self._validate_centralized()
 
     def _rate(self, subject: str, rating: Tuple[str, float], rater: str) -> None:
-        cause, value = rating  # a RATINGS pair
+        cause, value = rating
         self.store.record(subject, value)
         self.emit("rating_issued", subject=subject, rater=rater,
                   cause=cause, value=value)
@@ -517,10 +497,10 @@ class World:
         assigned = self.central_assigned
         while assigned:
             wu, holder = assigned[0]
-            if wu.state is ASSIGNED and self.tick < wu.deadline:
+            if wu.state == ASSIGNED and self.tick < wu.deadline:
                 break
             assigned.popleft()
-            if wu.state is not ASSIGNED:
+            if wu.state != ASSIGNED:
                 continue
             units = self._release(self.agents[holder], wu.id)
             self.emit("wu_timed_out", wu=wu.id, agent=holder, units=units)
@@ -661,5 +641,5 @@ class World:
         inside_size = 1 + raw_replication_factor(inside_tau, self.limits)
         outside_size = 1 + raw_replication_factor(pool_tau, self.limits)
         value = self.config.base_credit_millis
-        return tc.join_decision(self.agents[agent_id].profile is EGOISTIC,
+        return tc.join_decision(self.agents[agent_id].profile == EGOISTIC,
                                 value / inside_size, value / outside_size)

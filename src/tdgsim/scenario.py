@@ -163,11 +163,19 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append(f"timeout_ticks must be >= 1, got {cfg.timeout_ticks}")
     if cfg.wu_count < 0:
         errors.append("wu_count must be >= 0")
-    if not _complexity_ok(cfg.complexity):
+    try:  # World reads the spec with complexity_range too
+        lo, hi = complexity_range(cfg.complexity)
+    except ValueError:
+        lo = hi = -1
+    if not 0 <= lo <= hi:
         errors.append(f"complexity must be an int >= 0 or uniform:LO:HI with "
                       f"0 <= LO <= HI, got {cfg.complexity!r}")
+    elif hi > sys.maxsize:  # a work unit's quote divides it as a float
+        errors.append(f"complexity must be <= {sys.maxsize}, got {cfg.complexity!r}")
     if cfg.base_credit < 0:
         errors.append(f"base_credit must be >= 0, got {cfg.base_credit}")
+    elif cfg.base_credit > sys.maxsize:  # a credit must stay within str()'s digit limit
+        errors.append(f"base_credit must be <= {sys.maxsize}, got {cfg.base_credit}")
     known = set(cfg.agent_ids()) | set(cfg.server_ids())
     seen = set()
     for g in cfg.agents:
@@ -225,16 +233,6 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append(f"dgds_same_amount must be total|additional, "
                       f"got {cfg.params.dgds_same_amount!r}")
     return errors
-
-
-def _complexity_ok(raw: str) -> bool:
-    """Whether `complexity_range`, which `World` reads the spec with, can
-    read `raw` as bounds it never draws a negative complexity from."""
-    try:
-        lo, hi = complexity_range(raw)
-    except ValueError:
-        return False
-    return 0 <= lo <= hi
 
 
 def render_config(cfg: ScenarioConfig) -> str:

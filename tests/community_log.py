@@ -6,7 +6,7 @@ membership fold in the package.
 """
 from typing import Dict, List
 
-from tdgsim.community import EventKind, TrustCommunity
+from tdgsim.community import TrustCommunity
 from tdgsim.eventlog import SimEvent
 
 
@@ -34,17 +34,17 @@ def fold(events) -> dict:
     tcm = None
     peak = 0
     for ev in events:
-        kind, agent = EventKind(ev.payload["kind"]), ev.payload["agent"]
-        if kind is EventKind.PHASE:
+        kind, agent = ev.payload["kind"], ev.payload["agent"]
+        if kind == "phase":
             phase = ev.payload["detail"].split("->")[1]
-        elif kind is EventKind.JOINED:
+        elif kind == "joined":
             members[agent] = ev.tick
             peak = max(peak, len(members))
-        elif kind in (EventKind.LEFT, EventKind.EVICTED):
+        elif kind in ("left", "evicted"):
             members.pop(agent, None)
-        elif kind is EventKind.TCM_ELECTED:
+        elif kind == "tcm_elected":
             tcm = agent
-        elif kind is EventKind.DISSOLVED:
+        elif kind == "dissolved":
             tcm = None
     return {"phase": phase, "members": members, "tcm": tcm, "peak_size": peak}
 

@@ -1,9 +1,11 @@
-"""The event-log format: each kind the engine emits and its payload keys.
+"""The event-log format: each kind the engine emits, its payload keys, and
+the closed sets of values that three fields take.
 
 `test_eventlog.py` runs every golden case and the two scenarios below and
-checks each emitted payload against this table, so a change to an
-`emit` call shows up here.  Like `golden_cases.py`, this module imports
-no test framework.
+checks each emitted payload against these tables, so a change to an
+`emit` call, or a new cause, community event or profile, shows up here.
+The values are spelled out, not imported from tdgsim.  Like
+`golden_cases.py`, this module imports no test framework.
 """
 
 EVENT_KEYS = {
@@ -25,6 +27,15 @@ EVENT_KEYS = {
     "tc_event": {"community", "kind", "agent", "detail"},
 }
 
+# A `rating_issued` event's `cause`, a `tc_event`'s `kind`, and the
+# `profile` of each agent in the header.
+RATING_CAUSES = {"correct_on_time", "correct_late", "wrong_result",
+                 "rejected_wu", "dropped_wu", "timed_out"}
+TC_EVENT_KINDS = {"invited", "joined", "left", "evicted", "tcm_elected",
+                  "tcm_failed", "dissolved", "phase"}
+PROFILES = {"reliable", "churner", "slow", "malicious", "free_rider",
+            "egoistic"}
+
 # Keys only a trust-mode run writes, and kinds only a trust-mode run emits.
 TRUST_ONLY_KEYS = {"wu_issued": {"short"}, "wu_redistributed": {"terminal"}}
 TRUST_ONLY_KINDS = {"rating_issued", "tc_event"}
@@ -40,7 +51,8 @@ def payload_keys(kind, trust_mode):
 # Of the golden cases, only centralized-timeouts, which `golden_cases.py`
 # widens from CENTRALIZED_CHURN, emits a centralized wu_rejected,
 # wu_timed_out, wu_redistributed, agent_up or agent_down, and none emits a
-# trust-mode server_up.  These two short scenarios emit them all.
+# trust-mode server_up.  These two short scenarios emit them all, and
+# the second has the only slow agents.
 CENTRALIZED_CHURN = """\
 [scenario]
 name = centralized-churn
@@ -89,6 +101,10 @@ count = 2
 [agents rel]
 count = 8
 profile = reliable
+
+[agents slow]
+count = 2
+profile = slow
 
 [faults]
 f0 = 5 w1 down

@@ -2,7 +2,7 @@
 dissolution and the replay of each from the event log."""
 from hypothesis import given, settings, strategies as st
 
-from tdgsim.community import (EventKind, _best_invites, dissolve_check, elect_tcm,
+from tdgsim.community import (_best_invites, dissolve_check, elect_tcm,
                               evaluate_formation, join_decision, operate_tick,
                               rank_invitees)
 from tdgsim.config import Params
@@ -103,7 +103,7 @@ def test_failover_prefers_longest_serving_then_id():
     assert winner == "a0"  # joined tick 10, smallest id among those
     assert comm.tcm == "a0"
     kinds = [e.payload["kind"] for e in events[-2:]]
-    assert kinds == [EventKind.TCM_FAILED.value, EventKind.TCM_ELECTED.value]
+    assert kinds == ["tcm_failed", "tcm_elected"]
     assert all(e.kind == "tc_event" and e.tick == 30
                and e.payload["community"] == "tc0" for e in events[-2:])
 
@@ -114,7 +114,7 @@ def test_no_available_member_triggers_dissolution():
     assert elect_tcm(comm, {}, 11) is None
     # The failure is logged, and no one is elected: the engine dissolves.
     assert [(e.tick, e.payload["kind"], e.payload["agent"]) for e in events[-1:]] == [
-        (11, EventKind.TCM_FAILED.value, "w0")]
+        (11, "tcm_failed", "w0")]
 
 
 # ------------------------------------------------------------ operation
@@ -160,7 +160,7 @@ def test_dissolve_check_triggers():
     assert not dissolve_check(comm, PARAMS, queue_exhausted=False)
     assert dissolve_check(comm, PARAMS, queue_exhausted=True)
     for a in ["a0", "a1", "a2"]:
-        comm.remove_member(a, 11, EventKind.LEFT)
+        comm.remove_member(a, 11, "left")
     # 4 members left: below both min_size and half of the peak of 7
     assert dissolve_check(comm, PARAMS, queue_exhausted=False)
 
@@ -170,7 +170,7 @@ def test_dissolve_check_triggers():
 def test_replay_rebuilds_live_state():
     events = []
     comm = formed_community(events=events)
-    comm.remove_member("a3", 12, EventKind.EVICTED)
+    comm.remove_member("a3", 12, "evicted")
     comm.add_member("late", 13, 0.85)
     elect_tcm(comm, {m: m != "w0" for m in comm.members}, 14)
     assert comm.tcm == "a0" and comm.members["late"] == 13

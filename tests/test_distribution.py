@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from tdgsim.distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                                  SelectionFailed, dgds_select, dods_assign,
                                  drds_select, random_baseline_select)
-from tdgsim.trust import TrustClass
+
+# The trust classes, as trust.classify returns them.
+U, T, D = "untrusted", "trusted", "undecided"
 
 
-def cand(name, f_min=2, tau=0.5, cls=TrustClass.UNDECIDED):
+def cand(name, f_min=2, tau=0.5, cls=D):
     return Candidate(agent=name, tau=tau, f_min=f_min, trust_class=cls)
 
 
@@ -112,18 +114,18 @@ def test_dods_empty_pool_fails():
 
 def make_pool(n_untrusted, n_trusted, n_undecided, f_untrusted=5, f_trusted=2):
     pool = []
-    pool += [cand(f"u{i}", f_untrusted, 0.2, TrustClass.UNTRUSTED)
+    pool += [cand(f"u{i}", f_untrusted, 0.2, U)
              for i in range(n_untrusted)]
-    pool += [cand(f"t{i}", f_trusted, 0.9, TrustClass.TRUSTED)
+    pool += [cand(f"t{i}", f_trusted, 0.9, T)
              for i in range(n_trusted)]
-    pool += [cand(f"m{i}", 3, 0.5, TrustClass.UNDECIDED)
+    pool += [cand(f"m{i}", 3, 0.5, D)
              for i in range(n_undecided)]
     return pool
 
 
 def classify_members(pool, group):
     classes = {c.agent: c.trust_class for c in pool}
-    counts = {cls: 0 for cls in TrustClass}
+    counts = {cls: 0 for cls in (U, T, D)}
     for m in group.members:
         counts[classes[m]] += 1
     return counts
@@ -136,8 +138,8 @@ def test_dgds_untrusted_initiator_with_matching_trusted():
     pool = make_pool(5, 5, 0)
     group = dgds_select(pool, random.Random(3))
     counts = classify_members(pool, group)
-    assert counts[TrustClass.UNTRUSTED] == 3
-    assert counts[TrustClass.TRUSTED] == 3
+    assert counts[U] == 3
+    assert counts[T] == 3
     assert len(group.members) == 6
     assert group.initiator.startswith("u")
 
@@ -146,8 +148,8 @@ def test_dgds_tops_up_with_undecided():
     pool = make_pool(1, 1, 6, f_untrusted=5)
     group = dgds_select(pool, random.Random(1))
     counts = classify_members(pool, group)
-    assert counts[TrustClass.UNTRUSTED] == 1
-    assert counts[TrustClass.TRUSTED] == 1
+    assert counts[U] == 1
+    assert counts[T] == 1
     assert len(group.members) == 6  # 1 + max f_min
 
 
@@ -162,7 +164,6 @@ class FirstPick:
 
 
 def test_dgds_keeps_pool_order_within_each_class():
-    U, T, D = TrustClass.UNTRUSTED, TrustClass.TRUSTED, TrustClass.UNDECIDED
     pool = [cand("d0", 3, 0.5, D), cand("u0", 5, 0.2, U), cand("t0", 2, 0.9, T),
             cand("d1", 3, 0.5, D), cand("t1", 2, 0.9, T), cand("u1", 5, 0.2, U),
             cand("u2", 5, 0.2, U), cand("t2", 2, 0.9, T), cand("d2", 3, 0.5, D),
@@ -181,7 +182,7 @@ def test_dgds_keeps_pool_order_within_each_class():
     assert group.members == ("u0", "t0", "d0", "d1", "d2")
 
 
-CLASS_RANK = {TrustClass.UNTRUSTED: 0, TrustClass.TRUSTED: 1, TrustClass.UNDECIDED: 2}
+CLASS_RANK = {U: 0, T: 1, D: 2}
 
 
 @settings(max_examples=200)
@@ -214,7 +215,7 @@ def test_dgds_caps_untrusted_to_available_trusted():
     pool = make_pool(6, 2, 0, f_untrusted=7)
     group = dgds_select(pool, random.Random(5))
     counts = classify_members(pool, group)
-    assert counts[TrustClass.UNTRUSTED] <= counts[TrustClass.TRUSTED]
+    assert counts[U] <= counts[T]
 
 
 @settings(max_examples=300)
@@ -227,7 +228,7 @@ def test_dgds_untrusted_never_outnumber_trusted(nu, nt, nd, fu, ft, seed):
     except (FallbackToDRDS, SelectionFailed):
         return
     counts = classify_members(pool, group)
-    assert counts[TrustClass.UNTRUSTED] <= counts[TrustClass.TRUSTED]
+    assert counts[U] <= counts[T]
 
 
 # ------------------------------------------------------- random baseline

@@ -9,10 +9,9 @@ import pytest
 
 from tdgsim import community, engine
 from tdgsim.config import AgentGroup, Fault, ScenarioConfig
-from tdgsim.engine import (RATINGS, Outcome, Profile, ReputationStore, World,
-                           WuState, _cause, stream)
+from tdgsim.engine import Outcome, ReputationStore, World, _cause, stream
 from tdgsim.scenario import parse_scenario
-from tdgsim.trust import CAUSE_VALUES, RatingCause, ReplicationLimits
+from tdgsim.trust import CAUSE_VALUES, ReplicationLimits
 
 from community_log import community_logs, fold, state
 from golden_cases import CASES, scenario_file
@@ -64,25 +63,26 @@ def test_same_seed_gives_identical_event_log():
 # -------------------------------------------------------------- ratings
 
 def test_every_cause_has_its_prebuilt_rating_pair():
-    assert set(RATINGS) == set(RatingCause)
-    for cause in RatingCause:
-        assert RATINGS[cause] == (cause.value, CAUSE_VALUES[cause])
+    pairs = (engine._ON_TIME, engine._LATE, engine._WRONG, engine._REJECTED,
+             engine._DROPPED, engine._TIMED_OUT)
+    assert dict(pairs) == CAUSE_VALUES
 
 
 @pytest.mark.parametrize("outcome, consensus, cause", [
-    (Outcome("completed", "ok", False), "ok", RatingCause.CORRECT_ON_TIME),
-    (Outcome("completed", "ok", True), "ok", RatingCause.CORRECT_LATE),
-    (Outcome("completed", "bad", False), "ok", RatingCause.WRONG_RESULT),
-    (Outcome("completed", "bad", True), "ok", RatingCause.WRONG_RESULT),
-    (Outcome("dropped"), "ok", RatingCause.DROPPED_WU),
-    (Outcome("dropped"), None, RatingCause.DROPPED_WU),
-    (Outcome("timed_out"), "ok", RatingCause.TIMED_OUT),
-    (Outcome("timed_out"), None, RatingCause.TIMED_OUT),
+    (Outcome("completed", "ok", False), "ok", "correct_on_time"),
+    (Outcome("completed", "ok", True), "ok", "correct_late"),
+    (Outcome("completed", "bad", False), "ok", "wrong_result"),
+    (Outcome("completed", "bad", True), "ok", "wrong_result"),
+    (Outcome("dropped"), "ok", "dropped_wu"),
+    (Outcome("dropped"), None, "dropped_wu"),
+    (Outcome("timed_out"), "ok", "timed_out"),
+    (Outcome("timed_out"), None, "timed_out"),
     (Outcome("completed", "ok", False), None, None),
 ], ids=["on-time", "late", "wrong", "wrong-late", "dropped", "dropped-no-consensus",
         "timed-out", "timed-out-no-consensus", "completed-no-consensus"])
 def test_cause_gives_the_rating_pair_of_each_outcome(outcome, consensus, cause):
-    assert _cause(outcome, consensus) == (None if cause is None else RATINGS[cause])
+    assert _cause(outcome, consensus) == (
+        None if cause is None else (cause, CAUSE_VALUES[cause]))
 
 
 # ------------------------------------------------- trust-mode hand trace
@@ -200,7 +200,7 @@ def test_max_requeues_terminates_hopeless_work():
     terminal = [e for e in events_of(world, "wu_redistributed")
                 if e.payload["terminal"]]
     assert len(terminal) == 1
-    assert world.wus["wu00000"].state is WuState.FAILED
+    assert world.wus["wu00000"].state == "failed"
     assert world.pending_judgments == {}  # a failed unit's completions leave
 
 
@@ -330,10 +330,10 @@ def test_work_units_never_vanish(mode):
     world = World(cfg)
     world.run()
     states = [wu.state for wu in world.wus.values()]
-    assert all(s in (WuState.VALIDATED, WuState.QUEUED, WuState.ASSIGNED,
-                     WuState.COLLECTED, WuState.FAILED) for s in states)
+    assert all(s in ("validated", "queued", "assigned",
+                     "collected", "failed") for s in states)
     validated_events = len(events_of(world, "wu_validated"))
-    assert validated_events == sum(s is WuState.VALIDATED for s in states)
+    assert validated_events == sum(s == "validated" for s in states)
 
 
 def test_egoistic_agents_skip_group_work_invitations():
@@ -651,7 +651,7 @@ def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):
     assert reads == idle + rejections
 
 
-TERMINAL = (WuState.VALIDATED, WuState.FAILED)
+TERMINAL = ("validated", "failed")
 
 
 @pytest.mark.parametrize("mode", ["centralized", "trust"])
@@ -672,7 +672,7 @@ def test_open_wu_count_tracks_states_every_tick(mode):
     assert events_of(world, "wu_timed_out")
     assert world.open_wus == 0
     if mode == "trust":
-        assert any(wu.state is WuState.FAILED for wu in world.wus.values())
+        assert any(wu.state == "failed" for wu in world.wus.values())
 
 
 def test_centralized_timeout_queue_is_in_deadline_order_every_tick(tmp_path):
@@ -686,11 +686,11 @@ def test_centralized_timeout_queue_is_in_deadline_order_every_tick(tmp_path):
     for tick in range(1, world.config.horizon_ticks + 1):
         world.step(tick)
         live = [(wu, holder) for wu, holder in world.central_assigned
-                if wu.state is WuState.ASSIGNED]
+                if wu.state == "assigned"]
         deadlines = [wu.deadline for wu, _ in live]
         assert deadlines == sorted(deadlines), tick
         assert sorted(wu.id for wu, _ in live) == sorted(
-            wu.id for wu in world.wus.values() if wu.state is WuState.ASSIGNED), tick
+            wu.id for wu in world.wus.values() if wu.state == "assigned"), tick
         held = {(a.current_wu, a.id) for a in world.agents.values() if a.current_wu}
         assert held <= {(wu.id, holder) for wu, holder in live}, tick
         assert len(world.central_assigned) <= cap, tick
@@ -722,7 +722,7 @@ def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
     ends = [e.tick for e in world.events if e.kind == "wu_validated"
             or (e.kind == "wu_redistributed" and e.payload["terminal"])]
     assert len(ends) == cfg.wu_count
-    assert any(wu.state is WuState.FAILED for wu in world.wus.values())
+    assert any(wu.state == "failed" for wu in world.wus.values())
     last = max(ends)
     assert last < cfg.horizon_ticks // 2 and draws[last] > 0
     assert all(tick <= last for tick in draws)

@@ -17,20 +17,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from background import SRC
-from event_schema import EVENT_KEYS, SCENARIOS, TRUST_ONLY_KINDS, payload_keys
+from event_schema import (EVENT_KEYS, PROFILES, RATING_CAUSES, SCENARIOS,
+                          TC_EVENT_KINDS, TRUST_ONLY_KINDS, payload_keys)
 from golden_cases import CASES, pinned, run_case, scenario_file
 from reference_fold import compute_metrics as reference_fold
+from tdgsim import config
 from tdgsim.cli import main
 from tdgsim.eventlog import (LINE_TEMPLATES, EventLogError, SimEvent, read_event_log,
                              write_event_log)
 from tdgsim.metrics import compute_metrics, tick_rows
 from tdgsim.scenario import parse_scenario, run
+from tdgsim.trust import CAUSE_VALUES
 
 
 @pytest.fixture(scope="module")
 def engine_runs(tmp_path_factory):
-    """(name, trust mode, events) of every golden case, the bundled
-    scenarios among them, and of the scenarios in event_schema.py."""
+    """(name, trust mode, header, events) of every golden case, the
+    bundled scenarios among them, and of the scenarios in event_schema.py."""
     tmp = tmp_path_factory.mktemp("engine-runs")
     runs = []
     for name in list(CASES) + list(SCENARIOS):
@@ -40,18 +43,32 @@ def engine_runs(tmp_path_factory):
             scenario = tmp / "scenario.ini"
             scenario.write_text(SCENARIOS[name], encoding="utf-8")
         world, _, _ = run(parse_scenario(scenario))
-        runs.append((name, world.trust_mode, world.events))
+        runs.append((name, world.trust_mode, world.header(), world.events))
     return runs
 
 
 def test_every_payload_has_the_keys_of_its_schema_row(engine_runs):
     seen = set()
-    for name, trust_mode, events in engine_runs:
+    for name, trust_mode, _, events in engine_runs:
         for ev in events:
             assert set(ev.payload) == payload_keys(ev.kind, trust_mode), (name, ev)
             seen.add((ev.kind, trust_mode))
     assert seen == ({(kind, True) for kind in EVENT_KEYS}
                     | {(kind, False) for kind in EVENT_KEYS if kind not in TRUST_ONLY_KINDS})
+
+
+def test_every_cause_kind_and_profile_is_in_its_closed_set(engine_runs):
+    # The runs also show every value of each set.
+    seen = {"cause": set(), "kind": set(), "profile": set()}
+    for name, _, header, events in engine_runs:
+        seen["profile"].update(agent["profile"] for agent in header["agents"].values())
+        for ev in events:
+            if ev.kind == "rating_issued":
+                seen["cause"].add(ev.payload["cause"])
+            elif ev.kind == "tc_event":
+                seen["kind"].add(ev.payload["kind"])
+    assert seen == {"cause": RATING_CAUSES, "kind": TC_EVENT_KINDS, "profile": PROFILES}
+    assert set(CAUSE_VALUES) == RATING_CAUSES and set(config.PROFILES) == PROFILES
 
 
 # ---------------------------------------------------------------- writer
@@ -259,7 +276,7 @@ def test_every_value_of_another_type_goes_to_the_encoder(codec_dir):
 
 def test_engine_events_take_their_template(engine_runs):
     shapes = {}  # kind -> the key sets its template was seen to take
-    for name, trust_mode, events in engine_runs:
+    for name, trust_mode, _, events in engine_runs:
         for ev in events:
             if ev.kind in LINE_TEMPLATES:
                 assert templated(ev.kind, ev.payload, ev.tick) is not None, (name, ev)

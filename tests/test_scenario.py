@@ -629,13 +629,23 @@ def edited_defaults(tmp_path, old, new):
 # negative community sizes: a max_size of -1 cut the last agent off the
 # invitation list, and with a min_size below 0 a founder formed a
 # community alone.  A max_requeues of -1 ran with exit 0 and failed every
-# work unit at its first round without a majority.
+# work unit at its first round without a majority.  A [work] value past
+# sys.maxsize died too: a 400-digit complexity overflowed the float
+# division of a work unit's quote (OverflowError), and a 4 298-digit
+# base_credit made a block's credit too long for str() in Ledger.commit
+# (ValueError).
 @pytest.mark.parametrize("old, new, flags, message", [
     ("complexity = 3 ", "complexity = abc ", [], "complexity must be"),
     ("complexity = 3 ", "complexity = -2 ", [], "complexity must be"),
     ("complexity = 3 ", "complexity = uniform:3:1 ", [], "complexity must be"),
     ("base_credit = 100 ", "base_credit = -1 ", [],
      "base_credit must be >= 0, got -1"),
+    ("complexity = 3 ", f"complexity = {'9' * 400} ", [],
+     f"complexity must be <= {sys.maxsize}, got '{'9' * 400}'"),
+    ("complexity = 3 ", f"complexity = uniform:1:{'9' * 400} ", [],
+     f"complexity must be <= {sys.maxsize}, got 'uniform:1:{'9' * 400}'"),
+    ("base_credit = 100 ", f"base_credit = {'9' * 4298} ", [],
+     f"base_credit must be <= {sys.maxsize}, got {'9' * 4298}"),
     ("# churn = 50/50", "churn = 0/0", [],
      "[agents workers] churn must be UP/DOWN"),
     ("# churn = 50/50", "churn = -1/1", [],
@@ -662,7 +672,8 @@ def edited_defaults(tmp_path, old, new):
     ("max_requeues = 0 ", "max_requeues = -1 ", ["--mode", "trust"],
      "max_requeues must be >= 0, got -1"),
 ], ids=["complexity-abc", "complexity-negative", "complexity-empty-range",
-        "base-credit-negative",
+        "base-credit-negative", "complexity-past-maxsize",
+        "uniform-complexity-past-maxsize", "base-credit-past-maxsize",
         "churn-0/0", "churn-negative", "random-replication-negative",
         "label-space", "label-comma", "timeout-zero", "timeout-negative",
         "accept-prob-nan", "accept-prob-negative", "accept-prob-above-one",
@@ -674,6 +685,27 @@ def test_cli_bad_value_is_a_config_error(tmp_path, capsys, old, new, flags,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
+
+
+# Each bound itself runs: a credit of 3 * sys.maxsize * 1000 millicredits
+# is written, replayed and verified, and so is a work unit that never ends.
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_cli_work_values_at_sys_maxsize_run_and_replay(tmp_path, capsys, mode):
+    scenario = edited_defaults(tmp_path, "base_credit = 100 ",
+                               f"base_credit = {sys.maxsize} ")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--ticks", "60",
+                 "--mode", mode, "--out", str(out)]) == 0
+    ran = capsys.readouterr().out
+    credit = int(dict(row.split(",") for row in ran.splitlines())["credit_millis_reliable"])
+    assert credit > 0 and credit % (3 * sys.maxsize * 1000) == 0
+    assert main(["replay", "--log", str(out / "events.jsonl")]) == 0
+    assert capsys.readouterr().out == ran
+    assert main(["verify-ledger", str(out / "ledger.txt")]) == 0
+    scenario = edited_defaults(tmp_path, "complexity = 3 ",
+                               f"complexity = uniform:0:{sys.maxsize} ")
+    assert main(["run", "--scenario", str(scenario), "--ticks", "60",
+                 "--mode", mode]) == 0
 
 
 # A NaN or infinite community threshold ran with exit 0: every tau test
