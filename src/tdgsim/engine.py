@@ -42,22 +42,14 @@ MALICIOUS = "malicious"
 FREE_RIDER = "free_rider"
 EGOISTIC = "egoistic"
 
-# A work unit's states.
-QUEUED = "queued"
-ASSIGNED = "assigned"
-COLLECTED = "collected"
-VALIDATED = "validated"
-FAILED = "failed"
-
-
 # Slotted, as a run holds thousands.  Its waiting judgments: World.pending_judgments.
 @dataclass(slots=True)
 class WorkUnit:
     id: str
     project: str  # owning work server / work agent
     complexity: int
-    state: str = QUEUED
-    deadline: int = 0
+    # Set while one of its issues waits for a result, else None.
+    deadline: Optional[int] = None
     requeues: int = 0
 
 
@@ -69,10 +61,9 @@ class AgentModel:
     online: bool = True
     churn: Optional[Tuple[int, int]] = None
     accept_prob: float = 1.0
-    current_wu: Optional[str] = None
+    current_wu: Optional[WorkUnit] = None
     progress: int = 0
     assigned_tick: int = 0
-    quote: int = 0  # self-quoted computation deadline in ticks
 
 
 @dataclass
@@ -158,14 +149,13 @@ class World:
         # Only complexity reads rng_work, so a spec of one value draws none.
         lo, hi = complexity_range(config.complexity)
         owners = [(sid, self.servers[sid].queue) for sid in self.server_order]
-        self.wus: Dict[str, WorkUnit] = {}
         for i in range(config.wu_count):
-            wid = f"wu{i:05d}"
             owner, queue = owners[i % len(owners)]
-            wu = WorkUnit(wid, owner, lo if lo == hi else rng_work.randint(lo, hi))
-            self.wus[wid] = wu
-            queue.append(wu)
-        self.open_wus = config.wu_count  # neither VALIDATED nor FAILED
+            queue.append(WorkUnit(f"wu{i:05d}", owner,
+                                  lo if lo == hi else rng_work.randint(lo, hi)))
+        # Units not yet validated and not failed for good: the log's
+        # wu_count less its wu_validated and terminal wu_redistributed events.
+        self.open_wus = config.wu_count
         # Work unit id -> (agent, outcome) for its completions from rounds
         # that failed majority, judged once a later round reaches consensus.
         self.pending_judgments: Dict[str, List[Tuple[str, Outcome]]] = {}
@@ -179,7 +169,7 @@ class World:
         self._routed: List[Tuple[WorkUnit, str, str]] = []
         # (work unit, holder) in issue order, which is deadline order: every
         # deadline is its issue tick plus the run's fixed timeout_ticks.  An
-        # entry whose unit is no longer ASSIGNED is stale; it leaves at the head.
+        # entry whose unit has no deadline is stale; it leaves at the head.
         self.central_assigned: Deque[Tuple[WorkUnit, str]] = deque()
         # Live communities, by id.  Each is here from its formation, which
         # makes its founder the manager, until it dissolves: being here is
@@ -287,12 +277,10 @@ class World:
         return None
 
     def _assign_wu(self, agent: AgentModel, wu: WorkUnit) -> None:
-        wu.state = ASSIGNED
         wu.deadline = self.tick + self.config.timeout_ticks
-        agent.current_wu = wu.id
+        agent.current_wu = wu
         agent.progress = 0
         agent.assigned_tick = self.tick
-        agent.quote = math.ceil(wu.complexity / agent.speed) * 2
 
     def _available(self, entity: str) -> bool:
         if entity in self.servers:
@@ -409,7 +397,7 @@ class World:
             if (not agent.online or agent.current_wu is None
                     or agent.assigned_tick == self.tick):
                 continue
-            wu = self.wus[agent.current_wu]
+            wu = agent.current_wu
             if agent.profile == FREE_RIDER:
                 units = self._terminal(agent, wu, "dropped", None, False)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id, units=units)
@@ -417,11 +405,13 @@ class World:
             agent.progress += agent.speed
             if agent.progress >= wu.complexity:
                 result = COLLUDED if agent.profile == MALICIOUS else CORRECT
-                late = (self.tick - agent.assigned_tick) > agent.quote
+                # Later than twice the agent's own estimate of the work.
+                late = (self.tick - agent.assigned_tick
+                        > math.ceil(wu.complexity / agent.speed) * 2)
                 self._terminal(agent, wu, "completed", result, late)
                 buffered = False
                 if not self.trust_mode:  # routed now, or held through an outage
-                    wu.state = COLLECTED
+                    wu.deadline = None
                     buffered = not self.servers[wu.project].online
                     (self.buffers[wu.project] if buffered else self._routed).append(
                         (wu, result, agent.id))
@@ -435,13 +425,13 @@ class World:
         assignment = self.assignments.get(wu.id)  # only trust mode has any
         if assignment is not None:
             assignment.outcomes[agent.id] = Outcome(kind, result, late)
-        return self._release(agent, wu.id)
+        return self._release(agent, wu)
 
     @staticmethod
-    def _release(agent: AgentModel, wu_id: str) -> int:
-        """Free `agent` if it holds `wu_id`; returns the units of progress
+    def _release(agent: AgentModel, wu: WorkUnit) -> int:
+        """Free `agent` if it holds `wu`; returns the units of progress
         it held on it (0 if it holds another work unit or none)."""
-        if agent.current_wu != wu_id:
+        if agent.current_wu is not wu:
             return 0
         units = agent.progress
         agent.current_wu = None
@@ -484,7 +474,6 @@ class World:
 
     def _validate_centralized(self) -> None:
         for wu, result, agent_id in self._routed:
-            wu.state = VALIDATED
             self.open_wus -= 1
             credit = self._commit_credit(wu, [agent_id])
             self.emit("wu_validated", wu=wu.id, members=[agent_id],
@@ -497,14 +486,14 @@ class World:
         assigned = self.central_assigned
         while assigned:
             wu, holder = assigned[0]
-            if wu.state == ASSIGNED and self.tick < wu.deadline:
+            if wu.deadline is not None and self.tick < wu.deadline:
                 break
             assigned.popleft()
-            if wu.state != ASSIGNED:
+            if wu.deadline is None:
                 continue
-            units = self._release(self.agents[holder], wu.id)
+            units = self._release(self.agents[holder], wu)
             self.emit("wu_timed_out", wu=wu.id, agent=holder, units=units)
-            wu.state = QUEUED
+            wu.deadline = None
             self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id)
 
@@ -517,7 +506,7 @@ class World:
                 for member in assignment.members:
                     if member in assignment.outcomes:
                         continue
-                    units = self._release(self.agents[member], wu_id)
+                    units = self._release(self.agents[member], wu)
                     assignment.outcomes[member] = Outcome("timed_out")
                     self.emit("wu_timed_out", wu=wu_id, agent=member, units=units)
             if len(assignment.outcomes) < len(assignment.members):
@@ -527,6 +516,7 @@ class World:
 
     def _finish_assignment(self, assignment: Assignment, params) -> None:
         wu, members, outcomes = assignment.wu, assignment.members, assignment.outcomes
+        wu.deadline = None
         counts: Dict[str, int] = {}
         for outcome in outcomes.values():
             if outcome.kind == "completed":
@@ -546,17 +536,14 @@ class World:
             wu.requeues += 1
             terminal = bool(params.max_requeues) and wu.requeues > params.max_requeues
             if terminal:
-                wu.state = FAILED
                 self.open_wus -= 1
                 self.pending_judgments.pop(wu.id, None)  # never judged
             else:
-                wu.state = QUEUED
                 self.servers[wu.project].queue.append(wu)
             self.emit("wu_redistributed", wu=wu.id, terminal=terminal)
             return
         for agent, outcome in self.pending_judgments.pop(wu.id, ()):
             self._rate(agent, _cause(outcome, token), rater)
-        wu.state = VALIDATED
         self.open_wus -= 1
         # Only a completed outcome has a result.
         consensus = [m for m in members if outcomes[m].result == token]

@@ -230,7 +230,8 @@ def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
             append(new(SimEvent, (raw["t"], raw["k"], raw["p"])))
     except (EventLogError, UnicodeDecodeError):
         raise  # a bad header or line, or a read chunk to decode again
-    except ValueError as exc:  # a JSONDecodeError, or an int past json's digit limit
+    # A JSONDecodeError, an int past json's digit limit, or nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise EventLogError(1 if header is None else len(events) + 2,
                             f"not JSON: {exc}") from None
     except (KeyError, TypeError) as exc:

@@ -120,7 +120,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                 if k in ("wu_completed", "wu_dropped", "wu_timed_out"):
                     total_units += p["units"]
                 elif k == "rating_issued":
-                    store.profile(p["subject"]).push(p["value"])
+                    store.record(p["subject"], p["value"])
                 elif k == "wu_issued":
                     issued_now += 1
                 elif k == "wu_validated":

@@ -170,7 +170,7 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
     if not 0 <= lo <= hi:
         errors.append(f"complexity must be an int >= 0 or uniform:LO:HI with "
                       f"0 <= LO <= HI, got {cfg.complexity!r}")
-    elif hi > sys.maxsize:  # a work unit's quote divides it as a float
+    elif hi > sys.maxsize:  # a completion's lateness test divides it as a float
         errors.append(f"complexity must be <= {sys.maxsize}, got {cfg.complexity!r}")
     if cfg.base_credit < 0:
         errors.append(f"base_credit must be >= 0, got {cfg.base_credit}")

@@ -75,31 +75,30 @@ def aggregate_reputation(values: Iterable[float]) -> float:
 class ReputationProfile:
     """Sliding window of the most recent rating values about one subject.
 
-    `total` is the running sum of the window, and `push` stores the
-    reputation `tau` it gives, so reading `tau` costs an attribute lookup
-    and equals `aggregate_reputation(window)` exactly (see CAUSE_VALUES).
-    Values enter only through `push`; an empty window is neutral.
+    `total` is the running sum of the window, and `push` returns the
+    reputation tau it gives, which equals `aggregate_reputation(window)`
+    exactly (see CAUSE_VALUES).  Values enter only through `push`; an
+    empty window is neutral.
     """
 
     window_size: int = DEFAULT_WINDOW
     window: Deque[float] = field(init=False)
     total: float = field(init=False, default=0.0)
-    tau: float = field(init=False, default=NEUTRAL_TAU)
 
     def __post_init__(self) -> None:
         self.window = deque(maxlen=self.window_size)
 
-    def push(self, value: float) -> None:
+    def push(self, value: float) -> float:
         if not -1.0 <= value <= 1.0:
             raise ValidationError(f"rating value {value} outside [-1, 1]")
         window = self.window
         if len(window) == window.maxlen:
             if not window:
-                return  # a zero-size window keeps nothing
+                return NEUTRAL_TAU  # a zero-size window keeps nothing
             self.total -= window[0]  # the value append() evicts
         window.append(value)
         self.total += value
-        self.tau = (1.0 + self.total / len(window)) / 2.0
+        return (1.0 + self.total / len(window)) / 2.0
 
 
 class ReputationStore:
@@ -108,23 +107,19 @@ class ReputationStore:
     def __init__(self, window: int) -> None:
         self.window = window
         self.profiles: Dict[str, ReputationProfile] = {}
-        # Each rated subject's tau, kept by `record`; a subject it lacks is
-        # neutral.  Lifecycle reads it as a map, without a call per member.
+        # Each rated subject's tau, the only place it is kept; a subject it
+        # lacks is neutral.  Lifecycle reads it as a map, without a call
+        # per member.
         self.taus: Dict[str, float] = {}
 
-    def profile(self, subject: str) -> ReputationProfile:
-        if subject not in self.profiles:
-            self.profiles[subject] = ReputationProfile(self.window)
-        return self.profiles[subject]
-
     def tau(self, subject: str) -> float:
-        prof = self.profiles.get(subject)
-        return prof.tau if prof is not None else NEUTRAL_TAU
+        return self.taus.get(subject, NEUTRAL_TAU)
 
     def record(self, subject: str, value: float) -> None:
-        profile = self.profile(subject)
-        profile.push(value)
-        self.taus[subject] = profile.tau
+        profile = self.profiles.get(subject)
+        if profile is None:
+            profile = self.profiles[subject] = ReputationProfile(self.window)
+        self.taus[subject] = profile.push(value)
 
 
 def classify(tau: float) -> str:

@@ -58,7 +58,7 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                 elif k == "agent_down":
                     online.discard(p["agent"])
                 elif k == "rating_issued":
-                    store.profile(p["subject"]).push(p["value"])
+                    store.record(p["subject"], p["value"])
                 elif k == "credit_committed":
                     # dict.items: allocations that are not an object are a TypeError
                     for agent, mc in dict.items(p["allocations"]):

@@ -41,7 +41,7 @@ def digest(cfg):
     return {
         "report": report,
         "events": world.events,
-        "malicious_taus": {a: world.store.profile(a).tau
+        "malicious_taus": {a: world.store.tau(a)
                            for a, m in world.agents.items()
                            if m.profile == "malicious"},
         "balances_sum": sum(balances(ledger).values()),

@@ -199,8 +199,8 @@ def test_max_requeues_terminates_hopeless_work():
     world.run()
     terminal = [e for e in events_of(world, "wu_redistributed")
                 if e.payload["terminal"]]
-    assert len(terminal) == 1
-    assert world.wus["wu00000"].state == "failed"
+    assert [e.payload["wu"] for e in terminal] == ["wu00000"]
+    assert events_of(world, "wu_validated") == []
     assert world.pending_judgments == {}  # a failed unit's completions leave
 
 
@@ -320,20 +320,43 @@ def test_fault_events_only_fire_on_state_change(entity, kind):
 
 # ------------------------------------------------------- conservation
 
+def queued_units(world):
+    """The work units in the servers' queues: before the first step, all
+    of them."""
+    return [wu for server in world.servers.values() for wu in server.queue]
+
+
+def ended_in_log(world):
+    """The ids of the work units the log shows validated or failed for good."""
+    return [e.payload["wu"] for e in world.events if e.kind == "wu_validated"
+            or (e.kind == "wu_redistributed" and e.payload.get("terminal"))]
+
+
 @pytest.mark.parametrize("mode", ["centralized", "trust"])
 def test_work_units_never_vanish(mode):
+    # Every unit is in exactly one place after every tick: ended in the log,
+    # queued at a server, waiting for a result (it has a deadline), or
+    # buffered at a server that is down.
     cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=60, timeout_ticks=8,
                    agents=[AgentGroup("rel", 6, "reliable"),
                            AgentGroup("mal", 2, "malicious"),
                            AgentGroup("fr", 1, "free_rider"),
-                           AgentGroup("ch", 2, "churner", churn=(10, 10))])
+                           AgentGroup("ch", 2, "churner", churn=(10, 10))],
+                   faults=[Fault(6, "w0", True), Fault(16, "w0", False)])
     world = World(cfg)
-    world.run()
-    states = [wu.state for wu in world.wus.values()]
-    assert all(s in ("validated", "queued", "assigned",
-                     "collected", "failed") for s in states)
-    validated_events = len(events_of(world, "wu_validated"))
-    assert validated_events == sum(s == "validated" for s in states)
+    units = queued_units(world)
+    everyone = Counter(wu.id for wu in units)
+    assert len(everyone) == cfg.wu_count
+    for tick in range(1, cfg.horizon_ticks + 1):
+        world.step(tick)
+        places = (ended_in_log(world)
+                  + [wu.id for wu in queued_units(world)]
+                  + [wu.id for wu in units if wu.deadline is not None]
+                  + [wu.id for buffer in world.buffers.values() for wu, _, _ in buffer])
+        assert Counter(places) == everyone, tick
+    assert events_of(world, "wu_validated") and events_of(world, "wu_timed_out")
+    if mode == "centralized":
+        assert any(e.payload["buffered"] for e in events_of(world, "wu_completed"))
 
 
 def test_egoistic_agents_skip_group_work_invitations():
@@ -651,9 +674,6 @@ def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):
     assert reads == idle + rejections
 
 
-TERMINAL = ("validated", "failed")
-
-
 @pytest.mark.parametrize("mode", ["centralized", "trust"])
 def test_open_wu_count_tracks_states_every_tick(mode):
     cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=120, timeout_ticks=6,
@@ -667,34 +687,50 @@ def test_open_wu_count_tracks_states_every_tick(mode):
     assert world.open_wus == cfg.wu_count
     for tick in range(1, cfg.horizon_ticks + 1):
         world.step(tick)
-        assert world.open_wus == sum(wu.state not in TERMINAL
-                                     for wu in world.wus.values()), tick
+        assert world.open_wus == cfg.wu_count - len(ended_in_log(world)), tick
     assert events_of(world, "wu_timed_out")
     assert world.open_wus == 0
     if mode == "trust":
-        assert any(wu.state == "failed" for wu in world.wus.values())
+        assert any(e.payload["terminal"] for e in events_of(world, "wu_redistributed"))
 
 
-def test_centralized_timeout_queue_is_in_deadline_order_every_tick(tmp_path):
-    # _validate_centralized stops at the first live entry not yet due, which
-    # is exact only while live entries are in deadline order.  Live means
-    # ASSIGNED: a free rider's dropped unit stays ASSIGNED, held by no
-    # agent, until it times out.  Stale entries leave only at the head, so
-    # at most timeout_ticks ticks of issues, one per agent each, remain.
-    world = World(parse_scenario(scenario_file("centralized-timeouts", tmp_path)))
-    cap = len(world.agents) * (world.config.timeout_ticks + 1)
-    for tick in range(1, world.config.horizon_ticks + 1):
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_centralized_timeout_queue_is_in_deadline_order_every_tick(mode, tmp_path):
+    # A unit has a deadline exactly while one of its issues waits for a
+    # result.  In trust mode that is while it has an assignment.  In
+    # centralized mode, _validate_centralized stops at the first live entry
+    # not yet due, which is exact only while live entries are in deadline
+    # order.  Live means the unit has a deadline: a free rider's dropped
+    # unit keeps it, held by no agent, until it times out.  Stale entries
+    # leave only at the head, so at most timeout_ticks ticks of issues, one
+    # per agent each, remain.
+    cfg = parse_scenario(scenario_file("centralized-timeouts", tmp_path))
+    cfg.mode = mode
+    world = World(cfg)
+    units = queued_units(world)
+    cap = len(world.agents) * (cfg.timeout_ticks + 1)
+    for tick in range(1, cfg.horizon_ticks + 1):
         world.step(tick)
+        waiting = [wu for wu in units if wu.deadline is not None]
+        held = {(a.current_wu.id, a.id) for a in world.agents.values()
+                if a.current_wu is not None}
+        if mode == "trust":
+            assert {wu.id for wu in waiting} == world.assignments.keys(), tick
+            assert {wu_id for wu_id, _ in held} <= world.assignments.keys(), tick
+            assert not world.central_assigned, tick
+            continue
         live = [(wu, holder) for wu, holder in world.central_assigned
-                if wu.state == "assigned"]
+                if wu.deadline is not None]
         deadlines = [wu.deadline for wu, _ in live]
         assert deadlines == sorted(deadlines), tick
-        assert sorted(wu.id for wu, _ in live) == sorted(
-            wu.id for wu in world.wus.values() if wu.state == "assigned"), tick
-        held = {(a.current_wu, a.id) for a in world.agents.values() if a.current_wu}
+        assert Counter(wu.id for wu, _ in live) == Counter(wu.id for wu in waiting), tick
+        for wu, holder in live:
+            agent = world.agents[holder]
+            assert (agent.current_wu is wu
+                    or agent.profile == "free_rider" and agent.current_wu is not wu), tick
         assert held <= {(wu.id, holder) for wu, holder in live}, tick
         assert len(world.central_assigned) <= cap, tick
-    assert events_of(world, "wu_timed_out")
+    assert events_of(world, "wu_timed_out") and events_of(world, "wu_dropped")
 
 
 def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
@@ -722,7 +758,7 @@ def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
     ends = [e.tick for e in world.events if e.kind == "wu_validated"
             or (e.kind == "wu_redistributed" and e.payload["terminal"])]
     assert len(ends) == cfg.wu_count
-    assert any(wu.state == "failed" for wu in world.wus.values())
+    assert any(e.payload["terminal"] for e in events_of(world, "wu_redistributed"))
     last = max(ends)
     assert last < cfg.horizon_ticks // 2 and draws[last] > 0
     assert all(tick <= last for tick in draws)

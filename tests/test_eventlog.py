@@ -482,6 +482,19 @@ def test_an_int_past_jsons_digit_limit_names_its_line(short_log, tmp_path, numbe
     assert err.startswith(f"runtime error: {log}: line {number}: not JSON: ")
 
 
+@pytest.mark.parametrize("number", [1, 4], ids=["header", "event"])
+def test_a_line_nested_too_deep_names_its_line(short_log, tmp_path, number):
+    # json's decoder raises RecursionError, not a ValueError, on a value
+    # nested deeper than the interpreter's recursion limit.
+    _, lines = short_log
+    texts = [json.dumps(line) for line in lines]
+    texts[number - 1] = "[" * 100_000
+    log = tmp_path / "events.jsonl"
+    code, err = replay_text(log, texts)
+    assert code == 2
+    assert err.startswith(f"runtime error: {log}: line {number}: not JSON: ")
+
+
 def run_child(code, *args):
     """The stdout of `code` run with `args` in a fresh interpreter that
     imports tdgsim from this checkout."""

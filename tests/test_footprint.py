@@ -12,11 +12,13 @@ from tdgsim.config import AgentGroup, ScenarioConfig
 from tdgsim.engine import World
 
 UNITS = 20_000
-# Measured at 166 B per unit on CPython 3.11.7 (slotted WorkUnit, no
-# per-unit pending-judgment list or ground-truth string); with a per-unit
-# ground truth it was 233 B, and with a dataclass __dict__ and that list
-# too, 345 B.  The bound leaves 15 % over the measurement.
-MAX_BYTES_PER_UNIT = 191
+# Measured at 137 B per unit on CPython 3.11.7 (slotted WorkUnit without a
+# state field, held only by its server's queue, no per-unit pending-judgment
+# list or ground-truth string).  With a state field and an id-to-unit map it
+# was 166 B; with a per-unit ground truth too, 233 B; and with a dataclass
+# __dict__ and that list too, 345 B.  The bound leaves 15 % over the
+# measurement.
+MAX_BYTES_PER_UNIT = 158
 
 
 def test_world_init_holds_each_work_unit_in_few_bytes():
@@ -31,5 +33,5 @@ def test_world_init_holds_each_work_unit_in_few_bytes():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(world.wus) == UNITS
+    assert sum(len(server.queue) for server in world.servers.values()) == UNITS
     assert held / UNITS <= MAX_BYTES_PER_UNIT, f"{held / UNITS:.1f} B per work unit"

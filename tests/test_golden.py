@@ -37,7 +37,8 @@ def test_rejection_outputs_match_golden_digests(strategy, tmp_path):
 
 def test_failed_tail_outputs_match_golden_digests(tmp_path):
     world, digests = run_case("failed-tail", tmp_path)
-    assert any(wu.state == "failed" for wu in world.wus.values())
+    assert any(ev.kind == "wu_redistributed" and ev.payload["terminal"]
+               for ev in world.events)
     last_terminal = max(ev.tick for ev in world.events
                         if ev.kind == "wu_validated"
                         or (ev.kind == "wu_redistributed" and ev.payload["terminal"]))
@@ -48,7 +49,8 @@ def test_failed_tail_outputs_match_golden_digests(tmp_path):
 def test_centralized_timeout_outputs_match_golden_digests(tmp_path):
     world, digests = run_case("centralized-timeouts", tmp_path)
     assert world.config.complexity == "uniform:1:6"  # drawn per unit
-    assert {wu.complexity for wu in world.wus.values()} == set(range(1, 7))
+    assert {ev.payload["complexity"] for ev in world.events
+            if ev.kind == "wu_issued"} == set(range(1, 7))
     assert sum(ev.kind == "wu_timed_out" for ev in world.events) == 856
     assert digests == pinned("centralized-timeouts")
 

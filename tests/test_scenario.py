@@ -350,7 +350,8 @@ def test_a_one_value_uniform_complexity_runs_as_the_fixed_value(mode, tmp_path):
                              agents=[AgentGroup("rel", 6, "reliable"),
                                      AgentGroup("mal", 1, "malicious")])
         world, _, _ = run(cfg, tmp_path / out)
-        assert {wu.complexity for wu in world.wus.values()} == {3}
+        assert {e.payload["complexity"] for e in world.events
+                if e.kind == "wu_issued"} == {3}
     for name in ("summary.csv", "series.csv", "ledger.txt", "events.jsonl"):
         assert ((tmp_path / "fixed" / name).read_bytes()
                 == (tmp_path / "uniform" / name).read_bytes()), name
@@ -631,7 +632,7 @@ def edited_defaults(tmp_path, old, new):
 # community alone.  A max_requeues of -1 ran with exit 0 and failed every
 # work unit at its first round without a majority.  A [work] value past
 # sys.maxsize died too: a 400-digit complexity overflowed the float
-# division of a work unit's quote (OverflowError), and a 4 298-digit
+# division of a completion's lateness test (OverflowError), and a 4 298-digit
 # base_credit made a block's credit too long for str() in Ledger.commit
 # (ValueError).
 @pytest.mark.parametrize("old, new, flags, message", [

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from tdgsim import trust
 from tdgsim.engine import ReputationStore
-from tdgsim.trust import (CAUSE_VALUES, NEUTRAL_TAU, ReplicationLimits,
+from tdgsim.trust import (CAUSE_VALUES, ReplicationLimits,
                           ReputationProfile, ValidationError,
                           aggregate_reputation, classify, effective_f_min,
                           raw_replication_factor, roulette_round, sum_left)
@@ -51,9 +51,9 @@ def test_aggregate_stays_in_unit_interval(values):
 def test_sliding_window_drops_oldest():
     prof = ReputationProfile(window_size=3)
     for v in [-1.0, -1.0, 1.0, 1.0]:
-        prof.push(v)
+        tau = prof.push(v)
     # only the last three ratings count: mean(-1, 1, 1) = 1/3
-    assert prof.tau == pytest.approx((1 + 1 / 3) / 2)
+    assert tau == pytest.approx((1 + 1 / 3) / 2)
     assert len(prof.window) == 3
 
 
@@ -62,8 +62,7 @@ def test_sliding_window_drops_oldest():
 def test_running_window_sum_equals_a_fresh_sum(window_size, causes):
     prof = ReputationProfile(window_size=window_size)
     for cause in causes:
-        prof.push(CAUSE_VALUES[cause])
-        assert prof.tau == aggregate_reputation(list(prof.window))
+        assert prof.push(CAUSE_VALUES[cause]) == aggregate_reputation(list(prof.window))
     assert len(prof.window) == min(window_size, len(causes))
 
 
@@ -73,9 +72,9 @@ def test_rating_range_validated():
         store.record("b", 1.5)
     with pytest.raises(ValidationError):
         store.record("b", -1.01)
-    assert store.tau("b") == 0.5 and not store.profile("b").window
+    assert store.tau("b") == 0.5 and not store.profiles["b"].window
     store.record("b", CAUSE_VALUES["correct_late"])
-    assert list(store.profile("b").window) == [0.5]
+    assert list(store.profiles["b"].window) == [0.5]
     assert store.tau("b") == 0.75
 
 
@@ -93,9 +92,8 @@ def test_live_tau_map_follows_every_profile(window_size, ratings):
         except ValidationError:
             assert not -1.0 <= value <= 1.0
         for s in "abc":
-            assert (store.taus.get(s, NEUTRAL_TAU) == store.tau(s)
-                    == aggregate_reputation(store.profiles[s].window
-                                            if s in store.profiles else ()))
+            assert store.tau(s) == aggregate_reputation(store.profiles[s].window
+                                                        if s in store.profiles else ())
     assert store.taus.keys() <= store.profiles.keys()
 
 
