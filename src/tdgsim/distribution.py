@@ -23,7 +23,6 @@ class FallbackToDRDS(Exception):
 # dataclass pays a setattr call per field.
 class Candidate(NamedTuple):
     agent: str
-    tau: float
     f_min: int  # pre-drawn via effective_f_min
     trust_class: str  # as trust.classify returns it
 
@@ -117,9 +116,6 @@ def dgds_select(pool: Sequence[Candidate], rng,
 
     n_trusted = len(picked_u) if same_amount_total else max(len(picked_u) - 1, 1)
     n_trusted = min(n_trusted, len(trusted))
-    if same_amount_total:
-        while len(picked_u) > n_trusted:  # keep untrusted <= trusted
-            picked_u.pop()
     picked_t = rng.sample(trusted, n_trusted)
 
     group = picked_u + picked_t

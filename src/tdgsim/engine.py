@@ -308,7 +308,7 @@ class World:
             if a.online and a.current_wu is None:
                 tau = self.store.tau(a.id)
                 f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
-                candidates[a.id] = Candidate(a.id, tau, f_min, classify(tau))
+                candidates[a.id] = Candidate(a.id, f_min, classify(tau))
         members = self.live_members  # a founder is a member
         open_pool = {a: c for a, c in candidates.items() if a not in members}
 
@@ -355,9 +355,8 @@ class World:
                 else:
                     self.emit("wu_rejected", wu=wu.id, agent=member)
                     self._rate(member, _REJECTED, rater=distributor)
-                    tau = self.store.tau(member)
-                    pool[member] = Candidate(member, tau, pool[member].f_min,
-                                             classify(tau))
+                    pool[member] = Candidate(member, pool[member].f_min,
+                                             classify(self.store.tau(member)))
             if len(accepted) < 2:
                 queue.append(wu)
                 retries += 1

@@ -2,10 +2,9 @@
 folds again.  Its event type and its codec."""
 from __future__ import annotations
 
-import gc
 import json
 import sys
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 
 class SimEvent(NamedTuple):
@@ -33,26 +32,8 @@ def write_event_log(path, header: dict, events) -> None:
     third to a half of the encoder's time per line.  A template writes only
     an int tick and the key set and value types the engine emits, which it
     spells as the encoder does; any other event, and every other kind, goes
-    to the encoder.
-
-    `JSONEncoder.encode` builds a new C encoder on every call, so the file
-    builds its own once, with the arguments `JSONEncoder.iterencode` passes
-    for `JSONEncoder(sort_keys=True)`.  Without the C accelerator, `encode`
-    gives the same text."""
-    encoder = json.JSONEncoder(sort_keys=True)
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:
-        encode = encoder.encode
-    else:
-        chunks = make_encoder(
-            {}, encoder.default, json.encoder.encode_basestring_ascii, None,
-            encoder.key_separator, encoder.item_separator, encoder.sort_keys,
-            encoder.skipkeys, encoder.allow_nan)
-        join = "".join
-
-        def encode(obj) -> str:
-            return join(chunks(obj, 0))
-
+    to the encoder."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     templates = LINE_TEMPLATES
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write = fh.write
@@ -167,77 +148,65 @@ LINE_TEMPLATES = {"wu_issued": _wu_issued, "wu_completed": _wu_completed,
 _JSON_WS = " \t\n\r"  # what json.loads skips around a value; not str.isspace()
 
 
-def read_event_log(path) -> Tuple[dict, List[SimEvent]]:
-    """Load a log written by `write_event_log`; raises EventLogError naming
-    the first line that does not parse or lacks a required key.
+def read_event_log(path) -> Tuple[dict, Iterator[SimEvent]]:
+    """Open a log written by `write_event_log` and read its header.  The
+    events are read as they are iterated, so a log is never held whole.
+    Either raises EventLogError naming the first line that does not
+    parse, is not UTF-8 or lacks a required key.
 
     Each line is read exactly as `json.loads(line)` would: a value that
     `raw_decode` takes from the start of the line, followed only by JSON
-    whitespace, is that value; any other line goes to `json.loads`.  The
-    cyclic collector is paused while the list grows: parsed events hold no
-    reference cycles, so it would only rescan them."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _parse_event_lines(fh)
-        except UnicodeDecodeError:  # raised per read chunk, not per line
-            pass
-    # Parse again, with each byte that is not UTF-8 mapped to U+DC80..U+DCFF,
-    # so the error names the first bad line, whichever way it is bad.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return _parse_event_lines(_decodable_lines(fh))
+    whitespace, is that value; any other line goes to `json.loads`."""
+    lines = _read_lines(path)
+    return next(lines), lines
 
 
-def _decodable_lines(lines):
-    for number, line in enumerate(lines, start=1):
-        if any("\udc80" <= ch <= "\udcff" for ch in line):
-            raise EventLogError(number, "not UTF-8")
-        yield line
-
-
-def _parse_event_lines(lines: Iterator[str]) -> Tuple[dict, List[SimEvent]]:
-    header = None
-    events: List[SimEvent] = []
-    append, raw_decode, loads = events.append, json.JSONDecoder().raw_decode, json.loads
+def _read_lines(path) -> Iterator:
+    """The checked header, then each event."""
+    raw_decode, loads = json.JSONDecoder().raw_decode, json.loads
     new = tuple.__new__  # as World.emit: skips the __new__ NamedTuple adds
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    # Each good event line adds one event, so a bad one is line
-    # len(events) + 2; a bad header is line 1.
-    try:
-        header = loads(next(lines, ""))
-        # The header has all that the metrics fold reads from it.  A window
-        # is a deque's maxlen, and a horizon is held to the same bound.
-        window = header.get("window", 0) if isinstance(header, dict) else -1
-        horizon = header.get("horizon") if isinstance(header, dict) else -1
-        # type(), not isinstance(): JSON true and false load as bools, which are ints.
-        if not (type(window) is int and 0 <= window <= sys.maxsize
-                and type(horizon) is int and 0 <= horizon <= sys.maxsize
-                and isinstance(header.get("agents"), dict)
-                and all(isinstance(a, dict) and isinstance(a.get("profile"), str)
-                        and isinstance(a.get("online"), bool)
-                        for a in header["agents"].values())):
-            raise EventLogError(1, f"header lacks an int 'horizon' and an int 'window' "
-                                   f"in [0, {sys.maxsize}], or 'agents' of "
-                                   "{'profile': str, 'online': bool}")
-        for line in lines:
-            try:
-                raw, end = raw_decode(line)
-            except json.JSONDecodeError:
-                raw = loads(line)
-            else:
-                if line[end:].strip(_JSON_WS):
+    # Each byte that is not UTF-8 is read as one of U+DC80..U+DCFF, which
+    # no UTF-8 decodes to and `str.encode` refuses, so the error names the
+    # first bad line, whichever way it is bad.  The writer writes ASCII.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = enumerate(fh, start=1)
+        number, line = next(lines, (1, ""))
+        try:
+            if not line.isascii():
+                line.encode()
+            header = loads(line)
+            # The header has all that the metrics fold reads from it.  A window
+            # is a deque's maxlen, and a horizon is held to the same bound.
+            window = header.get("window", 0) if isinstance(header, dict) else -1
+            horizon = header.get("horizon") if isinstance(header, dict) else -1
+            # type(), not isinstance(): JSON true and false load as bools, which are ints.
+            if not (type(window) is int and 0 <= window <= sys.maxsize
+                    and type(horizon) is int and 0 <= horizon <= sys.maxsize
+                    and isinstance(header.get("agents"), dict)
+                    and all(isinstance(a, dict) and isinstance(a.get("profile"), str)
+                            and isinstance(a.get("online"), bool)
+                            for a in header["agents"].values())):
+                raise EventLogError(1, f"header lacks an int 'horizon' and an int 'window' "
+                                       f"in [0, {sys.maxsize}], or 'agents' of "
+                                       "{'profile': str, 'online': bool}")
+            yield header
+            for number, line in lines:
+                if not line.isascii():
+                    line.encode()
+                try:
+                    raw, end = raw_decode(line)
+                except json.JSONDecodeError:
                     raw = loads(line)
-            append(new(SimEvent, (raw["t"], raw["k"], raw["p"])))
-    except (EventLogError, UnicodeDecodeError):
-        raise  # a bad header or line, or a read chunk to decode again
-    # A JSONDecodeError, an int past json's digit limit, or nesting too deep.
-    except (ValueError, RecursionError) as exc:
-        raise EventLogError(1 if header is None else len(events) + 2,
-                            f"not JSON: {exc}") from None
-    except (KeyError, TypeError) as exc:
-        raise EventLogError(len(events) + 2,
-                            f"event lacks 't', 'k' or 'p': {exc!r}") from None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return header, events
+                else:
+                    if line[end:].strip(_JSON_WS):
+                        raw = loads(line)
+                yield new(SimEvent, (raw["t"], raw["k"], raw["p"]))
+        except EventLogError:
+            raise  # a bad header
+        except UnicodeEncodeError:
+            raise EventLogError(number, "not UTF-8") from None
+        # A JSONDecodeError, an int past json's digit limit, or nesting too deep.
+        except (ValueError, RecursionError) as exc:
+            raise EventLogError(number, f"not JSON: {exc}") from None
+        except (KeyError, TypeError) as exc:
+            raise EventLogError(number, f"event lacks 't', 'k' or 'p': {exc!r}") from None

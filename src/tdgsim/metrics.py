@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .eventlog import EventLogError, SimEvent
 from .trust import DEFAULT_WINDOW, ReputationStore, sum_left
@@ -78,13 +78,14 @@ def tick_rows(report: MetricsReport) -> Iterator[Row]:
         yield quiet, 0, 0, active, etc
 
 
-def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
+def compute_metrics(header: dict, events: Iterable[SimEvent]) -> MetricsReport:
     """Fold `events` in log order, one run of equal ticks at a time.
 
     Each run's tick must be an int above the last run's and at most the
     horizon, or the run's first line is an error.  A run holds what
     equals its first tick, so a `true` or `1.0` right after a 1 is
-    tick 1."""
+    tick 1.  `events` may be any iterable, such as `read_event_log`'s,
+    whose EventLogError passes through."""
     horizon = header["horizon"]
     profiles = {a: info["profile"] for a, info in header["agents"].items()}
     report = MetricsReport(horizon=horizon)
@@ -105,18 +106,21 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
     store = ReputationStore(header.get("window", DEFAULT_WINDOW))
     credit_by_profile: Dict[str, int] = {p: 0 for p in set(profiles.values())}
 
-    # Each value is checked where the fold reads it; the header is line 1.
+    # Each value is checked where the fold reads it.  The header is line 1,
+    # so the event in hand is on line `count` + 1.
     last = 0  # the tick of the last run
+    count = 0  # the events taken from `events`
     try:
         for tick, group in groupby(events, _TICK):
             if type(tick) is not int or not last < tick <= horizon:
-                ev = next(group)  # the run's first event, whose line is named
+                count += 1
+                k = next(group).kind  # the run's first event, whose line is named
                 raise ValueError(f"tick {tick!r} is not an int after tick {last} "
                                  f"and at most the horizon {horizon}")
             last = tick
             issued_now = validated_now = 0
-            for ev in group:
-                _, k, p = ev
+            for _, k, p in group:
+                count += 1
                 if k in ("wu_completed", "wu_dropped", "wu_timed_out"):
                     total_units += p["units"]
                 elif k == "rating_issued":
@@ -156,9 +160,10 @@ def compute_metrics(header: dict, events: Sequence[SimEvent]) -> MetricsReport:
                     gap = tick - last_issue - 1
                 last_issue = tick
             series.append((tick, issued_now, validated_now, active, etc_size))
+    except EventLogError:
+        raise  # a line the reader cannot read
     except (KeyError, TypeError, ValueError) as exc:
-        line = next(i for i, e in enumerate(events) if e is ev) + 2
-        raise EventLogError(line, f"{ev.kind} event: {exc!r}") from None
+        raise EventLogError(count + 1, f"{k} event: {exc!r}") from None
 
     report.issued = sum(row[1] for row in series)
     report.validated = sum(row[2] for row in series)

@@ -138,14 +138,16 @@ def test_ac2_dgds_no_untrusted_majority(capsys):
         pool = []
         for cls, label in (("untrusted", "u"), ("trusted", "t"), ("undecided", "m")):
             for i in range(rng.randint(0, 10)):
-                # Draw a busy coin per candidate and leave busy ones out of
-                # the pool, so the random stream and the groups checked stay
+                # Draw a tau and a busy coin per candidate, though a
+                # candidate carries neither, and leave busy ones out of the
+                # pool, so the random stream and the groups checked stay
                 # those the suite has always checked.
-                tau, f_min, busy = rng.random(), rng.randint(1, 6), rng.random() < 0.2
+                rng.random()
+                f_min, busy = rng.randint(1, 6), rng.random() < 0.2
                 if busy:
                     continue
-                pool.append(Candidate(agent=f"{label}{i}", tau=tau,
-                                      f_min=f_min, trust_class=cls))
+                pool.append(Candidate(agent=f"{label}{i}", f_min=f_min,
+                                      trust_class=cls))
         try:
             group = dgds_select(pool, rng)
         except (FallbackToDRDS, SelectionFailed):

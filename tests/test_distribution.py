@@ -12,8 +12,8 @@ from tdgsim.distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
 U, T, D = "untrusted", "trusted", "undecided"
 
 
-def cand(name, f_min=2, tau=0.5, cls=D):
-    return Candidate(agent=name, tau=tau, f_min=f_min, trust_class=cls)
+def cand(name, f_min=2, cls=D):
+    return Candidate(agent=name, f_min=f_min, trust_class=cls)
 
 
 # ---------------------------------------------------------------- DRDS
@@ -114,11 +114,11 @@ def test_dods_empty_pool_fails():
 
 def make_pool(n_untrusted, n_trusted, n_undecided, f_untrusted=5, f_trusted=2):
     pool = []
-    pool += [cand(f"u{i}", f_untrusted, 0.2, U)
+    pool += [cand(f"u{i}", f_untrusted, U)
              for i in range(n_untrusted)]
-    pool += [cand(f"t{i}", f_trusted, 0.9, T)
+    pool += [cand(f"t{i}", f_trusted, T)
              for i in range(n_trusted)]
-    pool += [cand(f"m{i}", 3, 0.5, D)
+    pool += [cand(f"m{i}", 3, D)
              for i in range(n_undecided)]
     return pool
 
@@ -164,10 +164,10 @@ class FirstPick:
 
 
 def test_dgds_keeps_pool_order_within_each_class():
-    pool = [cand("d0", 3, 0.5, D), cand("u0", 5, 0.2, U), cand("t0", 2, 0.9, T),
-            cand("d1", 3, 0.5, D), cand("t1", 2, 0.9, T), cand("u1", 5, 0.2, U),
-            cand("u2", 5, 0.2, U), cand("t2", 2, 0.9, T), cand("d2", 3, 0.5, D),
-            cand("t3", 2, 0.9, T), cand("u3", 5, 0.2, U), cand("d3", 3, 0.5, D)]
+    pool = [cand("d0", 3, D), cand("u0", 5, U), cand("t0", 2, T),
+            cand("d1", 3, D), cand("t1", 2, T), cand("u1", 5, U),
+            cand("u2", 5, U), cand("t2", 2, T), cand("d2", 3, D),
+            cand("t3", 2, T), cand("u3", 5, U), cand("d3", 3, D)]
     # f_min 5 brings (5 - 1) // 2 = 2 extra untrusted, each matched by a
     # trusted agent; first picks are first in pool order within a class.
     group = dgds_select(pool, FirstPick())
@@ -175,9 +175,9 @@ def test_dgds_keeps_pool_order_within_each_class():
     assert group.initiator == "u0"
     # f_min 1 brings no extra untrusted; t0's f_min 4 is met by topping up
     # with the first three undecided agents.
-    pool = [cand("d0", 3, 0.5, D), cand("t0", 4, 0.9, T), cand("u0", 1, 0.2, U),
-            cand("d1", 3, 0.5, D), cand("u1", 1, 0.2, U), cand("d2", 3, 0.5, D),
-            cand("t1", 4, 0.9, T), cand("d3", 3, 0.5, D)]
+    pool = [cand("d0", 3, D), cand("t0", 4, T), cand("u0", 1, U),
+            cand("d1", 3, D), cand("u1", 1, U), cand("d2", 3, D),
+            cand("t1", 4, T), cand("d3", 3, D)]
     group = dgds_select(pool, FirstPick())
     assert group.members == ("u0", "t0", "d0", "d1", "d2")
 
@@ -192,7 +192,7 @@ CLASS_RANK = {U: 0, T: 1, D: 2}
 def test_dgds_group_depends_only_on_each_class_in_pool_order(entries, seed):
     # The three-comprehension split: a pool interleaving the classes gives
     # the same group as the pool sorted by class, stably.
-    pool = [cand(f"a{i}", f, 0.5, cls) for i, (cls, f) in enumerate(entries)]
+    pool = [cand(f"a{i}", f, cls) for i, (cls, f) in enumerate(entries)]
     by_class = sorted(pool, key=lambda c: CLASS_RANK[c.trust_class])
 
     def select(p):

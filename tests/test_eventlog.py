@@ -125,8 +125,9 @@ def test_writer_lines_equal_json_dumps(codec_dir, triples):
     assert written(log, HEADER, [SimEvent(t, k, p) for t, k, p in triples]) == \
         dumps_lines(HEADER, triples)
     # tuples come back as lists, as from any JSON round trip
-    assert read_event_log(log) == (HEADER, [SimEvent(t, k, json.loads(json.dumps(p)))
-                                            for t, k, p in triples])
+    header, events = read_event_log(log)
+    assert (header, list(events)) == (HEADER, [SimEvent(t, k, json.loads(json.dumps(p)))
+                                               for t, k, p in triples])
 
 
 def test_writer_without_the_c_encoder_writes_the_same_bytes(small_run, tmp_path):
@@ -142,6 +143,7 @@ def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
     _, world, _, _ = small_run
     write_event_log(tmp_path / "events.jsonl", world.header(), world.events)
     header, events = read_event_log(tmp_path / "events.jsonl")
+    events = list(events)
     assert header == world.header()
     assert events == world.events
     assert all(type(ev) is SimEvent for ev in events)
@@ -514,12 +516,28 @@ def test_a_one_line_log_of_any_horizon_replays(tmp_path, horizon):
     assert replay(tmp_path / "events.jsonl", [{"agents": {}, "horizon": horizon}]) == (0, "")
 
 
-def test_a_ten_million_tick_replay_stays_below_40_mb(tmp_path):
-    # Four per-tick lists took this replay to 325 MB of peak RSS.  A child's
-    # ru_maxrss counts the RSS of the process that started it, so the
-    # replay is started by a bare interpreter, not by this one.
-    log = tmp_path / "events.jsonl"
+def ten_million_ticks(log, engine_runs):
     log.write_text(json.dumps({"agents": {}, "horizon": 10 ** 7}) + "\n", encoding="utf-8")
+
+
+def central_outage(log, engine_runs):
+    _, _, header, events = next(run for run in engine_runs
+                                if run[0] == "centralized_outage")
+    assert len(events) >= 80_000
+    write_event_log(log, header, events)
+
+
+# Four per-tick lists took the ten-million-tick replay to 325 MB of peak
+# RSS, and an event list the central-outage replay, of 80 002 events, to
+# 100 MB.  The fold now holds nothing per tick and the reader nothing per
+# event.
+@pytest.mark.parametrize("make_log", [ten_million_ticks, central_outage],
+                         ids=["ten-million-ticks", "central-outage"])
+def test_a_replay_stays_below_40_mb(engine_runs, tmp_path, make_log):
+    log = tmp_path / "events.jsonl"
+    make_log(log, engine_runs)
+    # A child's ru_maxrss counts the RSS of the process that started it, so
+    # the replay is started by a bare interpreter, not by this one.
     code, peak_mb = run_child(
         "import subprocess, sys\n"
         "sys.exit(subprocess.call(sys.argv[1:]))",
@@ -590,6 +608,32 @@ def test_replay_names_the_later_of_two_swapped_lines(tmp_path):
     code, err = replay_text(log, texts)
     assert code == 2
     assert err.startswith(f"runtime error: {log}: line {i + 2}: "), err
+
+
+@pytest.mark.parametrize("line3", [
+    '{"k": "wu_issued", "p": {}, "t": 1}',
+    '{"k": "wu_completed", "p": {"units": "x"}, "t": 2}',
+], ids=["tick goes back", "payload the fold cannot read"])
+def test_the_first_bad_line_in_file_order_is_named(tmp_path, line3):
+    # The fold reads each event as the reader yields it, so its error on
+    # line 3 is named before the reader reaches the bad JSON on line 5.
+    texts = [json.dumps({"agents": {}, "horizon": 3}),
+             '{"k": "wu_issued", "p": {}, "t": 2}', line3,
+             '{"k": "wu_issued", "p": {}, "t": 3}', "{"]
+    log = tmp_path / "events.jsonl"
+    code, err = replay_text(log, texts)
+    assert code == 2
+    assert err.startswith(f"runtime error: {log}: line 3: "), err
+    with pytest.raises(EventLogError) as exc:
+        compute_metrics(*read_event_log(log))
+    assert exc.value.line == 3
+    # Without the line-3 error, the reader's own error passes through the
+    # fold as it is.
+    texts[2] = texts[1]
+    log.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+    with pytest.raises(EventLogError) as exc:
+        compute_metrics(*read_event_log(log))
+    assert str(exc.value).startswith("line 5: not JSON: ")
 
 
 # ---------------------------------------------- the fold and its reference

@@ -28,8 +28,7 @@ TRACER_HOOKS = {"trust.aggregate_reputation", "ledger.split_credits",
                 "ledger.Ledger.append_block"}
 # Reached only when an input is bad: each is pinned by the tests of that
 # error instead.
-ERROR_PATHS = {"scenario.ConfigError.__init__", "eventlog.EventLogError.__init__",
-               "eventlog._decodable_lines"}
+ERROR_PATHS = {"scenario.ConfigError.__init__", "eventlog.EventLogError.__init__"}
 
 # Every profile, rejected offers, short groups, a requeue limit, churn,
 # and an outage of w0 that fails its community over to a member; the

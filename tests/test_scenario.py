@@ -459,10 +459,11 @@ def test_reader_accepts_exactly_what_json_loads_does(tmp_path, body, bad_line):
     expected, line, message = loads_per_line(log)
     assert line == bad_line
     if bad_line is None:
-        assert read_event_log(log) == (HEADER, expected)
+        header, events = read_event_log(log)
+        assert (header, list(events)) == (HEADER, expected)
         return
     with pytest.raises(EventLogError) as exc:
-        read_event_log(log)
+        list(read_event_log(log)[1])
     assert exc.value.line == bad_line
     assert str(exc.value) == f"line {bad_line}: {message}"
 
@@ -478,9 +479,9 @@ def test_reader_restores_the_collector_state(tmp_path, enabled, raises):
         gc.enable() if enabled else gc.disable()
         if raises:
             with pytest.raises(EventLogError):
-                read_event_log(log)
+                list(read_event_log(log)[1])
         else:
-            read_event_log(log)
+            list(read_event_log(log)[1])
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if before else gc.disable()
@@ -494,7 +495,7 @@ def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
     log.write_bytes(json.dumps(HEADER).encode() + b"\n" + EVENT.encode() + b"\r"
                     + bad + b"\n" + EVENT.encode() + b"\n")
     with pytest.raises(EventLogError) as exc:
-        read_event_log(log)
+        list(read_event_log(log)[1])
     assert exc.value.line == 3
 
 
@@ -505,13 +506,13 @@ def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
 def test_the_first_bad_line_is_named_whichever_way_it_is_bad(tmp_path, line3,
                                                               line5, reason):
     # The text layer decodes a whole chunk, lines 1-5 here, before line 3
-    # is parsed, so a byte that is not UTF-8 on line 5 is seen first.
+    # is parsed, so a byte that is not UTF-8 on line 5 is decoded first.
     log = tmp_path / "events.jsonl"
     event = EVENT.encode()
     log.write_bytes(b"\n".join([json.dumps(HEADER).encode(), event, line3,
                                 event, line5, event, b""]))
     with pytest.raises(EventLogError) as exc:
-        read_event_log(log)
+        list(read_event_log(log)[1])
     assert exc.value.line == 3
     assert str(exc.value).startswith(f"line 3: {reason}")
 
@@ -935,7 +936,7 @@ def test_cli_replay_undecodable_line_names_it(replay_log, capsys):
     lines[5] = lines[5][:10] + b"\xff" + lines[5][10:]
     replay_log.write_bytes(b"".join(lines))
     with pytest.raises(EventLogError) as exc:
-        read_event_log(replay_log)
+        list(read_event_log(replay_log)[1])
     assert exc.value.line == 6
     assert main(["replay", "--log", str(replay_log)]) == 2
     assert "line 6" in capsys.readouterr().err
