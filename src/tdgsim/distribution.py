@@ -28,9 +28,12 @@ class Candidate(NamedTuple):
 
 
 class ReplicaGroup(NamedTuple):
-    members: Tuple[str, ...]
-    initiator: str
+    members: Tuple[str, ...]  # the initiator first
     short: bool = False  # availability clamped the group below its target size
+
+    @property
+    def initiator(self) -> str:
+        return self.members[0]
 
 
 def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
@@ -53,7 +56,7 @@ def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
     members = [initiator.agent]
     for j in rng.sample(range(n - 1), take):
         members.append(pool[j + (j >= i)].agent)
-    return ReplicaGroup(tuple(members), initiator.agent, take < initiator.f_min)
+    return ReplicaGroup(tuple(members), take < initiator.f_min)
 
 
 def dods_assign(pool: Sequence[Candidate]) -> ReplicaGroup:
@@ -73,7 +76,7 @@ def dods_assign(pool: Sequence[Candidate]) -> ReplicaGroup:
         max_f = max(max_f, c.f_min)
     if len(group) < 2:
         raise SelectionFailed(f"dods group of {len(group)} cannot reach {1 + max_f}")
-    return ReplicaGroup(tuple(c.agent for c in group), group[0].agent, len(group) < 1 + max_f)
+    return ReplicaGroup(tuple(c.agent for c in group), len(group) < 1 + max_f)
 
 
 def dgds_select(pool: Sequence[Candidate], rng,
@@ -118,16 +121,13 @@ def dgds_select(pool: Sequence[Candidate], rng,
     n_trusted = min(n_trusted, len(trusted))
     picked_t = rng.sample(trusted, n_trusted)
 
-    group = picked_u + picked_t
+    group = picked_u + picked_t  # one of each at least: never below 2
     max_f = max(c.f_min for c in group)
     while len(group) < 1 + max_f and undecided:
         nxt = undecided.pop(rng.randrange(len(undecided)))
         group.append(nxt)
         max_f = max(max_f, nxt.f_min)
-    if len(group) < 2:
-        raise SelectionFailed("dgds group smaller than 2")
-    return ReplicaGroup(tuple(c.agent for c in group), picked_u[0].agent,
-                        len(group) < 1 + max_f)
+    return ReplicaGroup(tuple(c.agent for c in group), len(group) < 1 + max_f)
 
 
 def random_baseline_select(pool: Sequence[Candidate], replication: int,
@@ -138,4 +138,4 @@ def random_baseline_select(pool: Sequence[Candidate], replication: int,
     if len(pool) < replication:
         raise SelectionFailed(f"need {replication} candidates, have {len(pool)}")
     chosen = rng.sample(pool, replication)
-    return ReplicaGroup(tuple(c.agent for c in chosen), chosen[0].agent)
+    return ReplicaGroup(tuple(c.agent for c in chosen))

@@ -63,7 +63,6 @@ class AgentModel:
     accept_prob: float = 1.0
     current_wu: Optional[WorkUnit] = None
     progress: int = 0
-    assigned_tick: int = 0
 
 
 @dataclass
@@ -278,9 +277,7 @@ class World:
 
     def _assign_wu(self, agent: AgentModel, wu: WorkUnit) -> None:
         wu.deadline = self.tick + self.config.timeout_ticks
-        agent.current_wu = wu
-        agent.progress = 0
-        agent.assigned_tick = self.tick
+        agent.current_wu = wu  # idle, so its progress is 0 (_release)
 
     def _available(self, entity: str) -> bool:
         if entity in self.servers:
@@ -392,11 +389,13 @@ class World:
     def _phase_compute(self) -> None:
         if not self.open_wus:
             return  # no agent can hold a work unit
+        # A held unit's deadline is its assignment tick plus timeout_ticks:
+        # a unit issued this tick has `fresh`, and fresh - deadline is its age.
+        fresh = self.tick + self.config.timeout_ticks
         for agent in self.agent_order:
-            if (not agent.online or agent.current_wu is None
-                    or agent.assigned_tick == self.tick):
-                continue
             wu = agent.current_wu
+            if not agent.online or wu is None or wu.deadline == fresh:
+                continue
             if agent.profile == FREE_RIDER:
                 units = self._terminal(agent, wu, "dropped", None, False)
                 self.emit("wu_dropped", wu=wu.id, agent=agent.id, units=units)
@@ -405,7 +404,7 @@ class World:
             if agent.progress >= wu.complexity:
                 result = COLLUDED if agent.profile == MALICIOUS else CORRECT
                 # Later than twice the agent's own estimate of the work.
-                late = (self.tick - agent.assigned_tick
+                late = (fresh - wu.deadline
                         > math.ceil(wu.complexity / agent.speed) * 2)
                 self._terminal(agent, wu, "completed", result, late)
                 buffered = False
@@ -464,21 +463,22 @@ class World:
         self.emit("rating_issued", subject=subject, rater=rater,
                   cause=cause, value=value)
 
-    def _commit_credit(self, wu: WorkUnit, participants: List[str]) -> int:
-        credit_total = self.config.base_credit_millis * wu.complexity
-        block = self.ledger.commit(wu.id, credit_total, participants, self.tick)
-        self.emit("credit_committed", wu=wu.id,
-                  allocations=dict(block.allocations))
-        return credit_total
+    def _validate_unit(self, wu: WorkUnit, members: List[str],
+                       consensus: List[str], correct: bool) -> None:
+        """Close `wu`, validated with the results of `consensus`: credit
+        them, log it, and count the unit as no longer open.  The count
+        goes last, so a commit that raises changes nothing."""
+        credit = self.config.base_credit_millis * wu.complexity
+        block = self.ledger.commit(wu.id, credit, consensus, self.tick)
+        self.emit("credit_committed", wu=wu.id, allocations=dict(block.allocations))
+        self.emit("wu_validated", wu=wu.id, members=members, consensus=consensus,
+                  group_size=len(members), correct=correct,
+                  complexity=wu.complexity, credit=credit)
+        self.open_wus -= 1
 
     def _validate_centralized(self) -> None:
         for wu, result, agent_id in self._routed:
-            self.open_wus -= 1
-            credit = self._commit_credit(wu, [agent_id])
-            self.emit("wu_validated", wu=wu.id, members=[agent_id],
-                      consensus=[agent_id], group_size=1,
-                      correct=result == CORRECT,
-                      complexity=wu.complexity, credit=credit)
+            self._validate_unit(wu, [agent_id], [agent_id], result == CORRECT)
         self._routed = []
         # Timeout redistribution; the lapsed client is not penalized.  In
         # deadline order, every lapsed assignment precedes any live one.
@@ -497,7 +497,6 @@ class World:
             self.emit("wu_redistributed", wu=wu.id)
 
     def _validate_trust(self) -> None:
-        params = self.config.params
         for wu_id in list(self.assignments):
             assignment = self.assignments[wu_id]
             wu = assignment.wu
@@ -510,10 +509,10 @@ class World:
                     self.emit("wu_timed_out", wu=wu_id, agent=member, units=units)
             if len(assignment.outcomes) < len(assignment.members):
                 continue
-            self._finish_assignment(assignment, params)
+            self._finish_assignment(assignment)
             del self.assignments[wu_id]
 
-    def _finish_assignment(self, assignment: Assignment, params) -> None:
+    def _finish_assignment(self, assignment: Assignment) -> None:
         wu, members, outcomes = assignment.wu, assignment.members, assignment.outcomes
         wu.deadline = None
         counts: Dict[str, int] = {}
@@ -533,7 +532,7 @@ class World:
                 self._rate(member, rating, rater)
         if token is None:
             wu.requeues += 1
-            terminal = bool(params.max_requeues) and wu.requeues > params.max_requeues
+            terminal = 0 < self.config.params.max_requeues < wu.requeues  # 0: unlimited
             if terminal:
                 self.open_wus -= 1
                 self.pending_judgments.pop(wu.id, None)  # never judged
@@ -543,14 +542,9 @@ class World:
             return
         for agent, outcome in self.pending_judgments.pop(wu.id, ()):
             self._rate(agent, _cause(outcome, token), rater)
-        self.open_wus -= 1
         # Only a completed outcome has a result.
         consensus = [m for m in members if outcomes[m].result == token]
-        credit = self._commit_credit(wu, consensus)
-        self.emit("wu_validated", wu=wu.id, members=list(members),
-                  consensus=consensus, group_size=len(members),
-                  correct=token == CORRECT,
-                  complexity=wu.complexity, credit=credit)
+        self._validate_unit(wu, list(members), consensus, token == CORRECT)
 
     # -- phase 6: community lifecycle -------------------------------------
     def _phase_lifecycle(self) -> None:

@@ -51,10 +51,6 @@ class CreditBlock(NamedTuple):
     tick: int
     hash: str
 
-    @property
-    def total(self) -> int:
-        return sum(mc for _, mc in self.allocations)
-
 
 def _split(total: int, participants: Sequence[str]) -> Tuple[Allocation, ...]:
     if not participants:
@@ -126,7 +122,7 @@ class Ledger:
         return None
 
     def total_committed(self) -> int:
-        return sum(b.total for b in self.blocks)
+        return sum(mc for block in self.blocks for _, mc in block.allocations)
 
     # Line format: index prev_hash wu agent:mc,agent:mc tick hash
     def export_lines(self) -> Iterable[str]:

@@ -284,19 +284,13 @@ def run(cfg: ScenarioConfig,
     return world, report, world.ledger
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_report(world: World, report: MetricsReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("metric,value\n")
         for metric, value in report.scalar_rows():
-            fh.write(f"{metric},{_fmt(value)}\n")
+            fh.write(f"{metric},{value}\n")
     with open(out / "series.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,issued,validated,active_agents,etc_size\n")
         for tick, issued, validated, active, etc in tick_rows(report):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable
 
 
@@ -71,9 +71,9 @@ def aggregate_reputation(values: Iterable[float]) -> float:
     return (1.0 + sum_left(vals) / len(vals)) / 2.0
 
 
-@dataclass
 class ReputationProfile:
-    """Sliding window of the most recent rating values about one subject.
+    """Sliding window of the most recent rating values about one subject,
+    at most `window_size` of them (the deque's `maxlen`).
 
     `total` is the running sum of the window, and `push` returns the
     reputation tau it gives, which equals `aggregate_reputation(window)`
@@ -81,12 +81,11 @@ class ReputationProfile:
     empty window is neutral.
     """
 
-    window_size: int = DEFAULT_WINDOW
-    window: Deque[float] = field(init=False)
-    total: float = field(init=False, default=0.0)
+    __slots__ = ("window", "total")
 
-    def __post_init__(self) -> None:
-        self.window = deque(maxlen=self.window_size)
+    def __init__(self, window_size: int = DEFAULT_WINDOW) -> None:
+        self.window: Deque[float] = deque(maxlen=window_size)
+        self.total = 0.0
 
     def push(self, value: float) -> float:
         if not -1.0 <= value <= 1.0:

@@ -22,8 +22,11 @@ tdgsim runs it:
 
 runs every case and prints one JSON object: the interpreter's version,
 per case the SHA-256 of each output, and per bundled scenario the output
-files that its echo rerun changed.  `test_golden.py` checks the cases
-in process and runs this under the other installed interpreters.
+files that its echo rerun changed; then the same for every case of the
+generated corpus (`corpus.py`), each rerun from its echo.  With
+`--pin-corpus` it writes the corpus digests to `corpus_digests.json`
+instead.  `test_golden.py` checks the cases in process and runs this
+under the other installed interpreters.
 """
 import hashlib
 import json
@@ -32,6 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from corpus import CORPUS, PINNED as CORPUS_PINNED
 from event_schema import CENTRALIZED_CHURN
 from tdgsim.scenario import parse_scenario, run
 
@@ -313,8 +317,9 @@ def pinned(case):
 
 
 def scenario_file(case, out_dir):
-    """The scenario file of `case`; an inline one is written to `out_dir`."""
-    text = CASES[case][0]
+    """The scenario file of `case`, a golden or a corpus case; an inline one
+    is written to `out_dir`."""
+    text = CASES[case][0] if case in CASES else CORPUS[case]
     if text is None:
         return SCENARIOS / f"{case}.ini"
     scenario = Path(out_dir) / "scenario.ini"
@@ -342,16 +347,20 @@ def echo_rerun(out_dir):
 
 
 def main():
-    digests, echo = {}, {}
+    digests, echo, corpus, corpus_echo = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in [*CASES, *CORPUS]:
             out = Path(tmp) / case
             out.mkdir()
-            digests[case] = run_case(case, out)[1]
-            if case in GOLDEN:
-                echo[case] = echo_rerun(out)
+            into, echoes = (digests, echo) if case in CASES else (corpus, corpus_echo)
+            into[case] = run_case(case, out)[1]
+            if case in GOLDEN or case in CORPUS:
+                echoes[case] = echo_rerun(out)
+    if sys.argv[1:] == ["--pin-corpus"]:
+        CORPUS_PINNED.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+        return
     json.dump({"python": platform.python_version(), "digests": digests,
-               "echo": echo}, sys.stdout)
+               "echo": echo, "corpus": corpus, "corpus_echo": corpus_echo}, sys.stdout)
     print()
 
 

@@ -703,17 +703,27 @@ def test_centralized_timeout_queue_is_in_deadline_order_every_tick(mode, tmp_pat
     # order.  Live means the unit has a deadline: a free rider's dropped
     # unit keeps it, held by no agent, until it times out.  Stale entries
     # leave only at the head, so at most timeout_ticks ticks of issues, one
-    # per agent each, remain.
+    # per agent each, remain.  Compute reads an agent's assignment tick
+    # from the deadline of the unit it holds: the tick of the last
+    # wu_issued that lists the agent.
     cfg = parse_scenario(scenario_file("centralized-timeouts", tmp_path))
     cfg.mode = mode
     world = World(cfg)
     units = queued_units(world)
     cap = len(world.agents) * (cfg.timeout_ticks + 1)
+    issued_at, seen = {}, 0
     for tick in range(1, cfg.horizon_ticks + 1):
         world.step(tick)
+        for ev in world.events[seen:]:
+            if ev.kind == "wu_issued":
+                issued_at.update(dict.fromkeys(ev.payload["members"], ev.tick))
+        seen = len(world.events)
         waiting = [wu for wu in units if wu.deadline is not None]
         held = {(a.current_wu.id, a.id) for a in world.agents.values()
                 if a.current_wu is not None}
+        assigned_at = {a.id: a.current_wu.deadline - cfg.timeout_ticks
+                       for a in world.agents.values() if a.current_wu is not None}
+        assert assigned_at == {agent: issued_at[agent] for agent in assigned_at}, tick
         if mode == "trust":
             assert {wu.id for wu in waiting} == world.assignments.keys(), tick
             assert {wu_id for wu_id, _ in held} <= world.assignments.keys(), tick

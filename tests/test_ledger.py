@@ -194,10 +194,11 @@ def test_cli_verify_ledger_accepts_empty_lines_only_at_the_end(tmp_path, capsys,
 
 
 def engine_stand_in():
-    """What `World._commit_credit` reads: a base credit of 1 (so a work
-    unit's complexity is its credit), the ledger, the tick and `emit`."""
+    """What `World._validate_unit` reads: a base credit of 1 (so a work
+    unit's complexity is its credit), the ledger, the tick, `emit` and the
+    open-unit count."""
     host = SimpleNamespace(config=SimpleNamespace(base_credit_millis=1),
-                           ledger=Ledger(), tick=0, events=[])
+                           ledger=Ledger(), tick=0, events=[], open_wus=10**6)
     host.emit = lambda kind, **payload: World.emit(host, kind, **payload)
     return host
 
@@ -221,13 +222,16 @@ def test_commit_gives_what_the_reference_commit_gives(commits):
     for n, (total, participants) in enumerate(commits):
         host.tick = n // 3 + 1
         wu = SimpleNamespace(id=f"wu{n:05d}", complexity=total)
-        assert World._commit_credit(host, wu, participants) == total
+        World._validate_unit(host, wu, participants, participants, True)
+        assert host.open_wus == 10**6 - n - 1
         expected = reference_ledger.commit_credit(reference, wu.id, total,
                                                   participants, host.tick)
-        event = host.events[-1]
-        assert (event.tick, event.kind, event.payload["wu"]) == (
+        committed, validated = host.events[-2:]
+        assert (committed.tick, committed.kind, committed.payload["wu"]) == (
             host.tick, "credit_committed", wu.id)
-        assert list(event.payload["allocations"].items()) == list(expected.items())
+        assert list(committed.payload["allocations"].items()) == list(expected.items())
+        assert (validated.tick, validated.kind, validated.payload["wu"],
+                validated.payload["credit"]) == (host.tick, "wu_validated", wu.id, total)
     assert host.ledger.blocks == reference.blocks
     assert list(host.ledger.export_lines()) == list(reference.export_lines())
     assert host.ledger.verify_chain() is None
@@ -248,5 +252,6 @@ def test_a_bad_commit_fails_as_the_reference_commit_fails(bad):
     expected = outcome(lambda: reference_ledger.commit_credit(
         reference, wu.id, total, participants, 1))
     assert expected is not None and expected[0] is LedgerError
-    assert outcome(lambda: World._commit_credit(host, wu, participants)) == expected
-    assert host.ledger.blocks == [] and host.events == []
+    assert outcome(lambda: World._validate_unit(
+        host, wu, participants, participants, True)) == expected
+    assert host.ledger.blocks == [] and host.events == [] and host.open_wus == 10**6
