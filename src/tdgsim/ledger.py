@@ -164,12 +164,6 @@ def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
         try:
             if alloc_part == "-":
                 allocations: Tuple[Allocation, ...] = ()
-            elif "," not in alloc_part:  # one participant, as every centralized block
-                agent, _, mc = alloc_part.rpartition(":")
-                mc_n = amounts.get(mc)
-                if mc_n is None:
-                    mc_n = amounts[mc] = _plain_int(mc)
-                allocations = ((agent, mc_n),)
             else:
                 pairs = []
                 for pair in alloc_part.split(","):

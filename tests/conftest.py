@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import pytest
 
 from background import CHECKS, Background
+from tdgsim.cli import main
 from tdgsim.config import AgentGroup, ScenarioConfig
 from tdgsim.scenario import run
+
+# The checks of invariants.py report the values they compare, as a test's own do.
+pytest.register_assert_rewrite("invariants")
 
 
 def pytest_collection_modifyitems(items):
@@ -34,3 +40,15 @@ def small_run(tmp_path_factory):
                                  AgentGroup("mal", 2, "malicious")])
     world, report, ledger = run(cfg, out)
     return out, world, report, ledger
+
+
+@pytest.fixture
+def replay_log(tmp_path, capsys):
+    """The event log of a 30-tick run of the bundled defaults scenario, for
+    the replay and reader tests of test_scenario.py and test_eventlog.py to
+    damage."""
+    out = tmp_path / "out"
+    defaults = Path(__file__).resolve().parent.parent / "scenarios" / "defaults.ini"
+    assert main(["run", "--scenario", str(defaults), "--out", str(out), "--ticks", "30"]) == 0
+    capsys.readouterr()
+    return out / "events.jsonl"

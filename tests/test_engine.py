@@ -15,6 +15,7 @@ from tdgsim.trust import CAUSE_VALUES, ReplicationLimits
 
 from community_log import community_logs, fold, state
 from golden_cases import CASES, scenario_file
+from invariants import check_communities
 from ledger_balances import balances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -318,46 +319,7 @@ def test_fault_events_only_fire_on_state_change(entity, kind):
         (4, {kind: entity})]
 
 
-# ------------------------------------------------------- conservation
-
-def queued_units(world):
-    """The work units in the servers' queues: before the first step, all
-    of them."""
-    return [wu for server in world.servers.values() for wu in server.queue]
-
-
-def ended_in_log(world):
-    """The ids of the work units the log shows validated or failed for good."""
-    return [e.payload["wu"] for e in world.events if e.kind == "wu_validated"
-            or (e.kind == "wu_redistributed" and e.payload.get("terminal"))]
-
-
-@pytest.mark.parametrize("mode", ["centralized", "trust"])
-def test_work_units_never_vanish(mode):
-    # Every unit is in exactly one place after every tick: ended in the log,
-    # queued at a server, waiting for a result (it has a deadline), or
-    # buffered at a server that is down.
-    cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=60, timeout_ticks=8,
-                   agents=[AgentGroup("rel", 6, "reliable"),
-                           AgentGroup("mal", 2, "malicious"),
-                           AgentGroup("fr", 1, "free_rider"),
-                           AgentGroup("ch", 2, "churner", churn=(10, 10))],
-                   faults=[Fault(6, "w0", True), Fault(16, "w0", False)])
-    world = World(cfg)
-    units = queued_units(world)
-    everyone = Counter(wu.id for wu in units)
-    assert len(everyone) == cfg.wu_count
-    for tick in range(1, cfg.horizon_ticks + 1):
-        world.step(tick)
-        places = (ended_in_log(world)
-                  + [wu.id for wu in queued_units(world)]
-                  + [wu.id for wu in units if wu.deadline is not None]
-                  + [wu.id for buffer in world.buffers.values() for wu, _, _ in buffer])
-        assert Counter(places) == everyone, tick
-    assert events_of(world, "wu_validated") and events_of(world, "wu_timed_out")
-    if mode == "centralized":
-        assert any(e.payload["buffered"] for e in events_of(world, "wu_completed"))
-
+# ----------------------------------------------------------- communities
 
 def test_egoistic_agents_skip_group_work_invitations():
     # The malicious agents pull the pool's mean tau down, so the reliable
@@ -411,30 +373,15 @@ def test_event_log_alone_rebuilds_every_community(scenario, kind):
             assert replayed["members"] == {} and replayed["tcm"] is None
 
 
-# The engine checks none of this itself: it relies on every live community
-# being operating, led by an available manager and disjoint from the rest,
-# and on World.live_members holding exactly their members.  The golden
-# failover-dissolution case dissolves a community in _issue_trust's
-# failover, which no bundled scenario does.
-@pytest.mark.parametrize("scenario, kind",
-                         LIFECYCLE_PATHS + [("failover-dissolution", "dissolved")])
-def test_live_communities_are_operating_led_and_disjoint(scenario, kind, tmp_path):
-    cfg = parse_scenario(SCENARIOS / scenario if scenario.endswith(".ini")
-                         else scenario_file(scenario, tmp_path))
-    world = World(cfg)
-    ticks_with_communities = 0
-    for t in range(1, cfg.horizon_ticks + 1):
+# The engine relies on the communities' invariants unchecked; these are
+# the cases too large for every check that test_invariants.py makes.
+@pytest.mark.parametrize("scenario, kind", LIFECYCLE_PATHS)
+def test_live_communities_are_operating_led_and_disjoint(scenario, kind):
+    world = World(parse_scenario(SCENARIOS / scenario))
+    for t in range(1, world.config.horizon_ticks + 1):
         world.step(t)
-        seen = set()
-        for comm in world.communities.values():
-            assert world._available(comm.tcm)
-            assert seen.isdisjoint(comm.members)
-            seen.update(comm.members)
-        assert world.live_members == seen
-        ticks_with_communities += bool(world.communities)
-    assert ticks_with_communities
-    assert any(e.kind == "tc_event" and e.payload["kind"] == kind
-               for e in world.events)
+        check_communities(world)
+    assert any(e.kind == "tc_event" and e.payload["kind"] == kind for e in world.events)
 
 
 def test_finished_world_is_freed_by_reference_counting():
@@ -672,75 +619,6 @@ def test_issuance_reads_each_idle_agents_tau_once_per_tick(monkeypatch):
     rejections = Counter(e.tick for e in events_of(world, "wu_rejected"))
     assert sum(rejections.values()) > 0 and operating
     assert reads == idle + rejections
-
-
-@pytest.mark.parametrize("mode", ["centralized", "trust"])
-def test_open_wu_count_tracks_states_every_tick(mode):
-    cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=120, timeout_ticks=6,
-                   agents=[AgentGroup("rel", 6, "reliable"),
-                           AgentGroup("mal", 5, "malicious"),
-                           AgentGroup("fr", 2, "free_rider"),
-                           AgentGroup("ch", 3, "churner", churn=(4, 4))],
-                   faults=[Fault(5, "rel-000", True), Fault(30, "rel-000", False)])
-    cfg.params.max_requeues = 2
-    world = World(cfg)
-    assert world.open_wus == cfg.wu_count
-    for tick in range(1, cfg.horizon_ticks + 1):
-        world.step(tick)
-        assert world.open_wus == cfg.wu_count - len(ended_in_log(world)), tick
-    assert events_of(world, "wu_timed_out")
-    assert world.open_wus == 0
-    if mode == "trust":
-        assert any(e.payload["terminal"] for e in events_of(world, "wu_redistributed"))
-
-
-@pytest.mark.parametrize("mode", ["centralized", "trust"])
-def test_centralized_timeout_queue_is_in_deadline_order_every_tick(mode, tmp_path):
-    # A unit has a deadline exactly while one of its issues waits for a
-    # result.  In trust mode that is while it has an assignment.  In
-    # centralized mode, _validate_centralized stops at the first live entry
-    # not yet due, which is exact only while live entries are in deadline
-    # order.  Live means the unit has a deadline: a free rider's dropped
-    # unit keeps it, held by no agent, until it times out.  Stale entries
-    # leave only at the head, so at most timeout_ticks ticks of issues, one
-    # per agent each, remain.  Compute reads an agent's assignment tick
-    # from the deadline of the unit it holds: the tick of the last
-    # wu_issued that lists the agent.
-    cfg = parse_scenario(scenario_file("centralized-timeouts", tmp_path))
-    cfg.mode = mode
-    world = World(cfg)
-    units = queued_units(world)
-    cap = len(world.agents) * (cfg.timeout_ticks + 1)
-    issued_at, seen = {}, 0
-    for tick in range(1, cfg.horizon_ticks + 1):
-        world.step(tick)
-        for ev in world.events[seen:]:
-            if ev.kind == "wu_issued":
-                issued_at.update(dict.fromkeys(ev.payload["members"], ev.tick))
-        seen = len(world.events)
-        waiting = [wu for wu in units if wu.deadline is not None]
-        held = {(a.current_wu.id, a.id) for a in world.agents.values()
-                if a.current_wu is not None}
-        assigned_at = {a.id: a.current_wu.deadline - cfg.timeout_ticks
-                       for a in world.agents.values() if a.current_wu is not None}
-        assert assigned_at == {agent: issued_at[agent] for agent in assigned_at}, tick
-        if mode == "trust":
-            assert {wu.id for wu in waiting} == world.assignments.keys(), tick
-            assert {wu_id for wu_id, _ in held} <= world.assignments.keys(), tick
-            assert not world.central_assigned, tick
-            continue
-        live = [(wu, holder) for wu, holder in world.central_assigned
-                if wu.deadline is not None]
-        deadlines = [wu.deadline for wu, _ in live]
-        assert deadlines == sorted(deadlines), tick
-        assert Counter(wu.id for wu, _ in live) == Counter(wu.id for wu in waiting), tick
-        for wu, holder in live:
-            agent = world.agents[holder]
-            assert (agent.current_wu is wu
-                    or agent.profile == "free_rider" and agent.current_wu is not wu), tick
-        assert held <= {(wu.id, holder) for wu, holder in live}, tick
-        assert len(world.central_assigned) <= cap, tick
-    assert events_of(world, "wu_timed_out") and events_of(world, "wu_dropped")
 
 
 def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):

@@ -1,9 +1,10 @@
 """The event log: the writer's bytes against `json.dumps`, every payload
 against its schema row, `replay` on a log whose lines parse but whose
-values the metrics fold cannot read, and the metrics fold against the
-reference fold it replaced."""
+values the metrics fold cannot read, the reader against `json.loads` on
+every line, and the metrics fold against the reference fold it replaced."""
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -634,6 +635,122 @@ def test_the_first_bad_line_in_file_order_is_named(tmp_path, line3):
     with pytest.raises(EventLogError) as exc:
         compute_metrics(*read_event_log(log))
     assert str(exc.value).startswith("line 5: not JSON: ")
+
+
+# -------------------------------------------------------------- reader
+
+EVENT = '{"k": "wu_issued", "p": {"wu": "wu-0"}, "t": 1}'
+UNDECODABLE = EVENT[:10].encode() + b"\xff" + EVENT[10:].encode()
+
+
+def loads_per_line(path):
+    """The reference reader: `json.loads` on every line.  Returns the
+    events and the 1-based number and message of the first bad line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    events = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            raw = json.loads(line)
+            events.append(SimEvent(raw["t"], raw["k"], raw["p"]))
+        except json.JSONDecodeError as exc:
+            return events, number, f"not JSON: {exc}"
+        except (KeyError, TypeError) as exc:
+            return events, number, f"event lacks 't', 'k' or 'p': {exc!r}"
+    return events, None, None
+
+
+# Each case is the text after the header line, and the line the reference
+# reader rejects (None when it accepts the whole log).
+READER_CASES = {
+    "leading spaces": ("  " + EVENT + "\n" + EVENT + "\n", None),
+    # text mode reads "\r\n" as "\n", as it did for json.loads
+    "trailing json whitespace": (EVENT + " \t\r\n" + EVENT + "\n", None),
+    "form feed after the value": (EVENT + "\n" + EVENT + "\f\n", 3),
+    "vertical tab after the value": (EVENT + "\x0b\n" + EVENT + "\n", 2),
+    "nbsp after the value": (EVENT + "\xa0\n", 2),
+    "two values on one line": (EVENT + "\n" + EVENT + " " + EVENT + "\n", 3),
+    "blank line mid-file": (EVENT + "\n\n" + EVENT + "\n", 3),
+    "bom on an event line": (EVENT + "\n\ufeff" + EVENT + "\n", 3),
+    "last line without newline": (EVENT + "\n" + EVENT, None),
+    "bare value": (EVENT + "\n7\n", 3),
+}
+
+
+@pytest.mark.parametrize("body, bad_line", READER_CASES.values(), ids=READER_CASES)
+def test_reader_accepts_exactly_what_json_loads_does(tmp_path, body, bad_line):
+    log = tmp_path / "events.jsonl"
+    log.write_text(json.dumps(HEADER, sort_keys=True) + "\n" + body, encoding="utf-8")
+    expected, line, message = loads_per_line(log)
+    assert line == bad_line
+    if bad_line is None:
+        header, events = read_event_log(log)
+        assert (header, list(events)) == (HEADER, expected)
+        return
+    with pytest.raises(EventLogError) as exc:
+        list(read_event_log(log)[1])
+    assert exc.value.line == bad_line
+    assert str(exc.value) == f"line {bad_line}: {message}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "raises"])
+def test_reader_restores_the_collector_state(tmp_path, enabled, raises):
+    log = tmp_path / "events.jsonl"
+    log.write_text(json.dumps(HEADER) + "\n" + EVENT + "\n" + ("{\n" if raises else ""),
+                   encoding="utf-8")
+    before = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if raises:
+            with pytest.raises(EventLogError):
+                list(read_event_log(log)[1])
+        else:
+            list(read_event_log(log)[1])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if before else gc.disable()
+
+
+@pytest.mark.parametrize("bad", [b"{", UNDECODABLE], ids=["not JSON", "not UTF-8"])
+def test_bad_line_after_a_bare_cr_is_numbered_as_it_is_read(tmp_path, bad):
+    # Universal newlines end line 2 at the bare "\r", so the bad line is 3
+    # whichever way it is bad.
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(json.dumps(HEADER).encode() + b"\n" + EVENT.encode() + b"\r"
+                    + bad + b"\n" + EVENT.encode() + b"\n")
+    with pytest.raises(EventLogError) as exc:
+        list(read_event_log(log)[1])
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("line3, line5, reason", [
+    (b"{", UNDECODABLE, "not JSON"),
+    (UNDECODABLE, b"{", "not UTF-8"),
+], ids=["bad JSON first", "not UTF-8 first"])
+def test_the_first_bad_line_is_named_whichever_way_it_is_bad(tmp_path, line3,
+                                                              line5, reason):
+    # The text layer decodes a whole chunk, lines 1-5 here, before line 3
+    # is parsed, so a byte that is not UTF-8 on line 5 is decoded first.
+    log = tmp_path / "events.jsonl"
+    event = EVENT.encode()
+    log.write_bytes(b"\n".join([json.dumps(HEADER).encode(), event, line3,
+                                event, line5, event, b""]))
+    with pytest.raises(EventLogError) as exc:
+        list(read_event_log(log)[1])
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"line 3: {reason}")
+
+
+def test_cli_replay_undecodable_line_names_it(replay_log, capsys):
+    lines = replay_log.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5][:10] + b"\xff" + lines[5][10:]
+    replay_log.write_bytes(b"".join(lines))
+    with pytest.raises(EventLogError) as exc:
+        list(read_event_log(replay_log)[1])
+    assert exc.value.line == 6
+    assert main(["replay", "--log", str(replay_log)]) == 2
+    assert "line 6" in capsys.readouterr().err
 
 
 # ---------------------------------------------- the fold and its reference
