@@ -15,7 +15,7 @@ from tdgsim.trust import CAUSE_VALUES, ReplicationLimits
 
 from community_log import community_logs, fold, state
 from golden_cases import CASES, scenario_file
-from invariants import check_communities
+from invariants import Invariants, check_communities
 from ledger_balances import balances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -319,6 +319,64 @@ def test_fault_events_only_fire_on_state_change(entity, kind):
         (4, {kind: entity})]
 
 
+# ------------------------------------------------------- conservation
+
+def stepped_with_checks(world):
+    """Step `world` to its horizon with every check of invariants.py after
+    every tick."""
+    checks = Invariants(world)
+    for tick in range(1, world.config.horizon_ticks + 1):
+        world.step(tick)
+        checks.check()
+
+
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_work_units_never_vanish(mode):
+    # Every unit is in exactly one place after every tick: ended in the log,
+    # queued at a server, waiting for a result (it has a deadline), or
+    # buffered at a server that is down.
+    cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=60, timeout_ticks=8,
+                   agents=[AgentGroup("rel", 6, "reliable"),
+                           AgentGroup("mal", 2, "malicious"),
+                           AgentGroup("fr", 1, "free_rider"),
+                           AgentGroup("ch", 2, "churner", churn=(10, 10))],
+                   faults=[Fault(6, "w0", True), Fault(16, "w0", False)])
+    world = World(cfg)
+    stepped_with_checks(world)
+    assert events_of(world, "wu_validated") and events_of(world, "wu_timed_out")
+    if mode == "centralized":
+        assert any(e.payload["buffered"] for e in events_of(world, "wu_completed"))
+
+
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_open_wu_count_tracks_states_every_tick(mode):
+    cfg = make_cfg(mode=mode, wu_count=40, horizon_ticks=120, timeout_ticks=6,
+                   agents=[AgentGroup("rel", 6, "reliable"),
+                           AgentGroup("mal", 5, "malicious"),
+                           AgentGroup("fr", 2, "free_rider"),
+                           AgentGroup("ch", 3, "churner", churn=(4, 4))],
+                   faults=[Fault(5, "rel-000", True), Fault(30, "rel-000", False)])
+    cfg.params.max_requeues = 2
+    world = World(cfg)
+    stepped_with_checks(world)
+    assert events_of(world, "wu_timed_out")
+    assert world.open_wus == 0
+    if mode == "trust":
+        assert any(e.payload["terminal"] for e in events_of(world, "wu_redistributed"))
+
+
+@pytest.mark.parametrize("mode", ["centralized", "trust"])
+def test_centralized_timeout_queue_is_in_deadline_order_every_tick(mode, tmp_path):
+    # The golden centralized-timeouts case, run in both modes: in trust mode
+    # the deadlines are exactly the assignments; in centralized mode the
+    # live entries of central_assigned stay in deadline order.
+    cfg = parse_scenario(scenario_file("centralized-timeouts", tmp_path))
+    cfg.mode = mode
+    world = World(cfg)
+    stepped_with_checks(world)
+    assert events_of(world, "wu_timed_out") and events_of(world, "wu_dropped")
+
+
 # ----------------------------------------------------------- communities
 
 def test_egoistic_agents_skip_group_work_invitations():
@@ -373,11 +431,14 @@ def test_event_log_alone_rebuilds_every_community(scenario, kind):
             assert replayed["members"] == {} and replayed["tcm"] is None
 
 
-# The engine relies on the communities' invariants unchecked; these are
-# the cases too large for every check that test_invariants.py makes.
-@pytest.mark.parametrize("scenario, kind", LIFECYCLE_PATHS)
-def test_live_communities_are_operating_led_and_disjoint(scenario, kind):
-    world = World(parse_scenario(SCENARIOS / scenario))
+# The engine relies on the communities' invariants unchecked.  The golden
+# failover-dissolution case dissolves a community in _issue_trust's
+# failover, which no bundled scenario does.
+@pytest.mark.parametrize("scenario, kind",
+                         LIFECYCLE_PATHS + [("failover-dissolution", "dissolved")])
+def test_live_communities_are_operating_led_and_disjoint(scenario, kind, tmp_path):
+    world = World(parse_scenario(SCENARIOS / scenario if scenario.endswith(".ini")
+                                 else scenario_file(scenario, tmp_path)))
     for t in range(1, world.config.horizon_ticks + 1):
         world.step(t)
         check_communities(world)
