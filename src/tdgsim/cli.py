@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 config error, 2 runtime error, 3 ledger-audit failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -66,8 +67,16 @@ def cmd_verify_ledger(args) -> int:
     except OSError as exc:
         print(f"config error: cannot read ledger file {path}: {exc}", file=sys.stderr)
         return 1
-    except (LedgerError, UnicodeDecodeError) as exc:
+    except LedgerError as exc:
         print(f"ledger parse error: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError:
+        # Read again, each byte that is not UTF-8 as one of U+DC80..U+DCFF,
+        # which no UTF-8 decodes to, and with the same newline translation,
+        # so the line is numbered as the parser numbers it.
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        lineno = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+        print(f"ledger parse error: line {lineno}: not UTF-8", file=sys.stderr)
         return 3
     bad = ledger.verify_chain()
     if bad is not None:

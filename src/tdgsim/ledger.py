@@ -15,6 +15,7 @@ only follow the last block.
 """
 from __future__ import annotations
 
+import gc
 from hashlib import sha256
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,7 +32,10 @@ class AuditError(RuntimeError):
     """A credit chain failed verification (queried or audited after a run)."""
 
 
-def _alloc_text(allocations: Iterable[Allocation]) -> str:
+def _alloc_text(allocations: Sequence[Allocation]) -> str:
+    if len(allocations) == 1:  # every centralized block: no list, no join
+        agent, mc = allocations[0]
+        return f"{agent}:{mc}"
     return ",".join([f"{agent}:{mc}" for agent, mc in allocations])
 
 
@@ -140,43 +144,57 @@ def _plain_int(text: str) -> int:
 
 def parse_ledger_lines(lines: Iterable[str]) -> Ledger:
     blocks: List[CreditBlock] = []
-    # Each amount spelling met so far and its value.  A ledger repeats a
-    # few amounts, so this pays for the spelling check.
+    # Each allocation field met so far and its allocations, and each amount
+    # or tick spelling met so far and its value.  A ledger repeats a few
+    # fields (a centralized one, its agents times their amounts), so most
+    # lines cost a lookup and share a tuple; a miss is read in full, and
+    # only a field that reads is stored.
+    fields: Dict[str, Tuple[Allocation, ...]] = {"-": ()}
     amounts: Dict[str, int] = {}
     blank = 0  # the first empty line: only empty lines may follow it
-    for lineno, line in enumerate(lines, start=1):
-        # Only the line ending is removed; any other whitespace must fail
-        # the field checks or the digest check.
-        line = line.rstrip("\r\n")
-        if not line:
-            blank = blank or lineno
-            continue
-        if blank:
-            raise LedgerError(f"line {blank}: an empty line before the block "
-                              f"on line {lineno}")
-        parts = line.split(" ")
-        if len(parts) != 6:
-            raise LedgerError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        index, prev_hash, wu, alloc_part, tick, digest = parts
-        # A number is read back only in the one spelling str() gives it, so
-        # "+7", "0500", "5_00", "٥٠٠", "00" or a trailing tab, which int()
-        # accepts, cannot stand for the value the digest was taken over.
-        try:
-            if alloc_part == "-":
-                allocations: Tuple[Allocation, ...] = ()
-            else:
-                pairs = []
-                for pair in alloc_part.split(","):
-                    agent, _, mc = pair.rpartition(":")
-                    mc_n = amounts.get(mc)
-                    if mc_n is None:
-                        mc_n = amounts[mc] = _plain_int(mc)
-                    pairs.append((agent, mc_n))
-                allocations = tuple(pairs)
-            index_n, tick_n = _plain_int(index), _plain_int(tick)
-        except ValueError as exc:
-            raise LedgerError(f"line {lineno}: an index, tick or millicredit "
-                              f"field is not an integer in plain form: {exc}") from None
-        blocks.append(tuple.__new__(CreditBlock, (index_n, prev_hash, wu,
-                                                  allocations, tick_n, digest)))
+    # Parsed blocks hold no reference cycles, so, as in `World.run`, the
+    # cyclic collector would only re-scan the blocks read so far.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            # Only the line ending is removed; any other whitespace must fail
+            # the field checks or the digest check.
+            line = line.rstrip("\r\n")
+            if not line:
+                blank = blank or lineno
+                continue
+            if blank:
+                raise LedgerError(f"line {blank}: an empty line before the block "
+                                  f"on line {lineno}")
+            parts = line.split(" ")
+            if len(parts) != 6:
+                raise LedgerError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+            index, prev_hash, wu, alloc_part, tick, digest = parts
+            # A number is read back only in the one spelling str() gives it, so
+            # "+7", "0500", "5_00", "٥٠٠", "00" or a trailing tab, which int()
+            # accepts, cannot stand for the value the digest was taken over.
+            try:
+                allocations = fields.get(alloc_part)
+                if allocations is None:
+                    pairs = []
+                    for pair in alloc_part.split(","):
+                        agent, _, mc = pair.rpartition(":")
+                        mc_n = amounts.get(mc)
+                        if mc_n is None:
+                            mc_n = amounts[mc] = _plain_int(mc)
+                        pairs.append((agent, mc_n))
+                    allocations = fields[alloc_part] = tuple(pairs)
+                index_n = _plain_int(index)
+                tick_n = amounts.get(tick)
+                if tick_n is None:
+                    tick_n = amounts[tick] = _plain_int(tick)
+            except ValueError as exc:
+                raise LedgerError(f"line {lineno}: an index, tick or millicredit "
+                                  f"field is not an integer in plain form: {exc}") from None
+            blocks.append(tuple.__new__(CreditBlock, (index_n, prev_hash, wu,
+                                                      allocations, tick_n, digest)))
+    finally:
+        if enabled:
+            gc.enable()
     return Ledger(blocks)

@@ -1,4 +1,5 @@
 """Hash-chained credit ledger tests with independent digest oracles."""
+import gc
 import hashlib
 from types import SimpleNamespace
 
@@ -133,6 +134,27 @@ def two_block_lines():
     return list(ledger.export_lines())
 
 
+# parse_ledger_lines pauses the cyclic collector, which is sound only while
+# the blocks it builds hold no reference cycle.
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("bad", [False, True], ids=["ok", "raises"])
+def test_parse_makes_no_cyclic_garbage_and_restores_the_collector(enabled, bad):
+    lines = two_block_lines() + ["not a ledger line"] * bad
+    was_enabled = gc.isenabled()
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if bad:
+            with pytest.raises(LedgerError, match="^line 3: "):
+                parse_ledger_lines(lines)
+        else:
+            parse_ledger_lines(lines)
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 # Each spelling reads as the number that was hashed (index 0, amount 500,
 # tick 7 on line 1; amount 250 on line 2), so only the parser can reject it.
 @pytest.mark.parametrize("lineno, field, spelling", [
@@ -191,6 +213,15 @@ def test_cli_verify_ledger_accepts_empty_lines_only_at_the_end(tmp_path, capsys,
     else:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"ledger parse error: line {lineno}: ")
+
+
+def test_cli_verify_ledger_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    lines = [line.encode() for line in build_ledger().export_lines()]
+    lines[2] = lines[2].replace(b"wu2", b"wu\xff2")
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert main(["verify-ledger", str(path)]) == 3
+    assert capsys.readouterr().err == "ledger parse error: line 3: not UTF-8\n"
 
 
 def engine_stand_in():
@@ -255,3 +286,92 @@ def test_a_bad_commit_fails_as_the_reference_commit_fails(bad):
     assert outcome(lambda: World._validate_unit(
         host, wu, participants, participants, True)) == expected
     assert host.ledger.blocks == [] and host.events == [] and host.open_wus == 10**6
+
+
+# Fields of 0, 1 and several participants, drawn from a few per ledger so
+# that fields and ticks repeat, as they do in a centralized ledger.
+FIELD = st.lists(st.tuples(AGENT, st.integers(0, 10**6)), max_size=4,
+                 unique_by=lambda pair: pair[0]).map(tuple)
+
+
+def _respell_amount(parts, draw):
+    if parts[3] != "-":
+        pairs = parts[3].split(",")
+        j = draw(st.integers(0, len(pairs) - 1))
+        agent, _, mc = pairs[j].rpartition(":")
+        pairs[j] = f"{agent}:0{mc}"
+        parts[3] = ",".join(pairs)
+
+
+def _change_amount(parts, draw):
+    if parts[3] != "-":
+        agent, _, mc = parts[3].rpartition(":")
+        parts[3] = f"{agent}:{int(mc) + 1}"
+
+
+def _respell(field):
+    def respell(parts, draw):
+        parts[field] = draw(st.sampled_from(["0", "+", " "])) + parts[field]
+    return respell
+
+
+# Each changes one line's fields in place; a line that is a repeat of an
+# earlier field is the one changed when there is one.
+LINE_MUTATIONS = {
+    "respelled amount": _respell_amount,
+    "changed amount": _change_amount,
+    "respelled index": _respell(0),
+    "respelled tick": _respell(4),
+    "5 fields": lambda parts, draw: parts.pop(),
+    "7 fields": lambda parts, draw: parts.append("x"),
+}
+
+
+@st.composite
+def ledger_texts(draw):
+    fields = draw(st.lists(FIELD, min_size=1, max_size=4))
+    ticks = draw(st.lists(st.integers(0, 10**4), min_size=1, max_size=3))
+    rows, prev = [], GENESIS_PREV
+    for index in range(draw(st.integers(1, 12))):
+        allocations, tick = draw(st.sampled_from(fields)), draw(st.sampled_from(ticks))
+        wu = f"wu{index:05d}"
+        digest = reference_ledger.block_digest(index, prev, wu, allocations, tick)
+        alloc = ",".join(f"{agent}:{mc}" for agent, mc in allocations) or "-"
+        rows.append([str(index), prev, wu, alloc, str(tick), digest])
+        prev = digest
+    for name in draw(st.lists(st.sampled_from(sorted(LINE_MUTATIONS)), max_size=2)):
+        repeats = [k for k in range(1, len(rows))
+                   if rows[k][3] in {row[3] for row in rows[:k]}]
+        k = draw(st.sampled_from(repeats or range(len(rows))))
+        LINE_MUTATIONS[name](rows[k], draw)
+    lines = [" ".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ending = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return [line + ending for line in lines]
+
+
+def parsed(parse, lines):
+    try:
+        return parse(lines).blocks
+    except LedgerError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(ledger_texts())
+def test_parse_gives_what_the_reference_parse_gives(lines):
+    blocks = parsed(parse_ledger_lines, lines)
+    assert blocks == parsed(reference_ledger.parse_ledger_lines, lines)
+    if isinstance(blocks, str):
+        return
+    first_bad, prev = None, GENESIS_PREV
+    for i, (index, prev_hash, wu, allocations, tick, digest) in enumerate(blocks):
+        if (index, prev_hash, digest) != (i, prev, reference_ledger.block_digest(
+                i, prev, wu, allocations, tick)):
+            first_bad = i
+            break
+        prev = digest
+    assert Ledger(blocks).verify_chain() == first_bad
+    assert (list(Ledger(blocks).export_lines())
+            == list(reference_ledger.Ledger(blocks).export_lines()))
