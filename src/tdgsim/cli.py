@@ -60,22 +60,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+# A block line whose every field reads.  It stands in for the first line
+# that is not UTF-8, so the parse names any bad line above that one first,
+# an empty line among them (only empty lines may follow an empty line).
+_READABLE_LINE = "0 - - - 0 -"
+
+
 def cmd_verify_ledger(args) -> int:
     path = Path(args.ledger)
     try:
-        ledger = parse_ledger_lines(path.read_text(encoding="utf-8").split("\n"))
+        # Each byte that is not UTF-8 reads as one of U+DC80..U+DCFF, which
+        # no UTF-8 decodes to.
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         print(f"config error: cannot read ledger file {path}: {exc}", file=sys.stderr)
         return 1
+    lines = text.split("\n")
+    found = re.search("[\udc80-\udcff]", text)
+    if found is not None:  # parse no further than its line
+        lineno = text.count("\n", 0, found.start()) + 1
+        lines = lines[:lineno - 1] + [_READABLE_LINE]
+    try:
+        ledger = parse_ledger_lines(lines)
     except LedgerError as exc:
         print(f"ledger parse error: {exc}", file=sys.stderr)
         return 3
-    except UnicodeDecodeError:
-        # Read again, each byte that is not UTF-8 as one of U+DC80..U+DCFF,
-        # which no UTF-8 decodes to, and with the same newline translation,
-        # so the line is numbered as the parser numbers it.
-        text = path.read_text(encoding="utf-8", errors="surrogateescape")
-        lineno = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+    if found is not None:
         print(f"ledger parse error: line {lineno}: not UTF-8", file=sys.stderr)
         return 3
     bad = ledger.verify_chain()

@@ -1,12 +1,14 @@
 """Replica-group selection strategies over a pool of candidate agents.
 
 All strategies are pure functions of an immutable pool snapshot plus an
-rng stream owned by the caller; same pool + seed gives identical groups.
+rng stream owned by the caller, drawn through `draw`; same pool + seed
+gives identical groups.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
+from .draw import below, sample_indices
 from .trust import TRUSTED, UNDECIDED, UNTRUSTED
 
 
@@ -23,7 +25,7 @@ class FallbackToDRDS(Exception):
 # dataclass pays a setattr call per field.
 class Candidate(NamedTuple):
     agent: str
-    f_min: int  # pre-drawn via effective_f_min
+    f_min: int  # roulette-rounded replication factor of its tau, at least 1
     trust_class: str  # as trust.classify returns it
 
 
@@ -43,18 +45,18 @@ def drds_select(pool: Sequence[Candidate], rng) -> ReplicaGroup:
     what is available and flagged short.  The pool holds one candidate per
     agent, so the others are the pool without the initiator's slot.  They
     are drawn as pool slots, not copied: slot j of the others is pool slot
-    j, or j + 1 from the initiator's on.  `random.sample` draws from the
-    population's length and k alone, so sampling range(n - 1) picks the
-    same members, with the same draws, as sampling a copy of the others.
+    j, or j + 1 from the initiator's on.  `sample_indices` draws from n - 1
+    and k alone, so its slots pick the same members, with the same draws,
+    as `random.sample` of a copy of the others.
     """
     n = len(pool)
     if n < 2:
         raise SelectionFailed(f"need at least 2 candidates, have {n}")
-    i = rng.randrange(n)
+    i = below(rng, n)
     initiator = pool[i]
     take = min(initiator.f_min, n - 1)
     members = [initiator.agent]
-    for j in rng.sample(range(n - 1), take):
+    for j in sample_indices(rng, n - 1, take):
         members.append(pool[j + (j >= i)].agent)
     return ReplicaGroup(tuple(members), take < initiator.f_min)
 
@@ -102,7 +104,7 @@ def dgds_select(pool: Sequence[Candidate], rng,
     if not untrusted or not trusted:
         raise FallbackToDRDS("pool lacks a trusted/untrusted partition")
 
-    picked_u = [untrusted.pop(rng.randrange(len(untrusted)))]
+    picked_u = [untrusted.pop(below(rng, len(untrusted)))]
     max_f = picked_u[0].f_min
     # Extra untrusted picks, capped so enough trusted agents remain to
     # match the total untrusted count.
@@ -113,18 +115,18 @@ def dgds_select(pool: Sequence[Candidate], rng,
             break
         if same_amount_total and len(picked_u) + 1 > len(trusted):
             break
-        nxt = untrusted.pop(rng.randrange(len(untrusted)))
+        nxt = untrusted.pop(below(rng, len(untrusted)))
         picked_u.append(nxt)
         max_f = max(max_f, nxt.f_min)
 
     n_trusted = len(picked_u) if same_amount_total else max(len(picked_u) - 1, 1)
     n_trusted = min(n_trusted, len(trusted))
-    picked_t = rng.sample(trusted, n_trusted)
+    picked_t = [trusted[j] for j in sample_indices(rng, len(trusted), n_trusted)]
 
     group = picked_u + picked_t  # one of each at least: never below 2
     max_f = max(c.f_min for c in group)
     while len(group) < 1 + max_f and undecided:
-        nxt = undecided.pop(rng.randrange(len(undecided)))
+        nxt = undecided.pop(below(rng, len(undecided)))
         group.append(nxt)
         max_f = max(max_f, nxt.f_min)
     return ReplicaGroup(tuple(c.agent for c in group), len(group) < 1 + max_f)
@@ -137,5 +139,5 @@ def random_baseline_select(pool: Sequence[Candidate], replication: int,
         raise SelectionFailed(f"replication {replication} must be >= 1")
     if len(pool) < replication:
         raise SelectionFailed(f"need {replication} candidates, have {len(pool)}")
-    chosen = rng.sample(pool, replication)
-    return ReplicaGroup(tuple(c.agent for c in chosen))
+    return ReplicaGroup(tuple(pool[j].agent
+                              for j in sample_indices(rng, len(pool), replication)))

@@ -25,14 +25,16 @@ from .config import ScenarioConfig, complexity_range
 from .distribution import (Candidate, FallbackToDRDS, ReplicaGroup,
                            SelectionFailed, dgds_select, dods_assign,
                            drds_select, random_baseline_select)
+from .draw import below
 from .eventlog import SimEvent
-# split_credits is not called here; it stays importable for tracers that
-# patch it (bench/layertrace.py).
+# split_credits and effective_f_min are not called here; they stay
+# importable for tracers that patch them (bench/layertrace.py).
 from .ledger import Ledger, split_credits  # noqa: F401
+from .trust import effective_f_min  # noqa: F401
 from .trust import (CAUSE_VALUES, CORRECT_LATE, CORRECT_ON_TIME, DROPPED_WU,
                     NEUTRAL_TAU, REJECTED_WU, TIMED_OUT, WRONG_RESULT,
                     ReplicationLimits, ReputationStore, classify,
-                    effective_f_min, raw_replication_factor, roulette_round,
+                    raw_replication_factor, roulette_parts, roulette_round,
                     sum_left)
 
 
@@ -150,8 +152,8 @@ class World:
         owners = [(sid, self.servers[sid].queue) for sid in self.server_order]
         for i in range(config.wu_count):
             owner, queue = owners[i % len(owners)]
-            queue.append(WorkUnit(f"wu{i:05d}", owner,
-                                  lo if lo == hi else rng_work.randint(lo, hi)))
+            complexity = lo if lo == hi else lo + below(rng_work, hi - lo + 1)
+            queue.append(WorkUnit(f"wu{i:05d}", owner, complexity))
         # Units not yet validated and not failed for good: the log's
         # wu_count less its wu_validated and terminal wu_redistributed events.
         self.open_wus = config.wu_count
@@ -160,6 +162,12 @@ class World:
         self.pending_judgments: Dict[str, List[Tuple[str, Outcome]]] = {}
 
         self.store = ReputationStore(config.params.window)
+        # Each tau issuance has met -> the floor and fraction of its
+        # replication factor (trust.roulette_parts) and its trust class:
+        # all an idle agent's candidate takes from its tau, worked out once.
+        # A floor of 0 is kept as 1 with a fraction of 0, since an f_min is
+        # at least 1 whichever way its draw falls.
+        self.tau_draws: Dict[float, Tuple[int, float, str]] = {}
         self.ledger = Ledger()
         self.assignments: Dict[str, Assignment] = {}
         self.buffers: Dict[str, Deque[Tuple[WorkUnit, str, str]]] = {
@@ -300,12 +308,23 @@ class World:
         # member of that pool, whose candidate is then rebuilt there from a
         # fresh read, and each idle agent sits in one pool: its community's,
         # or the open pool.  Candidates leave a pool as they are assigned.
+        # A candidate's f_min is max(effective_f_min(tau, ...), 1): the
+        # floor in its tau's entry in tau_draws, plus one if its one
+        # random() falls below the fraction there.
         candidates: Dict[str, Candidate] = {}
+        tau_draws, tau_of, draw = self.tau_draws, self.store.tau, self.rng_issue.random
         for a in self.agent_order:
             if a.online and a.current_wu is None:
-                tau = self.store.tau(a.id)
-                f_min = max(effective_f_min(tau, self.limits, self.rng_issue), 1)
-                candidates[a.id] = Candidate(a.id, f_min, classify(tau))
+                agent_id = a.id
+                tau = tau_of(agent_id)
+                entry = tau_draws.get(tau)
+                if entry is None:
+                    base, frac = roulette_parts(raw_replication_factor(tau, self.limits))
+                    entry = tau_draws[tau] = (
+                        (base, frac) if base else (1, 0.0)) + (classify(tau),)
+                base, frac, trust_class = entry
+                candidates[agent_id] = Candidate(agent_id, base + (draw() < frac),
+                                                 trust_class)
         members = self.live_members  # a founder is a member
         open_pool = {a: c for a, c in candidates.items() if a not in members}
 

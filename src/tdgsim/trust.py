@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable
+from typing import Deque, Dict, Iterable, Tuple
 
 
 class ValidationError(ValueError):
@@ -148,15 +148,21 @@ def raw_replication_factor(tau: float, limits: ReplicationLimits = ReplicationLi
     return limits.hi - tau * (limits.hi - limits.lo)
 
 
+def roulette_parts(x: float) -> Tuple[int, float]:
+    """x's floor and fraction: `roulette_round(x, rng)` is the floor, plus
+    one when `rng.random()` falls below the fraction."""
+    if x < 0:
+        raise ValidationError(f"cannot roulette-round negative value {x}")
+    base = math.floor(x)
+    return base, x - base
+
+
 def roulette_round(x: float, rng) -> int:
     """Round x down or up at random so the expected value equals x.
 
     Consumes exactly one draw from rng.
     """
-    if x < 0:
-        raise ValidationError(f"cannot roulette-round negative value {x}")
-    base = math.floor(x)
-    frac = x - base
+    base, frac = roulette_parts(x)
     return base + (1 if rng.random() < frac else 0)
 
 

@@ -153,13 +153,17 @@ def test_dgds_tops_up_with_undecided():
 
 
 class FirstPick:
-    """An rng that always draws the first of what it is offered."""
+    """An rng whose getrandbits gives `answers` in turn, each one chosen so
+    that the draw takes the first agent left in its class list.  A pop
+    takes the slot drawn, so 0 is always first; `sample_indices` moves its
+    last live slot into each slot it draws, so from 4 slots it takes 0, 1
+    and 2, in that order, by drawing 0, 1 and 1."""
 
-    def randrange(self, n):
-        return 0
+    def __init__(self, *answers):
+        self.answers = list(answers)
 
-    def sample(self, population, k):
-        return list(population[:k])
+    def getrandbits(self, k):
+        return self.answers.pop(0)
 
 
 def test_dgds_keeps_pool_order_within_each_class():
@@ -169,16 +173,20 @@ def test_dgds_keeps_pool_order_within_each_class():
             cand("t3", 2, T), cand("u3", 5, U), cand("d3", 3, D)]
     # f_min 5 brings (5 - 1) // 2 = 2 extra untrusted, each matched by a
     # trusted agent; first picks are first in pool order within a class.
-    group = dgds_select(pool, FirstPick())
+    rng = FirstPick(0, 0, 0, 0, 1, 1)  # three untrusted pops, one sample of 3
+    group = dgds_select(pool, rng)
     assert group.members == ("u0", "u1", "u2", "t0", "t1", "t2")
     assert group.initiator == "u0"
+    assert rng.answers == []
     # f_min 1 brings no extra untrusted; t0's f_min 4 is met by topping up
     # with the first three undecided agents.
     pool = [cand("d0", 3, D), cand("t0", 4, T), cand("u0", 1, U),
             cand("d1", 3, D), cand("u1", 1, U), cand("d2", 3, D),
             cand("t1", 4, T), cand("d3", 3, D)]
-    group = dgds_select(pool, FirstPick())
+    rng = FirstPick(0, 0, 0, 0, 0)  # an untrusted pop, a sample of 1, three pops
+    group = dgds_select(pool, rng)
     assert group.members == ("u0", "t0", "d0", "d1", "d2")
+    assert rng.answers == []
 
 
 CLASS_RANK = {U: 0, T: 1, D: 2}

@@ -624,9 +624,11 @@ def test_trust_issuance_work_is_linear_in_agents(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # one f_min draw per idle agent per tick
-    monkeypatch.setattr(engine, "effective_f_min",
-                        counted(idle, engine.effective_f_min))
+    # One f_min draw, rng_issue.random(), per idle agent per tick: the
+    # issuance stream's only random() calls, as drds picks its groups
+    # through getrandbits.
+    monkeypatch.setattr(world.rng_issue, "random",
+                        counted(idle, world.rng_issue.random))
     monkeypatch.setattr(engine, "Candidate", counted(built, engine.Candidate))
     monkeypatch.setattr(ReputationStore, "tau", counted(taus, ReputationStore.tau))
     world.run()
@@ -695,13 +697,15 @@ def test_no_f_min_draw_after_the_last_work_unit_ends(monkeypatch):
     cfg.params.allow_short_groups = True
     world = World(cfg)
     draws = Counter()
-    effective_f_min = engine.effective_f_min
+    # An f_min draw is a random() of the issuance stream; dgds and its drds
+    # fallback pick their groups through getrandbits.
+    f_min_draw = world.rng_issue.random
 
-    def counted(*args, **kwargs):
+    def counted():
         draws[world.tick] += 1
-        return effective_f_min(*args, **kwargs)
+        return f_min_draw()
 
-    monkeypatch.setattr(engine, "effective_f_min", counted)
+    monkeypatch.setattr(world.rng_issue, "random", counted)
     world.run()
 
     ends = [e.tick for e in world.events if e.kind == "wu_validated"

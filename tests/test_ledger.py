@@ -224,6 +224,42 @@ def test_cli_verify_ledger_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, c
     assert capsys.readouterr().err == "ledger parse error: line 3: not UTF-8\n"
 
 
+def six_block_lines():
+    ledger = Ledger()
+    for i in range(6):
+        ledger.append_block(f"wu{i}", [("a", 100 * i)], i + 1)
+    return [line.encode() for line in ledger.export_lines()]
+
+
+@pytest.mark.parametrize("first", [2, 4])
+def test_cli_verify_ledger_names_the_first_bad_line_in_file_order(tmp_path, capsys, first):
+    # A respelled tick on line `first`, and a byte that is not UTF-8 on
+    # line 5: whichever comes first is named.
+    lines = six_block_lines()
+    parts = lines[first - 1].split(b" ")
+    parts[4] = b"+" + parts[4]
+    lines[first - 1] = b" ".join(parts)
+    lines[4] = lines[4].replace(b"wu4", b"wu\xff4")
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["verify-ledger", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"ledger parse error: line {first}: ")
+    lines[first - 1] = six_block_lines()[first - 1]  # only the byte is left
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["verify-ledger", str(path)]) == 3
+    assert capsys.readouterr().err == "ledger parse error: line 5: not UTF-8\n"
+
+
+def test_cli_verify_ledger_names_an_empty_line_above_a_line_that_is_not_utf8(
+        tmp_path, capsys):
+    # Only empty lines may follow an empty line, and line 4 is not one.
+    lines = six_block_lines()[:2] + [b"", b"\xff"]
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["verify-ledger", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("ledger parse error: line 3: an empty line")
+
+
 def engine_stand_in():
     """What `World._validate_unit` reads: a base credit of 1 (so a work
     unit's complexity is its credit), the ledger, the tick, `emit` and the

@@ -13,19 +13,19 @@ import sys
 import types
 
 import tdgsim
-from tdgsim import (cli, community, config, distribution, engine, eventlog,
-                    ledger, metrics, scenario, trust)
+from tdgsim import (cli, community, config, distribution, draw, engine,
+                    eventlog, ledger, metrics, scenario, trust)
 from tdgsim.cli import main
 
 from event_schema import CENTRALIZED_CHURN
 
-MODULES = (cli, community, config, distribution, engine, eventlog, ledger,
-           metrics, scenario, trust, tdgsim)
+MODULES = (cli, community, config, distribution, draw, engine, eventlog,
+           ledger, metrics, scenario, trust, tdgsim)
 
 # Patched by name by bench/layertrace.py, so kept though the program does
 # not call them.
-TRACER_HOOKS = {"trust.aggregate_reputation", "ledger.split_credits",
-                "ledger.Ledger.append_block"}
+TRACER_HOOKS = {"trust.aggregate_reputation", "trust.effective_f_min",
+                "ledger.split_credits", "ledger.Ledger.append_block"}
 # Reached only when an input is bad: each is pinned by the tests of that
 # error instead.
 ERROR_PATHS = {"scenario.ConfigError.__init__", "eventlog.EventLogError.__init__"}
