@@ -165,8 +165,6 @@ class World:
         # Each tau issuance has met -> the floor and fraction of its
         # replication factor (trust.roulette_parts) and its trust class:
         # all an idle agent's candidate takes from its tau, worked out once.
-        # A floor of 0 is kept as 1 with a fraction of 0, since an f_min is
-        # at least 1 whichever way its draw falls.
         self.tau_draws: Dict[float, Tuple[int, float, str]] = {}
         self.ledger = Ledger()
         self.assignments: Dict[str, Assignment] = {}
@@ -308,9 +306,9 @@ class World:
         # member of that pool, whose candidate is then rebuilt there from a
         # fresh read, and each idle agent sits in one pool: its community's,
         # or the open pool.  Candidates leave a pool as they are assigned.
-        # A candidate's f_min is max(effective_f_min(tau, ...), 1): the
-        # floor in its tau's entry in tau_draws, plus one if its one
-        # random() falls below the fraction there.
+        # A candidate's f_min is effective_f_min(tau, ...): the floor in its
+        # tau's entry in tau_draws, plus one if its one random() falls below
+        # the fraction there.
         candidates: Dict[str, Candidate] = {}
         tau_draws, tau_of, draw = self.tau_draws, self.store.tau, self.rng_issue.random
         for a in self.agent_order:
@@ -319,9 +317,9 @@ class World:
                 tau = tau_of(agent_id)
                 entry = tau_draws.get(tau)
                 if entry is None:
-                    base, frac = roulette_parts(raw_replication_factor(tau, self.limits))
                     entry = tau_draws[tau] = (
-                        (base, frac) if base else (1, 0.0)) + (classify(tau),)
+                        roulette_parts(raw_replication_factor(tau, self.limits))
+                        + (classify(tau),))
                 base, frac, trust_class = entry
                 candidates[agent_id] = Candidate(agent_id, base + (draw() < frac),
                                                  trust_class)

@@ -58,7 +58,9 @@ def write_event_log(path, header: dict, events) -> None:
 # must write the line instead.  Its checks are what make its bytes the
 # encoder's: a dict or list of exactly that type, exact ints, bools by type
 # (so never 0 or 1), finite floats, and strings through the encoder's own
-# escaper, which raises TypeError on anything that is not a str.
+# escaper, which raises TypeError on anything that is not a str.  A list or
+# dict of one element, every one in a centralized run, is written as that
+# element, with no join and no sort.
 _str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 
@@ -78,9 +80,10 @@ def _wu_issued(p, t):
     complexity, group_size, members = p["complexity"], p["group_size"], p["members"]
     if type(complexity) is not int or type(group_size) is not int or type(members) is not list:
         return None
+    members = _str(members[0]) if len(members) == 1 else ", ".join(map(_str, members))
     return (f'{{"k": "wu_issued", "p": {{"complexity": {complexity}, '
             f'"distributor": {_str(p["distributor"])}, "group_size": {group_size}, '
-            f'"initiator": {_str(p["initiator"])}, "members": [{", ".join(map(_str, members))}]'
+            f'"initiator": {_str(p["initiator"])}, "members": [{members}]'
             f'{short}, "wu": {_str(p["wu"])}}}, "t": {t}}}\n')
 
 
@@ -105,10 +108,12 @@ def _wu_validated(p, t):
             or type(correct) is not bool or type(credit) is not int
             or type(group_size) is not int or type(members) is not list):
         return None
+    consensus = _str(consensus[0]) if len(consensus) == 1 else ", ".join(map(_str, consensus))
+    members = _str(members[0]) if len(members) == 1 else ", ".join(map(_str, members))
     return (f'{{"k": "wu_validated", "p": {{"complexity": {complexity}, '
-            f'"consensus": [{", ".join(map(_str, consensus))}], '
+            f'"consensus": [{consensus}], '
             f'"correct": {"true" if correct else "false"}, "credit": {credit}, '
-            f'"group_size": {group_size}, "members": [{", ".join(map(_str, members))}], '
+            f'"group_size": {group_size}, "members": [{members}], '
             f'"wu": {_str(p["wu"])}}}, "t": {t}}}\n')
 
 
@@ -118,14 +123,21 @@ def _credit_committed(p, t):
     allocations = p["allocations"]
     if type(allocations) is not dict:
         return None
-    shares = []
-    # Sorted as the encoder sorts a dict: its (key, value) pairs.  A key
-    # that is not a str fails _str, after the same sort the encoder does.
-    for agent, millis in sorted(allocations.items()):
+    if len(allocations) == 1:
+        [(agent, millis)] = allocations.items()
         if type(millis) is not int:
             return None
-        shares.append(f"{_str(agent)}: {millis}")
-    return (f'{{"k": "credit_committed", "p": {{"allocations": {{{", ".join(shares)}}}, '
+        shares = f"{_str(agent)}: {millis}"
+    else:
+        shares = []
+        # Sorted as the encoder sorts a dict: its (key, value) pairs.  A key
+        # that is not a str fails _str, after the same sort the encoder does.
+        for agent, millis in sorted(allocations.items()):
+            if type(millis) is not int:
+                return None
+            shares.append(f"{_str(agent)}: {millis}")
+        shares = ", ".join(shares)
+    return (f'{{"k": "credit_committed", "p": {{"allocations": {{{shares}}}, '
             f'"wu": {_str(p["wu"])}}}, "t": {t}}}\n')
 
 

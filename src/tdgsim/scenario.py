@@ -263,7 +263,8 @@ def run(cfg: ScenarioConfig,
         out_dir=None) -> Tuple[World, MetricsReport, Ledger]:
     """Drive the engine for the full horizon, audit the ledger, compute
     metrics from the event log, and optionally write all artifacts to
-    `out_dir`, which is made before the run: a ConfigError if it cannot be."""
+    `out_dir`, which is made before the run: a ConfigError if it cannot be,
+    or if a report cannot be written there after it."""
     from .engine import World
     errors = validate_config(cfg)
     if errors:
@@ -280,7 +281,10 @@ def run(cfg: ScenarioConfig,
         raise AuditError(f"internal consistency failure: ledger block {bad} invalid")
     report = compute_metrics(world.header(), world.events)
     if out_dir is not None:
-        emit_report(world, report, out_dir)
+        try:
+            emit_report(world, report, out_dir)
+        except OSError as exc:  # a report path taken by a directory, a full disk
+            raise ConfigError([f"cannot write reports to {out_dir}: {exc}"]) from None
     return world, report, world.ledger
 
 

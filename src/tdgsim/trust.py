@@ -137,8 +137,13 @@ class ReplicationLimits:
     hi: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.lo <= self.hi < math.inf:  # an infinite bound makes the factor NaN
-            raise ValidationError(f"invalid replication limits ({self.lo}, {self.hi})")
+        # An infinite bound makes the factor NaN.  The factor at tau 1 must
+        # be exactly lo, as float cancellation can make it less: 0.0 for
+        # (1.0, 1e17).  Rounding is monotone, so the factor then lies in
+        # [lo, hi] for every tau, and an f_min is at least 1.
+        lo, hi = self.lo, self.hi
+        if not (1.0 <= lo <= hi < math.inf and hi - (hi - lo) == lo):
+            raise ValidationError(f"invalid replication limits ({lo}, {hi})")
 
 
 def raw_replication_factor(tau: float, limits: ReplicationLimits = ReplicationLimits()) -> float:

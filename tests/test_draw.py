@@ -95,11 +95,11 @@ def window_taus(draw):
 
 
 TAUS = st.one_of(window_taus(), st.sampled_from([0.0, 0.5, 1.0]))
-# At tau 1, (1, 1e17) rounds the factor to 0.0, a floor of 0 that
-# f_min's lower bound of 1 must lift.
+# (1, 2**52) is far wider than a scenario's pair, and its factor at tau 1 is
+# still exactly lo.
 LIMITS = st.sampled_from([ReplicationLimits(), ReplicationLimits(1.0, 1.0),
                           ReplicationLimits(1.0, 3.0), ReplicationLimits(2.5, 7.25),
-                          ReplicationLimits(1.0, 1e17)])
+                          ReplicationLimits(1.0, 2.0 ** 52)])
 
 
 @settings(max_examples=200)
@@ -120,7 +120,7 @@ def test_issuance_table_draws_what_effective_f_min_draws(taus, limits, seed):
         pools.clear()
         world._issue_trust()
         got = [(c.agent, c.f_min, c.trust_class) for c in pools[0].values()]
-        want = [(agent.id, max(effective_f_min(tau, limits, ref), 1), classify(tau))
+        want = [(agent.id, effective_f_min(tau, limits, ref), classify(tau))
                 for agent, tau in zip(world.agent_order, taus)]
         assert got == want
         assert world.rng_issue.getstate() == ref.getstate()

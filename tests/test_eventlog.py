@@ -251,7 +251,8 @@ def test_templates_write_what_json_dumps_writes(codec_dir, kind, keys, data):
 
 
 # The engine's value of each type, and values of other types that a
-# template must leave to the encoder, as it leaves them all.
+# template must leave to the encoder, as it leaves them all.  A list or dict
+# of one element takes a path of its own, so each has one-element values.
 ENGINE_VALUES = {str: "a", int: 2, bool: True, float: 0.5, list: ["b", "a"],
                  dict: {"b": 1, "a": 2}}
 OTHER_VALUES = {
@@ -259,12 +260,18 @@ OTHER_VALUES = {
     int: [True, 3.0, "3", None],
     bool: [1, 0, 1.0, None, "true"],
     float: [math.inf, -math.inf, math.nan, 1, True],
-    list: [("a",), ["a", 1], ["a", None], "ab", {"a": 1}],
+    list: [("a",), ["a", 1], ["a", None], "ab", {"a": 1}, [1], [None], [True]],
     dict: [{1: 2}, {"a": True}, {"a": 1.5}, [("a", 1)], "a"],
 }
 
 
 def test_every_value_of_another_type_goes_to_the_encoder(codec_dir):
+    items = [x[0] for x in OTHER_VALUES[list] if type(x) is list and len(x) == 1]
+    pairs = [pair for x in OTHER_VALUES[dict] if type(x) is dict and len(x) == 1
+             for pair in x.items()]
+    assert {type(item) for item in items} >= {int, type(None), bool}
+    assert any(type(agent) is not str for agent, _ in pairs)
+    assert any(type(millis) is not int for _, millis in pairs)
     events = []
     for kind, keys in SHAPES.values():
         payload = {key: ENGINE_VALUES[VALUE_TYPES[key]] for key in keys}

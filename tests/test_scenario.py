@@ -464,6 +464,22 @@ def test_cli_unwritable_out_is_a_config_error_before_the_run(tmp_path, capsys,
     assert captured.out == ""
 
 
+# A report path taken by a directory made the run end, after the whole
+# horizon, in an IsADirectoryError traceback from the writer.
+@pytest.mark.parametrize("report", ["summary.csv", "series.csv", "ledger.txt",
+                                    "effective_config.txt", "events.jsonl"])
+def test_cli_unwritable_report_is_a_config_error_after_the_run(tmp_path, capsys, report):
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)
+    scenario = write(tmp_path, MINIMAL)
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write reports to {out}: ")
+    assert str(out / report) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_non_utf8_scenario_is_a_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_bytes(b"[scenario]\nname = \xff\n")
@@ -621,9 +637,12 @@ def test_cli_non_finite_community_threshold_is_a_config_error(tmp_path, capsys, 
 
 # An infinite replication limit passed ReplicationLimits' `1 <= lo <= hi`
 # check, and the run died in roulette_round on a NaN replication factor.
+# (1.0, 1e17) is finite but passed too, though its factor at tau 1 cancels
+# to 0.0, below lo.
 @pytest.mark.parametrize("edits", [{"hi = 5.0 ": "hi = inf "},
-                                   {"lo = 1.5 ": "lo = inf ", "hi = 5.0 ": "hi = inf "}],
-                         ids=["hi", "lo-and-hi"])
+                                   {"lo = 1.5 ": "lo = inf ", "hi = 5.0 ": "hi = inf "},
+                                   {"lo = 1.5 ": "lo = 1.0 ", "hi = 5.0 ": "hi = 1e17 "}],
+                         ids=["hi", "lo-and-hi", "hi-1e17"])
 def test_cli_non_finite_replication_limit_is_a_config_error(tmp_path, capsys, edits):
     text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
     for old, new in edits.items():

@@ -145,6 +145,24 @@ def test_replication_limits_validated():
         ReplicationLimits(0.5, 5.0)  # lo below 1
     with pytest.raises(ValidationError):
         ReplicationLimits(4.0, 2.0)  # inverted
+    with pytest.raises(ValidationError):
+        ReplicationLimits(1.0, 1e17)  # the factor at tau 1 cancels to 0.0
+
+
+LIMIT_VALUES = st.floats(min_value=1.0, max_value=1e300) | st.sampled_from(
+    [1.0, 1.5, 5.0, 2.0 ** 52, 2.0 ** 53, 1e16, 1e17])
+
+
+@given(LIMIT_VALUES, LIMIT_VALUES, st.floats(min_value=0.0, max_value=1.0)
+       | st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0]))
+def test_the_factor_of_any_accepted_limits_lies_within_them(a, b, tau):
+    lo, hi = sorted((a, b))
+    try:
+        limits = ReplicationLimits(lo, hi)
+    except ValidationError:
+        assert hi - (hi - lo) != lo
+        return
+    assert lo <= raw_replication_factor(tau, limits) <= hi
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
