@@ -55,6 +55,10 @@ def cmd_run(args) -> int:
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, AuditError) else 2
+    except OSError as exc:  # a fault while writing the reports, such as a full disk
+        print(f"runtime error: cannot write reports to {args.out}: {exc}"
+              f" (reports written before it stay there)", file=sys.stderr)
+        return 2
     for metric, value in report.scalar_rows():
         print(f"{metric},{value}")
     return 0

@@ -7,10 +7,7 @@ Amounts are integer millicredits for exact, platform-independent sums.
 `Ledger.commit` credits a work unit in one pass: a one-participant credit
 (every centralized one) is its own allocation and text, with no sort, no
 split and no re-sum; two or more participants are split once, by
-`split_credits`.  `verify_chain` and `export_lines` render a
-one-participant block's allocation the same way, inline, so such a block
-costs at most one call, `_digest`'s.  A block's hash covers the payload
-that `_digest` states.
+`split_credits`.  A block's hash covers the payload that `_digest` states.
 An exported ledger parses back only if its index, tick and amount fields
 are integers written as `str(int)` writes them, so no other spelling of a
 number verifies.  A line loses only its line ending, and empty lines may
@@ -36,6 +33,9 @@ class AuditError(RuntimeError):
 
 
 def _alloc_text(allocations: Sequence[Allocation]) -> str:
+    if len(allocations) == 1:  # every centralized block: no list, no join
+        agent, mc = allocations[0]
+        return f"{agent}:{mc}"
     return ",".join([f"{agent}:{mc}" for agent, mc in allocations])
 
 
@@ -119,14 +119,8 @@ class Ledger:
         """None if intact, else the lowest index whose hash or linkage fails."""
         prev = GENESIS_PREV
         for i, (index, prev_hash, wu, allocations, tick, digest) in enumerate(self.blocks):
-            if index != i or prev_hash != prev:
-                return i
-            if len(allocations) == 1:  # as commit renders it
-                [(agent, mc)] = allocations
-                alloc_text = f"{agent}:{mc}"
-            else:
-                alloc_text = _alloc_text(allocations)
-            if digest != _digest(i, prev, wu, alloc_text, tick):
+            if (index != i or prev_hash != prev
+                    or digest != _digest(i, prev, wu, _alloc_text(allocations), tick)):
                 return i
             prev = digest
         return None
@@ -137,12 +131,7 @@ class Ledger:
     # Line format: index prev_hash wu agent:mc,agent:mc tick hash
     def export_lines(self) -> Iterable[str]:
         for index, prev_hash, wu, allocations, tick, digest in self.blocks:
-            if len(allocations) == 1:  # as commit renders it
-                [(agent, mc)] = allocations
-                yield f"{index} {prev_hash} {wu} {agent}:{mc} {tick} {digest}"
-            else:
-                yield (f"{index} {prev_hash} {wu} {_alloc_text(allocations) or '-'} "
-                       f"{tick} {digest}")
+            yield f"{index} {prev_hash} {wu} {_alloc_text(allocations) or '-'} {tick} {digest}"
 
 
 def _plain_int(text: str) -> int:

@@ -264,7 +264,8 @@ def run(cfg: ScenarioConfig,
     """Drive the engine for the full horizon, audit the ledger, compute
     metrics from the event log, and optionally write all artifacts to
     `out_dir`, which is made before the run: a ConfigError if it cannot be,
-    or if a report cannot be written there after it."""
+    or if a report's path there cannot be a file (a directory, a path
+    through a file, no permission), found after the run."""
     from .engine import World
     errors = validate_config(cfg)
     if errors:
@@ -283,8 +284,9 @@ def run(cfg: ScenarioConfig,
     if out_dir is not None:
         try:
             emit_report(world, report, out_dir)
-        except OSError as exc:  # a report path taken by a directory, a full disk
-            raise ConfigError([f"cannot write reports to {out_dir}: {exc}"]) from None
+        except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+            raise ConfigError([f"cannot write report {exc.filename}: {exc.strerror}"
+                               f" (reports written before it stay in {out_dir})"]) from None
     return world, report, world.ledger
 
 

@@ -137,20 +137,18 @@ class ReplicationLimits:
     hi: float = 5.0
 
     def __post_init__(self) -> None:
-        # An infinite bound makes the factor NaN.  The factor at tau 1 must
-        # be exactly lo, as float cancellation can make it less: 0.0 for
-        # (1.0, 1e17).  Rounding is monotone, so the factor then lies in
-        # [lo, hi] for every tau, and an f_min is at least 1.
-        lo, hi = self.lo, self.hi
-        if not (1.0 <= lo <= hi < math.inf and hi - (hi - lo) == lo):
-            raise ValidationError(f"invalid replication limits ({lo}, {hi})")
+        if not 1.0 <= self.lo <= self.hi < math.inf:  # an infinite bound makes the factor NaN
+            raise ValidationError(f"invalid replication limits ({self.lo}, {self.hi})")
 
 
 def raw_replication_factor(tau: float, limits: ReplicationLimits = ReplicationLimits()) -> float:
-    """Linear interpolation between the limits; high reputation means low factor."""
+    """Linear interpolation between the limits; high reputation means low factor.
+
+    Never below lo: float cancellation can take `hi - tau * (hi - lo)` under
+    it, to 0.0 at tau 1 for (1.0, 1e17), so an f_min is at least 1."""
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"tau {tau} outside [0, 1]")
-    return limits.hi - tau * (limits.hi - limits.lo)
+    return max(limits.lo, limits.hi - tau * (limits.hi - limits.lo))
 
 
 def roulette_parts(x: float) -> Tuple[int, float]:

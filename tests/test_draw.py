@@ -95,11 +95,11 @@ def window_taus(draw):
 
 
 TAUS = st.one_of(window_taus(), st.sampled_from([0.0, 0.5, 1.0]))
-# (1, 2**52) is far wider than a scenario's pair, and its factor at tau 1 is
-# still exactly lo.
+# At tau 1, the factor's formula cancels below lo for (1.1, 6.0), to
+# 1.0999999999999996, and for (1, 1e17), to 0.0; the factor is lo there.
 LIMITS = st.sampled_from([ReplicationLimits(), ReplicationLimits(1.0, 1.0),
                           ReplicationLimits(1.0, 3.0), ReplicationLimits(2.5, 7.25),
-                          ReplicationLimits(1.0, 2.0 ** 52)])
+                          ReplicationLimits(1.1, 6.0), ReplicationLimits(1.0, 1e17)])
 
 
 @settings(max_examples=200)
@@ -123,5 +123,6 @@ def test_issuance_table_draws_what_effective_f_min_draws(taus, limits, seed):
         want = [(agent.id, effective_f_min(tau, limits, ref), classify(tau))
                 for agent, tau in zip(world.agent_order, taus)]
         assert got == want
+        assert min(f_min for _, f_min, _ in got) >= 1
         assert world.rng_issue.getstate() == ref.getstate()
     assert world.tau_draws.keys() == set(taus)

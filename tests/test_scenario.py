@@ -1,6 +1,7 @@
 """Scenario parsing, report emission, metrics recomputation and the CLI."""
 import configparser
 import dataclasses
+import errno
 import json
 import sys
 from pathlib import Path
@@ -464,19 +465,37 @@ def test_cli_unwritable_out_is_a_config_error_before_the_run(tmp_path, capsys,
     assert captured.out == ""
 
 
+REPORTS = ["summary.csv", "series.csv", "ledger.txt", "effective_config.txt",
+           "events.jsonl"]  # in the order emit_report writes them
+
+
 # A report path taken by a directory made the run end, after the whole
 # horizon, in an IsADirectoryError traceback from the writer.
-@pytest.mark.parametrize("report", ["summary.csv", "series.csv", "ledger.txt",
-                                    "effective_config.txt", "events.jsonl"])
+@pytest.mark.parametrize("report", REPORTS)
 def test_cli_unwritable_report_is_a_config_error_after_the_run(tmp_path, capsys, report):
     out = tmp_path / "out"
     (out / report).mkdir(parents=True)
     scenario = write(tmp_path, MINIMAL)
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: cannot write reports to {out}: ")
-    assert str(out / report) in captured.err
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == (f"config error: cannot write report {out / report}: Is a directory"
+                            f" (reports written before it stay in {out})\n")
+    assert captured.out == ""
+    written = REPORTS[:REPORTS.index(report)]
+    assert sorted(path.name for path in out.iterdir() if path.is_file()) == sorted(written)
+
+
+# A fault that is not the path's, such as a full disk, is not a config
+# error; it is still one line, with no traceback.
+def test_cli_report_write_fault_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def full_disk(world, report, out_dir):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr("tdgsim.scenario.emit_report", full_disk)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write(tmp_path, MINIMAL)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"runtime error: cannot write reports to {out}: [Errno 28]"
+                            f" No space left on device (reports written before it stay there)\n")
     assert captured.out == ""
 
 
@@ -637,12 +656,9 @@ def test_cli_non_finite_community_threshold_is_a_config_error(tmp_path, capsys, 
 
 # An infinite replication limit passed ReplicationLimits' `1 <= lo <= hi`
 # check, and the run died in roulette_round on a NaN replication factor.
-# (1.0, 1e17) is finite but passed too, though its factor at tau 1 cancels
-# to 0.0, below lo.
 @pytest.mark.parametrize("edits", [{"hi = 5.0 ": "hi = inf "},
-                                   {"lo = 1.5 ": "lo = inf ", "hi = 5.0 ": "hi = inf "},
-                                   {"lo = 1.5 ": "lo = 1.0 ", "hi = 5.0 ": "hi = 1e17 "}],
-                         ids=["hi", "lo-and-hi", "hi-1e17"])
+                                   {"lo = 1.5 ": "lo = inf ", "hi = 5.0 ": "hi = inf "}],
+                         ids=["hi", "lo-and-hi"])
 def test_cli_non_finite_replication_limit_is_a_config_error(tmp_path, capsys, edits):
     text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
     for old, new in edits.items():
@@ -653,6 +669,21 @@ def test_cli_non_finite_replication_limit_is_a_config_error(tmp_path, capsys, ed
     err = capsys.readouterr().err
     assert err.startswith("config error: [limits] invalid replication limits (")
     assert "Traceback" not in err
+
+
+# Finite limits run, though for some `hi - tau * (hi - lo)` falls below lo
+# at tau 1: (1.1, 6.0) by one ulp, (1.0, 1e17) to 0.0.
+@pytest.mark.parametrize("lo, hi", [("1.2", "5.0"), ("1.1", "5.0"), ("1.1", "5.3"),
+                                    ("1.1", "6.0"), ("1.0", "1e17")])
+def test_cli_finite_replication_limits_run(tmp_path, capsys, lo, hi):
+    text = (SCENARIOS / "defaults.ini").read_text(encoding="utf-8")
+    assert text.count("lo = 1.5 ") == text.count("hi = 5.0 ") == 1
+    text = text.replace("lo = 1.5 ", f"lo = {lo} ").replace("hi = 5.0 ", f"hi = {hi} ")
+    assert main(["run", "--scenario", str(write(tmp_path, text)), "--ticks", "50",
+                 "--mode", "trust"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("issued,")
 
 
 def test_min_size_zero_still_needs_an_agent_to_form(tmp_path):

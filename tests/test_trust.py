@@ -145,24 +145,30 @@ def test_replication_limits_validated():
         ReplicationLimits(0.5, 5.0)  # lo below 1
     with pytest.raises(ValidationError):
         ReplicationLimits(4.0, 2.0)  # inverted
-    with pytest.raises(ValidationError):
-        ReplicationLimits(1.0, 1e17)  # the factor at tau 1 cancels to 0.0
+    # Finite pairs whose `hi - (hi - lo)` is not exactly lo are limits too:
+    # 5.0 - (5.0 - 1.2) is 1.2000000000000002, 6.0 - (6.0 - 1.1) is
+    # 1.0999999999999996, and 1e17 - (1e17 - 1.0) is 0.0.
+    for lo, hi in [(1.2, 5.0), (1.1, 5.0), (1.1, 5.3), (1.1, 6.0), (1.0, 1e17)]:
+        assert (ReplicationLimits(lo, hi).lo, ReplicationLimits(lo, hi).hi) == (lo, hi)
+
+
+# The factor's formula falls below lo at tau 1 for each of these pairs.
+@pytest.mark.parametrize("lo, hi, below", [(1.1, 6.0, 1.0999999999999996),
+                                           (1.0, 1e17, 0.0)])
+def test_the_factor_at_tau_one_is_lo_where_cancellation_takes_it_below(lo, hi, below):
+    assert hi - 1.0 * (hi - lo) == below < lo
+    assert raw_replication_factor(1.0, ReplicationLimits(lo, hi)) == lo
 
 
 LIMIT_VALUES = st.floats(min_value=1.0, max_value=1e300) | st.sampled_from(
-    [1.0, 1.5, 5.0, 2.0 ** 52, 2.0 ** 53, 1e16, 1e17])
+    [1.0, 1.1, 1.2, 1.5, 5.0, 5.3, 6.0, 2.0 ** 52, 2.0 ** 53, 1e16, 1e17])
 
 
 @given(LIMIT_VALUES, LIMIT_VALUES, st.floats(min_value=0.0, max_value=1.0)
        | st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0]))
-def test_the_factor_of_any_accepted_limits_lies_within_them(a, b, tau):
+def test_the_factor_of_any_finite_limits_lies_within_them(a, b, tau):
     lo, hi = sorted((a, b))
-    try:
-        limits = ReplicationLimits(lo, hi)
-    except ValidationError:
-        assert hi - (hi - lo) != lo
-        return
-    assert lo <= raw_replication_factor(tau, limits) <= hi
+    assert lo <= raw_replication_factor(tau, ReplicationLimits(lo, hi)) <= hi
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
