@@ -33,7 +33,8 @@ class TrustCommunity:
     invites only while it holds fewer than `max_size`, founder included.
 
     `add_member` and `remove_member` also keep `live_members`, the run's
-    one set of every live community's members, founders included."""
+    one map of every live community's members, founders included, to the
+    id of the community that holds each."""
 
     id: str
     founder: str
@@ -41,7 +42,7 @@ class TrustCommunity:
     # so it makes no reference cycle that only the collector frees.
     events: List[SimEvent] = field(repr=False)
     # Shared by the run's communities, which hold no member in common.
-    live_members: Set[str] = field(default_factory=set, repr=False)
+    live_members: Dict[str, str] = field(default_factory=dict, repr=False)
     members: Dict[str, int] = field(default_factory=dict)  # agent -> joined_tick
     join_tau: Dict[str, float] = field(default_factory=dict)  # tau at join time (audit)
     tcm: Optional[str] = None
@@ -55,13 +56,13 @@ class TrustCommunity:
     def add_member(self, agent: str, tick: int, tau: float) -> None:
         self.members[agent] = tick
         self.join_tau[agent] = tau
-        self.live_members.add(agent)
+        self.live_members[agent] = self.id
         self.peak_size = max(self.peak_size, len(self.members))
         self.log(tick, JOINED, agent)
 
     def remove_member(self, agent: str, tick: int, kind: str) -> None:
         if self.members.pop(agent, None) is not None:
-            self.live_members.discard(agent)
+            del self.live_members[agent]
         self.join_tau.pop(agent, None)
         self.log(tick, kind, agent)
 

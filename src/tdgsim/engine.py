@@ -9,6 +9,18 @@ The issuance stream is drawn only while some work unit is open, neither
 validated nor failed.  Once none is, no work unit can be queued again, so
 issuance and compute stop their per-agent work.  This is exact: the
 skipped draws could never reach an output.
+
+`run` stops at the run's fixed point: the first tick after which no work
+unit is open, no community is live and no agent churns.  From there only
+a scheduled fault can emit an event, and none can draw, so `run` steps
+the remaining fault ticks alone.  The header still carries the horizon,
+and `metrics.tick_rows` expands the quiet tail, so every output is the same
+as from stepping every tick.
+
+Within one drain of a queue, a dgds fallback to drds holds until a
+rejection: assignments only remove candidates, so they cannot give the
+pool the trusted/untrusted pair it lacked, and dgds draws nothing before
+it falls back.
 """
 from __future__ import annotations
 
@@ -18,7 +30,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import community as tc
 from .config import ScenarioConfig, complexity_range
@@ -181,9 +193,10 @@ class World:
         # operating.  They share no member, and after _issue_trust's failover
         # each has an available manager; the engine relies on this unchecked.
         self.communities: Dict[str, tc.TrustCommunity] = {}
-        # Every live community's members, founders included, kept by the
-        # communities themselves as members join and leave.
-        self.live_members: Set[str] = set()
+        # Every live community's members, founders included, each mapped to
+        # its community's id, kept by the communities themselves as members
+        # join and leave.
+        self.live_members: Dict[str, str] = {}
         self._tc_counter = 0
         self.events: List[SimEvent] = []
         self.faults_at: Dict[int, List] = {}
@@ -214,8 +227,15 @@ class World:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for t in range(1, self.config.horizon_ticks + 1):
+            horizon = self.config.horizon_ticks
+            for t in range(1, horizon + 1):
                 self.step(t)
+                if not (self.open_wus or self.communities or self.churners):
+                    # The fixed point: only a scheduled fault can still emit.
+                    for fault_tick in sorted(self.faults_at):
+                        if t < fault_tick <= horizon:
+                            self.step(fault_tick)
+                    break
         finally:
             if enabled:
                 gc.enable()
@@ -301,15 +321,18 @@ class World:
         if not self.open_wus:
             return
 
-        # Each idle agent's candidate is built once, from one tau read.
+        # Each idle agent's candidate is built once, from one tau read, and
+        # goes straight into its pool: its community's, or the open pool.
         # This is exact: a rating issued while a pool drains reaches only a
         # member of that pool, whose candidate is then rebuilt there from a
-        # fresh read, and each idle agent sits in one pool: its community's,
-        # or the open pool.  Candidates leave a pool as they are assigned.
-        # A candidate's f_min is effective_f_min(tau, ...): the floor in its
-        # tau's entry in tau_draws, plus one if its one random() falls below
-        # the fraction there.
-        candidates: Dict[str, Candidate] = {}
+        # fresh read.  Each pool is in agent_order, and candidates leave it
+        # as they are assigned.  A candidate's f_min is
+        # effective_f_min(tau, ...): the floor in its tau's entry in
+        # tau_draws, plus one if its one random() falls below the fraction
+        # there.
+        members = self.live_members  # a founder is a member
+        open_pool: Dict[str, Candidate] = {}
+        pools = {comm_id: {} for comm_id in self.communities}
         tau_draws, tau_of, draw = self.tau_draws, self.store.tau, self.rng_issue.random
         for a in self.agent_order:
             if a.online and a.current_wu is None:
@@ -321,10 +344,9 @@ class World:
                         roulette_parts(raw_replication_factor(tau, self.limits))
                         + (classify(tau),))
                 base, frac, trust_class = entry
-                candidates[agent_id] = Candidate(agent_id, base + (draw() < frac),
-                                                 trust_class)
-        members = self.live_members  # a founder is a member
-        open_pool = {a: c for a, c in candidates.items() if a not in members}
+                comm_id = members.get(agent_id)
+                (open_pool if comm_id is None else pools[comm_id])[agent_id] = Candidate(
+                    agent_id, base + (draw() < frac), trust_class)
 
         # Communities distribute their founders' queues first: members get
         # priority, leftover work spills to the open pool.
@@ -332,8 +354,7 @@ class World:
             comm = self.communities[comm_id]
             queue = self.servers[comm.founder].queue
             if queue:
-                pool = {a: c for a, c in candidates.items() if a in comm.members}
-                self._drain_queue(queue, pool, comm.tcm, comm.id)
+                self._drain_queue(queue, pools[comm_id], comm.tcm, comm.id)
             self._drain_queue(queue, open_pool, comm.tcm, comm.id)
 
         # Queues without a community go straight to the open pool.
@@ -349,13 +370,28 @@ class World:
         that rejects a work unit gets a new entry for its lowered tau.  A
         dict keeps its insertion order, so the selectors see the agents in
         the same order, and draw the same groups, as from a fresh list.
+
+        drds, dods and dgds each fail on fewer than 2 candidates before any
+        draw, so such a pool is not selected from; random draws its group
+        size first.  Once dgds falls back to drds, the pool lacks a trusted
+        or an untrusted candidate, and assignments cannot add one: only a
+        rejection, which rebuilds a candidate with a new class, can.  So the
+        fallback holds, and drds selects directly, until a rejection.  Both
+        are exact, as dgds draws nothing before it falls back.
         """
         params = self.config.params
+        least = 0 if self.config.strategy == "random" else 2
+        held = False  # dgds fell back in this drain, with no rejection since
         retries = 0
-        while queue and retries <= len(queue):
+        while queue and retries <= len(queue) and len(pool) >= least:
             wu = queue[0]
+            candidates = list(pool.values())
             try:
-                group = self._select_group(list(pool.values()))
+                group = (drds_select(candidates, self.rng_issue) if held
+                         else self._select_group(candidates))
+            except FallbackToDRDS:
+                held = True
+                continue
             except SelectionFailed:
                 break
             if group.short and not params.allow_short_groups:  # the one rule, for every strategy
@@ -371,6 +407,7 @@ class World:
                     self._rate(member, _REJECTED, rater=distributor)
                     pool[member] = Candidate(member, pool[member].f_min,
                                              classify(self.store.tau(member)))
+                    held = False
             if len(accepted) < 2:
                 queue.append(wu)
                 retries += 1
@@ -394,12 +431,9 @@ class World:
             return random_baseline_select(candidates, max(size, 1), self.rng_issue)
         if strategy == "dods":
             return dods_assign(candidates)
-        if strategy == "dgds":
-            try:
-                return dgds_select(candidates, self.rng_issue,
-                                   same_amount_total=params.dgds_same_amount == "total")
-            except FallbackToDRDS:
-                return drds_select(candidates, self.rng_issue)
+        if strategy == "dgds":  # raises FallbackToDRDS, which the drain takes
+            return dgds_select(candidates, self.rng_issue,
+                               same_amount_total=params.dgds_same_amount == "total")
         return drds_select(candidates, self.rng_issue)
 
     # -- phase 3: agent compute -----------------------------------------

@@ -78,6 +78,10 @@ def split_credits(total: int, participants: Sequence[str]) -> List[Allocation]:
 class Ledger:
     def __init__(self, blocks: Optional[List[CreditBlock]] = None) -> None:
         self.blocks: List[CreditBlock] = blocks or []
+        # The millicredits of the first `_summed` blocks: each read of the
+        # total sums only the blocks appended since the last, so neither a
+        # commit nor a parse pays for it.
+        self._total = self._summed = 0
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -126,7 +130,11 @@ class Ledger:
         return None
 
     def total_committed(self) -> int:
-        return sum(mc for block in self.blocks for _, mc in block.allocations)
+        blocks = self.blocks
+        self._total += sum([mc for block in blocks[self._summed:]
+                            for _, mc in block.allocations])
+        self._summed = len(blocks)
+        return self._total
 
     # Line format: index prev_hash wu agent:mc,agent:mc tick hash
     def export_lines(self) -> Iterable[str]:

@@ -6,13 +6,14 @@ not yet due, so live entries must stay in deadline order."""
 
 
 def check_communities(world):
-    """Live communities: available managers, no shared member, `live_members`."""
-    seen = set()
+    """Live communities: available managers, no shared member, and
+    `live_members` maps each member to the community that holds it."""
+    holder = {}
     for comm in world.communities.values():
-        assert world._available(comm.tcm) and seen.isdisjoint(comm.members), (
+        assert world._available(comm.tcm) and holder.keys().isdisjoint(comm.members), (
             world.config.name, world.tick, comm.id)
-        seen.update(comm.members)
-    assert world.live_members == seen, (world.config.name, world.tick)
+        holder.update(dict.fromkeys(comm.members, comm.id))
+    assert world.live_members == holder, (world.config.name, world.tick)
 
 
 class Invariants:

@@ -145,7 +145,7 @@ def test_operate_tick_never_evicts_the_manager():
 def test_operate_tick_respects_max_size_and_declines():
     comm = formed_community()
     comm.declined.add("shy")
-    comm.live_members.add("o00")  # a member of another community
+    comm.live_members["o00"] = "tc1"  # a member of another community
     ranked = rank_invitees([("shy", 0.99)] + [(f"o{i:02d}", 0.9) for i in range(40)],
                            PARAMS)
     _, invites = operate_tick(comm, {m: 0.8 for m in comm.members}, ranked, PARAMS)

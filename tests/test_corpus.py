@@ -22,12 +22,24 @@ from tdgsim.distribution import FallbackToDRDS
 def corpus(tmp_path_factory):
     """Every corpus case run once: the digests of its outputs, what it
     emitted, and the size of every pool each strategy selected from."""
-    pools, fallbacks = {}, Counter()
+    pools, fallbacks, selecting = {}, Counter(), [False]
     select_group, dgds_select = engine.World._select_group, engine.dgds_select
+    drds_select = engine.drds_select
 
     def spy_select(world, candidates):
         pools.setdefault(world.config.strategy, []).append(len(candidates))
-        return select_group(world, candidates)
+        selecting[0] = True
+        try:
+            return select_group(world, candidates)
+        finally:
+            selecting[0] = False
+
+    def spy_drds(candidates, rng):
+        # Called outside _select_group only by a drain whose dgds fallback
+        # holds: that pool is a dgds pool too.
+        if not selecting[0]:
+            pools["dgds"].append(len(candidates))
+        return drds_select(candidates, rng)
 
     def spy_dgds(*args, **kwargs):
         try:
@@ -40,6 +52,7 @@ def corpus(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine.World, "_select_group", spy_select)
         mp.setattr(engine, "dgds_select", spy_dgds)
+        mp.setattr(engine, "drds_select", spy_drds)
         for name in CORPUS:
             world, digests = run_case(name, tmp_path_factory.mktemp(name))
             runs[name] = SimpleNamespace(digests=digests, events=world.events)

@@ -411,3 +411,26 @@ def test_parse_gives_what_the_reference_parse_gives(lines):
     assert Ledger(blocks).verify_chain() == first_bad
     assert (list(Ledger(blocks).export_lines())
             == list(reference_ledger.Ledger(blocks).export_lines()))
+
+
+def resummed(ledger):
+    return sum(mc for block in ledger.blocks for _, mc in block.allocations)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 10**9), PARTICIPANTS), max_size=20),
+       st.lists(FIELD, max_size=5))
+def test_the_committed_total_is_the_sum_of_every_block(commits, appends):
+    # Each read of the total sums only the blocks appended since the last.
+    ledger = Ledger()
+    assert ledger.total_committed() == 0
+    for n, (total, participants) in enumerate(commits):
+        ledger.commit(f"wu{n:05d}", total, participants, n)
+        assert ledger.total_committed() == resummed(ledger)
+    for n, allocations in enumerate(appends):
+        ledger.append_block(f"x{n}", allocations, n)
+        assert ledger.total_committed() == resummed(ledger)
+    parsed_back = parse_ledger_lines(ledger.export_lines())
+    assert parsed_back.total_committed() == resummed(parsed_back) == resummed(ledger)
+    parsed_back.commit("wu99999", 7, ["a"], 99)
+    assert parsed_back.total_committed() == resummed(ledger) + 7
