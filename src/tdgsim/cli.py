@@ -81,15 +81,19 @@ def cmd_verify_ledger(args) -> int:
         return 1
     lines = text.split("\n")
     found = re.search("[\udc80-\udcff]", text)
+    lineno = None
     if found is not None:  # parse no further than its line
         lineno = text.count("\n", 0, found.start()) + 1
-        lines = lines[:lineno - 1] + [_READABLE_LINE]
+        lines[lineno - 1:] = [_READABLE_LINE]
+    # The lines are all the parse reads; the text, as large as the file,
+    # and the match, which holds it, need not outlive it.
+    text = found = None
     try:
         ledger = parse_ledger_lines(lines)
     except LedgerError as exc:
         print(f"ledger parse error: {exc}", file=sys.stderr)
         return 3
-    if found is not None:
+    if lineno is not None:
         print(f"ledger parse error: line {lineno}: not UTF-8", file=sys.stderr)
         return 3
     bad = ledger.verify_chain()

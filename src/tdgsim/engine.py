@@ -151,6 +151,10 @@ class World:
                     speed=group.speed, churn=group.churn,
                     accept_prob=group.accept_prob)
         self.agent_order = [self.agents[a] for a in sorted(self.agents)]
+        # Each agent's `[agent_id]`, the one list a centralized run logs as
+        # its wu_issued members and wu_validated members and consensus:
+        # payloads are read-only.  Sized by agents, never by events.
+        self.solo: Dict[str, List[str]] = {a: [a] for a in self.agents}
         # Insertion order, not agent_order: churn events keep their order.
         self.churners = [a for a in self.agents.values() if a.churn is not None]
 
@@ -174,12 +178,27 @@ class World:
         self.pending_judgments: Dict[str, List[Tuple[str, Outcome]]] = {}
 
         self.store = ReputationStore(config.params.window)
+        # Payload values a run repeats, each built once and logged in every
+        # event that carries it.  Each table is sized by distinct values,
+        # never by events.
+        # (subject, rater, cause) -> its rating_issued payload: agents x
+        # raters x causes.
+        self.rating_payloads: Dict[Tuple[str, str, str], dict] = {}
+        # A one-entry allocation tuple -> its allocations dict: agents x
+        # amounts.
+        self.allocation_dicts: Dict[tuple, Dict[str, int]] = {}
+        # Complexity -> its credit: one per complexity.
+        self.credits: Dict[int, int] = {}
         # Each tau issuance has met -> the floor and fraction of its
         # replication factor (trust.roulette_parts) and its trust class:
         # all an idle agent's candidate takes from its tau, worked out once.
         self.tau_draws: Dict[float, Tuple[int, float, str]] = {}
         self.ledger = Ledger()
         self.assignments: Dict[str, Assignment] = {}
+        # Community id -> its assignments in `assignments`, counted where
+        # they are made and closed.  A dissolved community's entry may stay:
+        # ids are never reused.
+        self.community_load: Dict[str, int] = {}
         self.buffers: Dict[str, Deque[Tuple[WorkUnit, str, str]]] = {
             sid: deque() for sid in self.servers}
         # (work unit, result, agent) to validate this tick.
@@ -288,7 +307,7 @@ class World:
                 continue
             self._assign_wu(agent, wu)
             self.central_assigned.append((wu, agent.id))
-            self.emit("wu_issued", wu=wu.id, members=[agent.id],
+            self.emit("wu_issued", wu=wu.id, members=self.solo[agent.id],
                       initiator=agent.id, distributor=wu.project,
                       group_size=1, complexity=wu.complexity)
 
@@ -418,7 +437,9 @@ class World:
             self.assignments[wu.id] = Assignment(
                 wu=wu, members=tuple(accepted), distributor=distributor,
                 community=community)
-            self.emit("wu_issued", wu=wu.id, members=list(accepted),
+            if community is not None:
+                self.community_load[community] = self.community_load.get(community, 0) + 1
+            self.emit("wu_issued", wu=wu.id, members=accepted,
                       initiator=group.initiator, distributor=distributor,
                       group_size=len(accepted), complexity=wu.complexity,
                       short=group.short)
@@ -511,17 +532,32 @@ class World:
     def _rate(self, subject: str, rating: Tuple[str, float], rater: str) -> None:
         cause, value = rating
         self.store.record(subject, value)
-        self.emit("rating_issued", subject=subject, rater=rater,
-                  cause=cause, value=value)
+        key = (subject, rater, cause)
+        payload = self.rating_payloads.get(key)
+        if payload is None:
+            payload = self.rating_payloads[key] = {
+                "subject": subject, "rater": rater, "cause": cause, "value": value}
+        # As emit appends, without the keyword dict.
+        self.events.append(tuple.__new__(SimEvent, (self.tick, "rating_issued", payload)))
 
     def _validate_unit(self, wu: WorkUnit, members: List[str],
                        consensus: List[str], correct: bool) -> None:
         """Close `wu`, validated with the results of `consensus`: credit
         them, log it, and count the unit as no longer open.  The count
         goes last, so a commit that raises changes nothing."""
-        credit = self.config.base_credit_millis * wu.complexity
+        credit = self.credits.get(wu.complexity)
+        if credit is None:
+            credit = self.credits[wu.complexity] = (
+                self.config.base_credit_millis * wu.complexity)
         block = self.ledger.commit(wu.id, credit, consensus, self.tick)
-        self.emit("credit_committed", wu=wu.id, allocations=dict(block.allocations))
+        allocations = block.allocations
+        if len(allocations) == 1:  # every centralized block
+            shared = self.allocation_dicts.get(allocations)
+            if shared is None:
+                shared = self.allocation_dicts[allocations] = dict(allocations)
+        else:
+            shared = dict(allocations)
+        self.emit("credit_committed", wu=wu.id, allocations=shared)
         self.emit("wu_validated", wu=wu.id, members=members, consensus=consensus,
                   group_size=len(members), correct=correct,
                   complexity=wu.complexity, credit=credit)
@@ -529,7 +565,8 @@ class World:
 
     def _validate_centralized(self) -> None:
         for wu, result, agent_id in self._routed:
-            self._validate_unit(wu, [agent_id], [agent_id], result == CORRECT)
+            solo = self.solo[agent_id]
+            self._validate_unit(wu, solo, solo, result == CORRECT)
         self._routed = []
         # Timeout redistribution; the lapsed client is not penalized.  In
         # deadline order, every lapsed assignment precedes any live one.
@@ -562,6 +599,8 @@ class World:
                 continue
             self._finish_assignment(assignment)
             del self.assignments[wu_id]
+            if assignment.community is not None:
+                self.community_load[assignment.community] -= 1
 
     def _finish_assignment(self, assignment: Assignment) -> None:
         wu, members, outcomes = assignment.wu, assignment.members, assignment.outcomes
@@ -593,9 +632,13 @@ class World:
             return
         for agent, outcome in self.pending_judgments.pop(wu.id, ()):
             self._rate(agent, _cause(outcome, token), rater)
-        # Only a completed outcome has a result.
-        consensus = [m for m in members if outcomes[m].result == token]
-        self._validate_unit(wu, list(members), consensus, token == CORRECT)
+        # Only a completed outcome has a result.  A consensus of every
+        # member is the members list itself.
+        listed = list(members)
+        consensus = [m for m in listed if outcomes[m].result == token]
+        if len(consensus) == len(listed):
+            consensus = listed
+        self._validate_unit(wu, listed, consensus, token == CORRECT)
 
     # -- phase 6: community lifecycle -------------------------------------
     def _phase_lifecycle(self) -> None:
@@ -631,8 +674,7 @@ class World:
                 else:
                     comm.declined.add(agent)
             queue_empty = (not self.servers[comm.founder].queue
-                           and not any(a.community == comm.id
-                                       for a in self.assignments.values()))
+                           and not self.community_load.get(comm.id))
             if tc.dissolve_check(comm, params, queue_empty):
                 comm.dissolve(self.tick)
                 del self.communities[comm.id]

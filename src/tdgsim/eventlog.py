@@ -8,6 +8,9 @@ from typing import Iterator, NamedTuple, Tuple
 
 
 class SimEvent(NamedTuple):
+    """One logged event.  Its payload is read-only once logged: equal
+    payload values of one run (a rating payload, a centralized `[agent]`
+    list) may be one object."""
     # A tuple, not a frozen dataclass: one is built per emit and per log
     # line read, and a frozen dataclass pays a setattr call per field.
     tick: int

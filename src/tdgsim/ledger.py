@@ -82,6 +82,9 @@ class Ledger:
         # total sums only the blocks appended since the last, so neither a
         # commit nor a parse pays for it.
         self._total = self._summed = 0
+        # (agent, total) -> the one-participant allocations `((agent,
+        # total),)`, built once: sized by agents x amounts, never by blocks.
+        self._solo: Dict[Allocation, Tuple[Allocation, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -93,7 +96,11 @@ class Ledger:
             if total < 0:
                 raise LedgerError(f"negative credit total {total}")
             agent = participants[0]
-            return self._append(wu, ((agent, total),), f"{agent}:{total}", tick)
+            pair = (agent, total)
+            allocations = self._solo.get(pair)
+            if allocations is None:
+                allocations = self._solo[pair] = (pair,)
+            return self._append(wu, allocations, f"{agent}:{total}", tick)
         allocations = _split(total, participants)
         if sum([mc for _, mc in allocations]) != total:
             raise LedgerError(f"allocations for {wu} do not sum to {total}")

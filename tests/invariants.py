@@ -2,7 +2,10 @@
 the first step, and call `check()` after every step.  A unit has a deadline
 exactly while one of its issues waits for a result.  `_validate_centralized`
 stops at the first live entry of `central_assigned` (its unit has a deadline)
-not yet due, so live entries must stay in deadline order."""
+not yet due, so live entries must stay in deadline order.  Each community's
+count of live assignments, which its dissolution check reads, must equal a
+recount."""
+from collections import Counter
 
 
 def check_communities(world):
@@ -49,6 +52,9 @@ class Invariants:
         assert world.pending_judgments.keys().isdisjoint(self.ended), where
         assert world.ledger.total_committed() == self.committed, where
         check_communities(world)
+        load = Counter(a.community for a in world.assignments.values()
+                       if a.community is not None)
+        assert {c: n for c, n in world.community_load.items() if n} == load, where
         # A holder's deadline less timeout_ticks is its last wu_issued's tick.
         held = {a.id: a.current_wu for a in world.agents.values() if a.current_wu is not None}
         assert all(wu.deadline - timeout == self.issued_at.get(a)

@@ -1,5 +1,6 @@
 """What a work unit costs to hold: the memory `World(cfg)` keeps per unit,
-and the memory that writing a run's reports takes on top of the run.
+the memory a run keeps per event, the memory that writing a run's reports
+takes on top of the run, and the peak of `verify-ledger` per ledger byte.
 
 A run's work-unit count is one of its scale axes, so each unit should
 cost only what it holds.  Object sizes differ across interpreters, so the
@@ -10,6 +11,7 @@ import gc
 import tracemalloc
 from pathlib import Path
 
+from tdgsim.cli import main
 from tdgsim.config import AgentGroup, ScenarioConfig
 from tdgsim.engine import World
 from tdgsim.scenario import emit_report, parse_scenario, run
@@ -40,6 +42,37 @@ def test_world_init_holds_each_work_unit_in_few_bytes():
         tracemalloc.stop()
     assert sum(len(server.queue) for server in world.servers.values()) == UNITS
     assert held / UNITS <= MAX_BYTES_PER_UNIT, f"{held / UNITS:.1f} B per work unit"
+
+
+# What `World.run` keeps per event, the ledger's blocks included, measured
+# on CPython 3.11.7 with the default seeds.  The centralized outage holds
+# 370.8 B per event (80 002 events) and malice_dgds 271.3 B (38 876).
+# Before the run shared its repeated payload values (one `[agent]` list per
+# agent, one rating payload per subject, rater and cause, one one-entry
+# allocations dict and one allocation tuple per agent and amount) they held
+# 498.7 B and 347.4 B.  The bound leaves 10 % over the measurement, not
+# MAX_BYTES_PER_UNIT's 15 %: built afresh for each event, the three
+# `[agent]` lists of a centralized unit add 48 B per event (13 %).
+MAX_BYTES_PER_EVENT = {"centralized_outage": 408, "malice_dgds": 298}
+
+
+def test_a_run_holds_each_event_in_few_bytes():
+    held_per_event = {}
+    for name in MAX_BYTES_PER_EVENT:
+        cfg = parse_scenario(SCENARIOS / f"{name}.ini")
+        World(cfg).run()  # caches and interned names are not the events' cost
+        world = World(cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events = world.run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held_per_event[name] = round(held / len(events), 1)
+    assert all(held_per_event[name] <= bound for name, bound in MAX_BYTES_PER_EVENT.items()), (
+        f"{held_per_event} B per event")
 
 
 # Writing the reports holds a line at a time, never a whole file.  Measured
@@ -76,3 +109,30 @@ def test_writing_the_reports_takes_a_bound_that_does_not_grow_with_the_run(tmp_p
     assert peak <= MAX_REPORT_PEAK_BYTES, f"{peak} B"
     per_event = (peak - small_peak) / (events - small_events)
     assert per_event <= MAX_REPORT_BYTES_PER_EVENT, f"{per_event:.2f} B per event"
+
+
+# `verify-ledger` holds the file's lines and the blocks parsed from them, but
+# not the file's text while it parses.  Measured on CPython 3.11.7 with the
+# centralized outage at 5 000 work units: a peak of 4.03 B per byte of
+# ledger.txt (808 KB).  Holding the text through the parse took 5.03 B.
+# The bound leaves 15 % over the measurement.
+MAX_VERIFY_PEAK_PER_BYTE = 4.6
+
+
+def test_verify_ledger_does_not_hold_the_file_text_while_it_parses(tmp_path, capsys):
+    cfg = parse_scenario(SCENARIOS / "centralized_outage.ini")
+    cfg.wu_count = 5_000
+    run(cfg, out_dir=tmp_path)
+    ledger = tmp_path / "ledger.txt"
+    assert main(["verify-ledger", str(ledger)]) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["verify-ledger", str(ledger)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("ok: 5000 blocks")
+    per_byte = peak / ledger.stat().st_size
+    assert per_byte <= MAX_VERIFY_PEAK_PER_BYTE, f"{per_byte:.2f} B per ledger byte"

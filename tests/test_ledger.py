@@ -262,10 +262,12 @@ def test_cli_verify_ledger_names_an_empty_line_above_a_line_that_is_not_utf8(
 
 def engine_stand_in():
     """What `World._validate_unit` reads: a base credit of 1 (so a work
-    unit's complexity is its credit), the ledger, the tick, `emit` and the
-    open-unit count."""
+    unit's complexity is its credit), the ledger, the tick, `emit`, the
+    open-unit count, and the tables of credits and of one-entry allocation
+    dicts that it fills."""
     host = SimpleNamespace(config=SimpleNamespace(base_credit_millis=1),
-                           ledger=Ledger(), tick=0, events=[], open_wus=10**6)
+                           ledger=Ledger(), tick=0, events=[], open_wus=10**6,
+                           credits={}, allocation_dicts={})
     host.emit = lambda kind, **payload: World.emit(host, kind, **payload)
     return host
 
