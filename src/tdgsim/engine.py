@@ -30,6 +30,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import cycle, repeat
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from . import community as tc
@@ -96,7 +97,7 @@ class Outcome(NamedTuple):
 @dataclass
 class Assignment:
     wu: WorkUnit
-    members: Tuple[str, ...]
+    members: List[str]  # the list its wu_issued logs: payloads are read-only
     distributor: str
     community: Optional[str]
     outcomes: Dict[str, Outcome] = field(default_factory=dict)
@@ -158,18 +159,20 @@ class World:
         # Insertion order, not agent_order: churn events keep their order.
         self.churners = [a for a in self.agents.values() if a.churn is not None]
 
-        self.servers: Dict[str, WorkServer] = {
-            sid: WorkServer(sid) for sid in config.server_ids()}
+        # Unit i is "wu%05d" % i, queued at server i mod m: built and appended
+        # in C, and drained by deque(maxlen=0), which keeps no list of them.
+        # Only complexity reads rng_work, in unit order: one value draws none.
+        sids, n = config.server_ids(), config.wu_count
+        if n and not sids:  # cycle([]) would end the map and lose every unit
+            raise ValueError(f"no server to own {n} work units")
+        lo, hi = complexity_range(config.complexity)
+        complexities = repeat(lo) if lo == hi else map(
+            lo.__add__, map(below, repeat(rng_work, n), repeat(hi - lo + 1, n)))
+        self.servers: Dict[str, WorkServer] = {sid: WorkServer(sid) for sid in sids}
+        deque(map(deque.append, cycle([s.queue for s in self.servers.values()]), map(
+            WorkUnit, map("wu%05d".__mod__, range(n)), cycle(sids), complexities)), maxlen=0)
         self.server_order = list(self.servers)
         self._rr = 0  # assignment-server round-robin pointer
-
-        # Only complexity reads rng_work, so a spec of one value draws none.
-        lo, hi = complexity_range(config.complexity)
-        owners = [(sid, self.servers[sid].queue) for sid in self.server_order]
-        for i in range(config.wu_count):
-            owner, queue = owners[i % len(owners)]
-            complexity = lo if lo == hi else lo + below(rng_work, hi - lo + 1)
-            queue.append(WorkUnit(f"wu{i:05d}", owner, complexity))
         # Units not yet validated and not failed for good: the log's
         # wu_count less its wu_validated and terminal wu_redistributed events.
         self.open_wus = config.wu_count
@@ -435,7 +438,7 @@ class World:
                 self._assign_wu(self.agents[member], wu)
                 del pool[member]
             self.assignments[wu.id] = Assignment(
-                wu=wu, members=tuple(accepted), distributor=distributor,
+                wu=wu, members=accepted, distributor=distributor,
                 community=community)
             if community is not None:
                 self.community_load[community] = self.community_load.get(community, 0) + 1
@@ -633,12 +636,11 @@ class World:
         for agent, outcome in self.pending_judgments.pop(wu.id, ()):
             self._rate(agent, _cause(outcome, token), rater)
         # Only a completed outcome has a result.  A consensus of every
-        # member is the members list itself.
-        listed = list(members)
-        consensus = [m for m in listed if outcomes[m].result == token]
-        if len(consensus) == len(listed):
-            consensus = listed
-        self._validate_unit(wu, listed, consensus, token == CORRECT)
+        # member is the members list itself, which wu_issued logged too.
+        consensus = [m for m in members if outcomes[m].result == token]
+        if len(consensus) == len(members):
+            consensus = members
+        self._validate_unit(wu, members, consensus, token == CORRECT)
 
     # -- phase 6: community lifecycle -------------------------------------
     def _phase_lifecycle(self) -> None:

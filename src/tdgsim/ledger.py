@@ -5,13 +5,13 @@ SHA-256, so any later tampering is detectable by a full re-verification.
 Amounts are integer millicredits for exact, platform-independent sums.
 
 `Ledger.commit` credits a work unit in one pass: a one-participant credit
-(every centralized one) is its own allocation and text, with no sort, no
-split and no re-sum; two or more participants are split once, by
-`split_credits`.  A block's hash covers the payload that `_digest` states.
-An exported ledger parses back only if its index, tick and amount fields
-are integers written as `str(int)` writes them, so no other spelling of a
-number verifies.  A line loses only its line ending, and empty lines may
-only follow the last block.
+(every centralized one) is its own allocation and text, with no sort and
+no split; two or more participants are split once, by `split_credits`,
+whose base x n + remainder is the total, so no commit re-sums.  A block's
+hash covers the payload that `_digest` states.  An exported ledger parses
+back only if its index, tick and amount fields are integers written as
+`str(int)` writes them, so no other spelling of a number verifies.  A line
+loses only its line ending, and empty lines may only follow the last block.
 """
 from __future__ import annotations
 
@@ -102,8 +102,6 @@ class Ledger:
                 allocations = self._solo[pair] = (pair,)
             return self._append(wu, allocations, f"{agent}:{total}", tick)
         allocations = _split(total, participants)
-        if sum([mc for _, mc in allocations]) != total:
-            raise LedgerError(f"allocations for {wu} do not sum to {total}")
         return self._append(wu, allocations, _alloc_text(allocations), tick)
 
     def append_block(self, wu: str, allocations: Sequence[Allocation], tick: int,

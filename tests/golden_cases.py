@@ -13,7 +13,9 @@ whose work units end partly FAILED long before its horizon, a sixth
 pins the centralized timeout path, which no bundled scenario reaches, a
 seventh pins agent faults and a community that dissolves on failover, and
 an eighth pins eight servers whose communities form, invite, evict and
-dissolve side by side (no other case has more than two servers).
+dissolve side by side (no other case here has more than two servers).
+Four scale rungs, one per strategy, pin 32 servers and the tens of live
+communities and pools of hundreds that only larger runs reach.
 
 This module imports no test framework, so any Python that can import
 tdgsim runs it:
@@ -22,11 +24,13 @@ tdgsim runs it:
 
 runs every case and prints one JSON object: the interpreter's version,
 per case the SHA-256 of each output, and per bundled scenario the output
-files that its echo rerun changed; then the same for every case of the
-generated corpus (`corpus.py`), each rerun from its echo.  With
-`--pin-corpus` it writes the corpus digests to `corpus_digests.json`
-instead.  `test_golden.py` checks the cases in process and runs this
-under the other installed interpreters.
+files that its echo rerun changed; per scale rung the SHA-256 of each
+output; then the same for every case of the generated corpus
+(`corpus.py`), each rerun from its echo.  With `--pin-corpus` it writes
+the corpus digests to `corpus_digests.json` instead, and with
+`--pin-scale` the scale digests to `scale_digests.json`.  `test_golden.py`
+checks the cases in process and runs this under the other installed
+interpreters.
 """
 import hashlib
 import json
@@ -35,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from corpus import CORPUS, PINNED as CORPUS_PINNED
+from corpus import CORPUS, PINNED as CORPUS_PINNED, STRATEGIES
 from event_schema import CENTRALIZED_CHURN
 from tdgsim.scenario import parse_scenario, run
 
@@ -312,14 +316,65 @@ CASES["failover-dissolution"] = (FAILOVER_DISSOLUTION, FAILOVER_DISSOLUTION_GOLD
 CASES["many-servers"] = (MANY_SERVERS, MANY_SERVERS_GOLDEN)
 
 
+# The scale rungs: bench/workloads.py's etc_throughput population x10
+# (400 reliable, 80 malicious) with 32 servers, 1 000 work units per x1
+# and 300 ticks, one rung per strategy, plus 40 agents that take 80 % of
+# their offers, so that rejections reach pools of hundreds.  Only these
+# cases hold more than 10 live communities at once and drain pools of
+# hundreds of candidates.  Their digests are in SCALE_PINNED, which
+# `--pin-scale` writes; `test_scale.py` holds their coverage gate.
+SCALE_PINNED = Path(__file__).resolve().parent / "scale_digests.json"
+
+
+def scale_rung(strategy):
+    return f"""\
+[scenario]
+name = scale-{strategy}
+mode = trust
+strategy = {strategy}
+horizon_ticks = 300
+
+[work]
+wu_count = 10000
+complexity = 3
+
+[servers]
+count = 32
+timeout_ticks = 30
+
+[agents rel]
+count = 400
+profile = reliable
+
+[agents mal]
+count = 80
+profile = malicious
+
+[agents flaky]
+count = 40
+profile = reliable
+accept_prob = 0.8
+
+[params]
+formation = on
+"""
+
+
+SCALE = {f"scale-{strategy}": scale_rung(strategy) for strategy in STRATEGIES}
+
+
 def pinned(case):
     return dict(zip(OUTPUTS, CASES[case][1]))
 
 
+def scale_pinned():
+    return json.loads(SCALE_PINNED.read_text(encoding="utf-8"))
+
+
 def scenario_file(case, out_dir):
-    """The scenario file of `case`, a golden or a corpus case; an inline one
-    is written to `out_dir`."""
-    text = CASES[case][0] if case in CASES else CORPUS[case]
+    """The scenario file of `case`, a golden, scale or corpus case; an inline
+    one is written to `out_dir`."""
+    text = CASES[case][0] if case in CASES else SCALE.get(case) or CORPUS[case]
     if text is None:
         return SCENARIOS / f"{case}.ini"
     scenario = Path(out_dir) / "scenario.ini"
@@ -347,20 +402,25 @@ def echo_rerun(out_dir):
 
 
 def main():
-    digests, echo, corpus, corpus_echo = {}, {}, {}, {}
+    digests, echo, corpus, corpus_echo, scale = {}, {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in [*CASES, *CORPUS]:
+        for case in [*CASES, *SCALE, *CORPUS]:
             out = Path(tmp) / case
             out.mkdir()
-            into, echoes = (digests, echo) if case in CASES else (corpus, corpus_echo)
+            into, echoes = ((digests, echo) if case in CASES else
+                            (scale, None) if case in SCALE else (corpus, corpus_echo))
             into[case] = run_case(case, out)[1]
             if case in GOLDEN or case in CORPUS:
                 echoes[case] = echo_rerun(out)
     if sys.argv[1:] == ["--pin-corpus"]:
         CORPUS_PINNED.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
         return
+    if sys.argv[1:] == ["--pin-scale"]:
+        SCALE_PINNED.write_text(json.dumps(scale, indent=1) + "\n", encoding="utf-8")
+        return
     json.dump({"python": platform.python_version(), "digests": digests,
-               "echo": echo, "corpus": corpus, "corpus_echo": corpus_echo}, sys.stdout)
+               "echo": echo, "corpus": corpus, "corpus_echo": corpus_echo,
+               "scale": scale}, sys.stdout)
     print()
 
 

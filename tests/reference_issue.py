@@ -49,7 +49,7 @@ def drain_queue(world, queue: Deque[WorkUnit], pool: Dict[str, Candidate],
             world._assign_wu(world.agents[member], wu)
             del pool[member]
         world.assignments[wu.id] = Assignment(
-            wu=wu, members=tuple(accepted), distributor=distributor,
+            wu=wu, members=accepted, distributor=distributor,
             community=community)
         world.emit("wu_issued", wu=wu.id, members=list(accepted),
                    initiator=group.initiator, distributor=distributor,

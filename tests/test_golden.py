@@ -14,7 +14,7 @@ import pytest
 from background import OTHER_PYTHONS
 from corpus import CORPUS, pinned as corpus_pinned
 from golden_cases import (CASES, GOLDEN, REJECTION_GOLDEN, SCENARIOS, echo_rerun,
-                          pinned, run_case)
+                          pinned, run_case, scale_pinned)
 from tdgsim import community
 
 
@@ -95,8 +95,8 @@ def test_many_servers_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 # `golden_cases.py` runs under each other installed Python, and under this
 # one with PYTHONHASHSEED fixed, from the start of the session
-# (background.py): the golden cases and the generated corpus, each bundled
-# scenario and each corpus case rerun from its echo.
+# (background.py): the golden cases, the scale rungs and the generated
+# corpus, each bundled scenario and each corpus case rerun from its echo.
 @pytest.mark.parametrize("variant", OTHER_PYTHONS + ("hashseed",))
 def test_golden_digests_under_other_interpreters(variant, background, request):
     returncode, out, err = background.result(request.node.name)
@@ -108,5 +108,6 @@ def test_golden_digests_under_other_interpreters(variant, background, request):
              for case in CASES}
     assert {case: names for case, names in wrong.items() if names} == {}
     assert result["echo"] == {case: [] for case in GOLDEN}
+    assert result["scale"] == scale_pinned()
     assert result["corpus"] == corpus_pinned()
     assert result["corpus_echo"] == {case: [] for case in CORPUS}

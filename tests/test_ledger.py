@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tdgsim.cli import main
 from tdgsim.engine import World
 from tdgsim.ledger import (GENESIS_PREV, AuditError, CreditBlock, Ledger,
-                           LedgerError, parse_ledger_lines,
+                           LedgerError, _split, parse_ledger_lines,
                            split_credits)
 
 import reference_ledger
@@ -324,6 +324,22 @@ def test_a_bad_commit_fails_as_the_reference_commit_fails(bad):
     assert outcome(lambda: World._validate_unit(
         host, wu, participants, participants, True)) == expected
     assert host.ledger.blocks == [] and host.events == [] and host.open_wus == 10**6
+
+
+# `Ledger.commit` no longer re-sums a split: `_split` hands out base x n
+# plus the remainder, which is the total.  It must split, and fail, as the
+# reference split does on any total and any list, empty, repeating an
+# agent or not.
+@settings(max_examples=300)
+@given(st.integers(-10**9, 10**9), st.lists(st.text("abc", min_size=1, max_size=2),
+                                            max_size=8))
+def test_the_split_gives_what_the_reference_split_gives(total, participants):
+    expected = outcome(lambda: reference_ledger.split_credits(total, participants))
+    assert outcome(lambda: _split(total, participants)) == expected
+    if expected is None:
+        allocations = _split(total, participants)
+        assert allocations == tuple(reference_ledger.split_credits(total, participants))
+        assert sum(mc for _, mc in allocations) == total
 
 
 # Fields of 0, 1 and several participants, drawn from a few per ledger so

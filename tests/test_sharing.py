@@ -1,9 +1,10 @@
 """A run builds each payload value it repeats once and logs that one object
 in every event that carries it: one `[agent]` list per agent in a
-centralized run, one rating payload per subject, rater and cause, and one
-one-entry allocations dict per agent and amount.  Payloads are read-only,
-so sharing them must not change a byte of the log or a value of the fold.
-This holds for every golden and corpus case, on every interpreter.
+centralized run, one members list per issue of a trust unit, one rating
+payload per subject, rater and cause, and one one-entry allocations dict
+per agent and amount.  Payloads are read-only, so sharing them must not
+change a byte of the log or a value of the fold.  This holds for every
+golden and corpus case, on every interpreter.
 """
 import json
 
@@ -46,3 +47,15 @@ def test_shared_payload_values_write_and_fold_as_fresh_ones(case, tmp_path):
         one_object((ev.payload[key] for ev in events
                     if ev.kind in ("wu_issued", "wu_validated")
                     for key in ("members", "consensus") if key in ev.payload), tuple)
+        return
+    # A trust unit's validation logs the members list of its last issue,
+    # and as its consensus too when every member agreed.
+    issued = {}
+    for ev in events:
+        payload = ev.payload
+        if ev.kind == "wu_issued":
+            issued[payload["wu"]] = payload["members"]
+        elif ev.kind == "wu_validated":
+            assert payload["members"] is issued[payload["wu"]], payload
+            if payload["consensus"] == payload["members"]:
+                assert payload["consensus"] is payload["members"], payload
