@@ -3,7 +3,10 @@ folds again.  Its event type and its codec."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager
 from typing import Iterator, NamedTuple, Tuple
 
 
@@ -26,9 +29,31 @@ class EventLogError(ValueError):
         self.line = line  # 1-based; the header is line 1
 
 
+@contextmanager
+def rewrite(path):
+    """Open `path` as UTF-8 text with "\\n" line ends and leave the file
+    that `open(path, "w")` leaves: exactly the bytes that reached it, after
+    a full write or an exception partway through.  The new text goes over
+    the old bytes, and on exit the file is cut where it ends.  Every report
+    file is written through here."""
+    # Truncating on open waited 0.4-0.6 s to free an 11 MB report's blocks (ext4, `discard`).
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)  # not a pipe or a device
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+                yield fh
+        finally:
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
 def write_event_log(path, header: dict, events) -> None:
     """One line per event, each the text of
-    `json.dumps({"t": tick, "k": kind, "p": payload}, sort_keys=True)`.
+    `json.dumps({"t": tick, "k": kind, "p": payload}, sort_keys=True)`,
+    written through `rewrite`.
 
     The kinds in LINE_TEMPLATES, nearly every line of a run, are written
     from one f-string per kind with the keys in their sorted order, in a
@@ -38,7 +63,7 @@ def write_event_log(path, header: dict, events) -> None:
     to the encoder."""
     encode = json.JSONEncoder(sort_keys=True).encode
     templates = LINE_TEMPLATES
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with rewrite(path) as fh:
         write = fh.write
         write(encode(header) + "\n")
         last_tick = t = None

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, Tuple
 from .config import (MODES, PROFILES, STRATEGIES, AgentGroup, Fault, Params,
                      ScenarioConfig, complexity_range)
 # bench/ imports read_event_log from here and patches write_event_log here
-from .eventlog import read_event_log, write_event_log  # noqa: F401
+from .eventlog import read_event_log, rewrite, write_event_log  # noqa: F401
 from .ledger import AuditError, Ledger
 from .metrics import MetricsReport, compute_metrics, tick_rows
 
@@ -293,17 +293,17 @@ def run(cfg: ScenarioConfig,
 def emit_report(world: World, report: MetricsReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with rewrite(out / "summary.csv") as fh:
         fh.write("metric,value\n")
         for metric, value in report.scalar_rows():
             fh.write(f"{metric},{value}\n")
-    with open(out / "series.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with rewrite(out / "series.csv") as fh:
         fh.write("tick,issued,validated,active_agents,etc_size\n")
         for tick, issued, validated, active, etc in tick_rows(report):
             fh.write(f"{tick},{issued},{validated},{active},{etc}\n")
-    with open(out / "ledger.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with rewrite(out / "ledger.txt") as fh:
         for line in world.ledger.export_lines():
             fh.write(line + "\n")
-    with open(out / "effective_config.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with rewrite(out / "effective_config.txt") as fh:
         fh.write(render_config(world.config))
     write_event_log(out / "events.jsonl", world.header(), world.events)

@@ -150,6 +150,60 @@ def test_event_log_round_trips_the_engine_events(small_run, tmp_path):
     assert all(type(ev) is SimEvent for ev in events)
 
 
+# The writer rewrites a file in place and cuts it where its new bytes end,
+# which must leave the file that `open(path, "w")` leaves.
+
+@pytest.mark.parametrize("old", [b"x" * 200_000, b"{}\n"], ids=["longer", "shorter"])
+def test_a_rewrite_leaves_exactly_the_new_bytes(small_run, tmp_path, old):
+    _, world, _, _ = small_run
+    fresh, log = tmp_path / "fresh.jsonl", tmp_path / "events.jsonl"
+    write_event_log(fresh, world.header(), world.events)
+    log.write_bytes(old)
+    write_event_log(log, world.header(), world.events)
+    assert log.read_bytes() == fresh.read_bytes()
+
+
+def test_a_rewrite_keeps_the_inode_its_links_and_its_mode(small_run, tmp_path):
+    _, world, _, _ = small_run
+    fresh, log = tmp_path / "fresh.jsonl", tmp_path / "events.jsonl"
+    write_event_log(fresh, world.header(), world.events)
+    log.write_bytes(b"old\n" * 100_000)
+    log.chmod(0o640)
+    inode = log.stat().st_ino
+    os.link(log, tmp_path / "hard.jsonl")
+    (tmp_path / "soft.jsonl").symlink_to(log)
+    write_event_log(tmp_path / "soft.jsonl", world.header(), world.events)
+    assert (tmp_path / "soft.jsonl").is_symlink()
+    assert log.stat().st_ino == inode
+    assert log.stat().st_mode & 0o777 == 0o640
+    assert log.read_bytes() == (tmp_path / "hard.jsonl").read_bytes() == fresh.read_bytes()
+
+
+def test_a_rewrite_to_a_device_writes_through(small_run):
+    _, world, _, _ = small_run  # a device cannot be cut, nor is it by open(path, "w")
+    write_event_log(os.devnull, world.header(), world.events)
+
+
+@pytest.mark.parametrize("k", [0, 5, 300])  # 300: past the buffer, which flushed
+def test_a_rewrite_that_raises_leaves_the_new_prefix_and_no_stale_tail(small_run, tmp_path, k):
+    """As from `open(path, "w")`: every line written before the exception,
+    the ones still in the buffer too, and none of the old file."""
+    _, world, _, _ = small_run
+    assert len(world.events) > k
+    fresh, log = tmp_path / "fresh.jsonl", tmp_path / "events.jsonl"
+    write_event_log(fresh, world.header(), world.events)
+    log.write_bytes(fresh.read_bytes() + b"stale\n" * 10_000)
+
+    def events():
+        yield from world.events[:k]
+        raise RuntimeError("after k events")
+
+    with pytest.raises(RuntimeError, match="after k events"):
+        write_event_log(log, world.header(), events())
+    assert log.read_bytes().splitlines(keepends=True) == \
+        fresh.read_bytes().splitlines(keepends=True)[:1 + k]
+
+
 def templated(kind, payload, tick=1):
     """The line the writer takes from the template of `kind`, or None where
     it leaves the event to the encoder."""

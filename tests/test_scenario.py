@@ -1,8 +1,11 @@
 """Scenario parsing, report emission, metrics recomputation and the CLI."""
+import builtins
 import configparser
 import dataclasses
 import errno
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -14,8 +17,8 @@ from tdgsim.engine import World
 from tdgsim.eventlog import read_event_log
 from tdgsim.ledger import Ledger
 from tdgsim.metrics import compute_metrics
-from tdgsim.scenario import (ConfigError, parse_scenario, render_config, run,
-                             validate_config)
+from tdgsim.scenario import (ConfigError, emit_report, parse_scenario, render_config,
+                             run, validate_config)
 from tdgsim.trust import ReplicationLimits
 
 from ledger_balances import balances
@@ -239,7 +242,6 @@ def test_report_files_written(small_run):
 
 
 def test_zero_tick_report_emits_header_only(tmp_path):
-    from tdgsim.scenario import emit_report
     cfg = ScenarioConfig(horizon_ticks=1, wu_count=0, agents=[])
     world = World(cfg)
     report = compute_metrics({**world.header(), "horizon": 0}, [])
@@ -497,6 +499,53 @@ def test_cli_report_write_fault_is_a_runtime_error(tmp_path, capsys, monkeypatch
     assert captured.err == (f"runtime error: cannot write reports to {out}: [Errno 28]"
                             f" No space left on device (reports written before it stay there)\n")
     assert captured.out == ""
+
+
+# Truncating a large report on open waited tenths of a second on some
+# filesystems, which no output byte shows, so the opens are checked: no
+# O_TRUNC, and no path opened in mode "w".  An fd opened in "w" truncates
+# nothing.
+def test_emit_report_opens_no_report_truncating(small_run, tmp_path, monkeypatch):
+    _, world, report, _ = small_run
+    emit_report(world, report, tmp_path)
+    os_opens, opens = [], []
+    os_open, builtin_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        os_opens.append((path, flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opens.append((file, mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    emit_report(world, report, tmp_path)
+    monkeypatch.undo()
+    assert sorted(Path(path).name for path, _ in os_opens) == sorted(REPORTS)
+    assert not [path for path, flags in os_opens if flags & os.O_TRUNC]
+    assert not [file for file, mode in opens if "w" in mode and not isinstance(file, int)]
+
+
+def test_cli_rerun_into_a_used_out_leaves_what_a_fresh_out_holds(tmp_path, capsys):
+    """A 50-unit run's reports over a 200-unit run's: its log and ledger
+    are shorter, its summary longer (a throughput of more digits)."""
+    def scenario(units):
+        return write(tmp_path, MINIMAL.replace("wu_count = 1", f"wu_count = {units}")
+                     .replace("horizon_ticks = 20", "horizon_ticks = 300"), f"{units}.ini")
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main(["run", "--scenario", str(scenario(200)), "--out", str(used)]) == 0
+    sizes = {name: (used / name).stat().st_size for name in REPORTS}
+    assert main(["run", "--scenario", str(scenario(50)), "--out", str(used)]) == 0
+    assert main(["run", "--scenario", str(scenario(50)), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    for name in REPORTS:
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (fresh / "events.jsonl").stat().st_size < sizes["events.jsonl"]
+    assert (fresh / "ledger.txt").stat().st_size < sizes["ledger.txt"]
+    assert (fresh / "summary.csv").stat().st_size > sizes["summary.csv"]
 
 
 def test_cli_non_utf8_scenario_is_a_config_error(tmp_path, capsys):
